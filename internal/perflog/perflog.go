@@ -179,8 +179,14 @@ func writeEscaped(b *strings.Builder, s string) {
 	}
 }
 
+// unescape inverts escape. Almost no value holds a backslash, and one
+// that holds none is returned as is, without a copy.
 func unescape(s string) string {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s
+	}
 	var b strings.Builder
+	b.Grow(len(s))
 	for i := 0; i < len(s); i++ {
 		if s[i] != '\\' || i+1 == len(s) {
 			b.WriteByte(s[i])

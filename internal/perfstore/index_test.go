@@ -2,6 +2,7 @@ package perfstore
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"os"
@@ -451,6 +452,19 @@ func TestQueryEncodeRoundTrips(t *testing.T) {
 		}
 		if !back.Since.Equal(q.Since) {
 			t.Fatalf("since lost in round trip: %v -> %v", q.Since, back.Since)
+		}
+	}
+}
+
+// TestShardForIsFNV1a: the inlined hash must place every system where
+// hash/fnv's 32-bit FNV-1a did.
+func TestShardForIsFNV1a(t *testing.T) {
+	s := Open("unused")
+	for _, system := range []string{"", "a", "archer2", "csd3", "cosma8", "isambard-macs", "paderborn-milan", "local", "sys\x00tem", "ünïcode"} {
+		h := fnv.New32a()
+		h.Write([]byte(system))
+		if got, want := s.shardFor(system), &s.shards[h.Sum32()%shardCount]; got != want {
+			t.Errorf("shardFor(%q) moved", system)
 		}
 	}
 }

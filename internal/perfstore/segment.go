@@ -139,7 +139,9 @@ type segData struct {
 }
 
 // buildPostings indexes an immutable (t, seq)-sorted arena with the
-// same posting-list keys the head shards maintain incrementally.
+// same posting-list keys the head shards maintain incrementally. It
+// serves arenas assembled in memory (seal, compact, sealed eviction) and
+// is the reference decodeSegment's own bucketing is tested against.
 func buildPostings(entries []stored) map[string][]int32 {
 	post := map[string][]int32{}
 	for i := range entries {
@@ -334,9 +336,153 @@ func (r *byteReader) bytes(n uint64) ([]byte, error) {
 	return out, nil
 }
 
+// postingBuilder buckets row indices by dictionary id while a segment
+// decodes, so the load path never concatenates or hashes a posting key
+// per row: a posting is one table or integer-map probe, each key string
+// is built once per distinct id, and every list is carved out of one
+// shared slab. finish yields exactly what buildPostings computes from
+// the decoded arena.
+type postingBuilder struct {
+	dict []string
+	// system, benchmark, result and FOM-name postings are keyed by one
+	// dictionary id: dense id → bucket+1 tables. Extras are keyed by a
+	// (key id, value id) pair.
+	system, benchmark, result, fom []int32
+	extra                          map[[2]uint64]int32
+	buckets                        []postingBucket
+	refs                           []int32 // bucket of every posting, in row order
+	rowEnd                         []int32 // len(refs) after each row
+}
+
+// postingBucket is one posting list in the making: which key it will
+// carry (a kind byte as in the key* functions, and the dictionary ids of
+// its value) and how many rows it holds.
+type postingBucket struct {
+	kind byte
+	a, b uint64
+	n    int32
+}
+
+func newPostingBuilder(dict []string, rows int) *postingBuilder {
+	n := len(dict)
+	tables := make([]int32, 4*n)
+	return &postingBuilder{
+		dict:      dict,
+		system:    tables[:n],
+		benchmark: tables[n : 2*n],
+		result:    tables[2*n : 3*n],
+		fom:       tables[3*n:],
+		extra:     map[[2]uint64]int32{},
+		rowEnd:    make([]int32, 0, rows),
+	}
+}
+
+// post records the current row under the bucket *slot names, creating
+// the bucket on first use.
+func (pb *postingBuilder) post(slot *int32, kind byte, a, b uint64) {
+	if *slot == 0 {
+		pb.buckets = append(pb.buckets, postingBucket{kind: kind, a: a, b: b})
+		*slot = int32(len(pb.buckets))
+	}
+	pb.buckets[*slot-1].n++
+	pb.refs = append(pb.refs, *slot-1)
+}
+
+func (pb *postingBuilder) postSystem(id uint64)    { pb.post(&pb.system[id], 's', id, 0) }
+func (pb *postingBuilder) postBenchmark(id uint64) { pb.post(&pb.benchmark[id], 'b', id, 0) }
+func (pb *postingBuilder) postResult(id uint64)    { pb.post(&pb.result[id], 'r', id, 0) }
+func (pb *postingBuilder) postFOM(id uint64)       { pb.post(&pb.fom[id], 'f', id, 0) }
+
+func (pb *postingBuilder) postExtra(k, v uint64) {
+	slot := pb.extra[[2]uint64{k, v}]
+	known := slot != 0
+	pb.post(&slot, 'x', k, v)
+	if !known {
+		pb.extra[[2]uint64{k, v}] = slot
+	}
+}
+
+// key renders a bucket's posting key, once per bucket.
+func (pb *postingBuilder) key(bk postingBucket) string {
+	switch bk.kind {
+	case 's':
+		return keySystem(pb.dict[bk.a])
+	case 'b':
+		return keyBenchmark(pb.dict[bk.a])
+	case 'r':
+		return keyResult(pb.dict[bk.a])
+	case 'f':
+		return keyFOM(pb.dict[bk.a])
+	}
+	return keyExtra(pb.dict[bk.a], pb.dict[bk.b])
+}
+
+func (pb *postingBuilder) endRow() { pb.rowEnd = append(pb.rowEnd, int32(len(pb.refs))) }
+
+// finish lays the buckets out in one slab (ascending row order within
+// each, since rows were posted in order) and names them. A dictionary
+// that repeats a string under two ids — the encoder never writes one —
+// gives two buckets one key; their lists merge in row order.
+func (pb *postingBuilder) finish() map[string][]int32 {
+	next := make([]int32, len(pb.buckets))
+	off := int32(0)
+	for b := range pb.buckets {
+		next[b] = off
+		off += pb.buckets[b].n
+	}
+	slab := make([]int32, len(pb.refs))
+	p := int32(0)
+	for row, end := range pb.rowEnd {
+		for ; p < end; p++ {
+			b := pb.refs[p]
+			slab[next[b]] = int32(row)
+			next[b]++
+		}
+	}
+	post := make(map[string][]int32, len(pb.buckets))
+	for b, bk := range pb.buckets {
+		key, list := pb.key(bk), slab[next[b]-bk.n:next[b]:next[b]]
+		if prev, dup := post[key]; dup {
+			list = mergePostings(prev, list)
+		}
+		post[key] = list
+	}
+	return post
+}
+
+// mergePostings merges two ascending posting lists into a new one.
+func mergePostings(a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0] < a[0] {
+			out = append(out, b[0])
+			b = b[1:]
+		} else {
+			out = append(out, a[0])
+			a = a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// lastOf reports whether no later element of ids (taken every stride)
+// names the same string as ids[j] — the occurrence a map filled in
+// order ends up holding.
+func lastOf(dict []string, ids []uint64, j, stride int) bool {
+	for l := j + stride; l < len(ids); l += stride {
+		if dict[ids[l]] == dict[ids[j]] {
+			return false
+		}
+	}
+	return true
+}
+
 // decodeSegment rebuilds the arena from a data block. Every id and
 // length is validated against the block, so a corrupt segment yields an
-// error, never a panic or a silently wrong arena.
+// error, never a panic or a silently wrong arena. The entries live in
+// one slab per segment and the posting lists are bucketed as the rows
+// decode (see postingBuilder), so a load costs a handful of allocations
+// per row rather than dozens.
 func decodeSegment(h segHeader, data []byte) (*segData, error) {
 	if uint64(len(data)) != h.DataLen {
 		return nil, fmt.Errorf("data block is %d bytes, header says %d", len(data), h.DataLen)
@@ -369,18 +515,28 @@ func decodeSegment(h segHeader, data []byte) (*segData, error) {
 		}
 		dict[i] = string(b)
 	}
-	str := func() (string, error) {
+	dictID := func() (uint64, error) {
 		id, err := r.uvarint()
 		if err != nil {
-			return "", err
+			return 0, err
 		}
 		if id >= uint64(len(dict)) {
-			return "", fmt.Errorf("dictionary id %d out of range (%d strings)", id, len(dict))
+			return 0, fmt.Errorf("dictionary id %d out of range (%d strings)", id, len(dict))
+		}
+		return id, nil
+	}
+	str := func() (string, error) {
+		id, err := dictID()
+		if err != nil {
+			return "", err
 		}
 		return dict[id], nil
 	}
 
-	d := &segData{entries: make([]stored, 0, h.Count)}
+	slab := make([]perflog.Entry, h.Count)
+	d := &segData{entries: make([]stored, h.Count)}
+	pb := newPostingBuilder(dict, h.Count)
+	var ids []uint64 // the row's FOM-name ids, then its extra (key, value) id pairs
 	prevSec := int64(0)
 	prevT := int64(math.MinInt64)
 	for i := 0; i < h.Count; i++ {
@@ -401,21 +557,25 @@ func decodeSegment(h segHeader, data []byte) (*segData, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := &perflog.Entry{
-			Time:  time.Unix(sec, int64(ns)).UTC(),
-			FOMs:  map[string]fom.Value{},
-			Extra: map[string]string{},
-		}
-		st := stored{entry: e, seq: h.MinSeq + dseq}
+		e := &slab[i]
+		e.Time = time.Unix(sec, int64(ns)).UTC()
+		st := &d.entries[i]
+		st.entry, st.seq = e, h.MinSeq+dseq
 		if st.file, err = str(); err != nil {
 			return nil, err
 		}
-		if e.System, err = str(); err != nil {
+		sysID, err := dictID()
+		if err != nil {
 			return nil, err
 		}
-		if e.Benchmark, err = str(); err != nil {
+		e.System = dict[sysID]
+		pb.postSystem(sysID)
+		benchID, err := dictID()
+		if err != nil {
 			return nil, err
 		}
+		e.Benchmark = dict[benchID]
+		pb.postBenchmark(benchID)
 		if e.Partition, err = str(); err != nil {
 			return nil, err
 		}
@@ -425,8 +585,12 @@ func decodeSegment(h segHeader, data []byte) (*segData, error) {
 		if e.Spec, err = str(); err != nil {
 			return nil, err
 		}
-		if e.Result, err = str(); err != nil {
+		resID, err := dictID()
+		if err != nil {
 			return nil, err
+		}
+		if e.Result = dict[resID]; e.Result != "" {
+			pb.postResult(resID)
 		}
 		job, err := r.varint()
 		if err != nil {
@@ -440,8 +604,13 @@ func decodeSegment(h segHeader, data []byte) (*segData, error) {
 		if nf > uint64(len(data)) {
 			return nil, fmt.Errorf("row %d: %d FOMs exceeds data length", i, nf)
 		}
+		// The map hints are capped by what the rest of the block could
+		// hold (a FOM is at least 10 bytes, an extra 2), so a corrupt
+		// count cannot size an allocation beyond the block itself.
+		e.FOMs = make(map[string]fom.Value, min(nf, uint64(len(data)-r.pos)/10))
+		ids = ids[:0]
 		for j := uint64(0); j < nf; j++ {
-			name, err := str()
+			nameID, err := dictID()
 			if err != nil {
 				return nil, err
 			}
@@ -453,7 +622,17 @@ func decodeSegment(h segHeader, data []byte) (*segData, error) {
 			if err != nil {
 				return nil, err
 			}
+			name := dict[nameID]
 			e.FOMs[name] = fom.Value{Name: name, Value: math.Float64frombits(binary.LittleEndian.Uint64(b)), Unit: unit}
+			ids = append(ids, nameID)
+		}
+		// A row that names one FOM (or extra key) twice holds only the
+		// last occurrence in its map; only that one is posted.
+		distinct := len(e.FOMs) == len(ids)
+		for j, nameID := range ids {
+			if distinct || lastOf(dict, ids, j, 1) {
+				pb.postFOM(nameID)
+			}
 		}
 		nx, err := r.uvarint()
 		if err != nil {
@@ -462,28 +641,37 @@ func decodeSegment(h segHeader, data []byte) (*segData, error) {
 		if nx > uint64(len(data)) {
 			return nil, fmt.Errorf("row %d: %d extras exceeds data length", i, nx)
 		}
+		e.Extra = make(map[string]string, min(nx, uint64(len(data)-r.pos)/2))
+		ids = ids[:0]
 		for j := uint64(0); j < nx; j++ {
-			k, err := str()
+			k, err := dictID()
 			if err != nil {
 				return nil, err
 			}
-			v, err := str()
+			v, err := dictID()
 			if err != nil {
 				return nil, err
 			}
-			e.Extra[k] = v
+			e.Extra[dict[k]] = dict[v]
+			ids = append(ids, k, v)
 		}
+		distinct = 2*len(e.Extra) == len(ids)
+		for j := 0; j < len(ids); j += 2 {
+			if distinct || lastOf(dict, ids, j, 2) {
+				pb.postExtra(ids[j], ids[j+1])
+			}
+		}
+		pb.endRow()
 		st.t = timeNanos(e.Time)
 		if st.t < prevT {
 			return nil, fmt.Errorf("row %d: arena not (time, seq)-sorted", i)
 		}
 		prevT = st.t
-		d.entries = append(d.entries, st)
 	}
 	if r.pos != len(data) {
 		return nil, fmt.Errorf("%d trailing bytes after last row", len(data)-r.pos)
 	}
-	d.post = buildPostings(d.entries)
+	d.post = pb.finish()
 	return d, nil
 }
 

@@ -16,9 +16,10 @@ package perfstore
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -230,27 +231,79 @@ func (s *Store) Generation() uint64 { return s.gen.Load() }
 // Root returns the perflog tree this store ingests from.
 func (s *Store) Root() string { return s.root }
 
+// shardFor maps a system to its shard by FNV-1a over the name.
 func (s *Store) shardFor(system string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(system))
-	return &s.shards[h.Sum32()%shardCount]
+	h := uint32(2166136261)
+	for i := 0; i < len(system); i++ {
+		h = (h ^ uint32(system[i])) * 16777619
+	}
+	return &s.shards[h%shardCount]
 }
 
 // Sync walks the perflog tree and incrementally ingests every .log file.
-// Files already at their checkpoint are skipped without reading a byte.
+// A file whose size is its checkpoint has nothing new and is skipped on
+// that one stat, never opened — the whole of a sync on an unchanged tree.
+//
+// Reading and parsing touch no store state, so the remaining files'
+// tails are read concurrently on the fanN pool while this goroutine
+// commits them in walk order as they become ready. Ingest sequences are
+// handed out at commit, so the (time, seq) order of the store — and
+// every query answer — is the serial walk's, whatever GOMAXPROCS is. The
+// first file to fail stops the sync, its good prefix indexed, later
+// files untouched.
 func (s *Store) Sync() error {
-	if _, err := os.Stat(s.root); os.IsNotExist(err) {
-		return nil // nothing logged yet
-	}
-	return filepath.Walk(s.root, func(path string, info os.FileInfo, err error) error {
+	var paths []string
+	var from []int64 // each path's checkpoint when the walk saw it
+	unchanged := 0
+	walkErr := filepath.WalkDir(s.root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
+			if path == s.root && errors.Is(err, fs.ErrNotExist) {
+				return nil // nothing logged yet
+			}
 			return err
 		}
-		if info.IsDir() || !strings.HasSuffix(path, ".log") {
+		if d.IsDir() || !strings.HasSuffix(path, ".log") {
 			return nil
 		}
-		return s.SyncFile(path)
+		ck := s.checkpointOffset(path)
+		if info, err := d.Info(); err == nil && info.Size() == ck {
+			unchanged++
+			return nil
+		}
+		paths, from = append(paths, path), append(from, ck)
+		return nil
 	})
+	s.bumpStats(unchanged, 0, 0)
+	if len(paths) == 0 {
+		return walkErr
+	}
+	tails := make([]fileTail, len(paths))
+	ready := make([]chan struct{}, len(paths))
+	for i := range ready {
+		ready[i] = make(chan struct{})
+	}
+	var failed atomic.Bool // a commit failed: files not yet read stay unread
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		fanN(len(paths), func(i int) {
+			if !failed.Load() {
+				tails[i] = readTail(paths[i], from[i])
+			}
+			close(ready[i])
+		})
+	}()
+	defer readers.Wait()
+	for i, path := range paths {
+		<-ready[i]
+		if err := s.commitTail(path, tails[i]); err != nil {
+			failed.Store(true)
+			return err
+		}
+		tails[i] = fileTail{} // indexed: let the slice go
+	}
+	return walkErr
 }
 
 // SyncFile incrementally ingests one perflog file: it seeks to the
@@ -268,79 +321,121 @@ func (s *Store) Sync() error {
 // re-reads it whole — fault tolerance by the same mechanism as normal
 // incremental ingest.
 func (s *Store) SyncFile(path string) error {
-	if err := faultinject.Fire("perfstore.sync"); err != nil {
-		return fmt.Errorf("perfstore: %w", err)
-	}
-	start := time.Now()
-	defer func() { metricSyncSeconds.Observe(time.Since(start).Seconds()) }()
+	return s.commitTail(path, readTail(path, s.checkpointOffset(path)))
+}
+
+// checkpointOffset returns how far into path the store has ingested,
+// creating the file's checkpoint on first sight.
+func (s *Store) checkpointOffset(path string) int64 {
 	s.ckMu.Lock()
+	defer s.ckMu.Unlock()
 	ck := s.ck[path]
 	if ck == nil {
 		ck = &checkpoint{}
 		s.ck[path] = ck
 	}
-	s.ckMu.Unlock()
+	return ck.offset
+}
 
+// fileTail is what one perflog file holds past a checkpoint: its
+// complete lines, parsed. Reading one touches no store state; it enters
+// the store through commitTail.
+type fileTail struct {
+	from    int64 // checkpoint offset the read started at
+	shrunk  bool  // the file is shorter than from: it was rewritten, and the tail is the whole file
+	entries []*perflog.Entry
+	bytes   int64         // consumed through the last complete, well-formed line
+	err     error         // what cut the read short; entries and bytes still cover the good prefix
+	took    time.Duration // reading and parsing
+}
+
+// readTail reads the complete lines of path past offset from.
+func readTail(path string, from int64) fileTail {
+	start := time.Now()
+	t := fileTail{from: from}
+	if err := t.read(path); err != nil {
+		t.err = fmt.Errorf("perfstore: %w", err)
+	}
+	t.took = time.Since(start)
+	return t
+}
+
+func (t *fileTail) read(path string) error {
+	if err := faultinject.Fire("perfstore.sync"); err != nil {
+		return err
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("perfstore: %w", err)
+		return err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("perfstore: %w", err)
+		return err
 	}
-
-	// Serialize syncs of the same file on its checkpoint: two concurrent
-	// SyncFile calls would otherwise double-ingest the same byte range.
-	s.ckMu.Lock()
-	defer s.ckMu.Unlock()
-
-	if st.Size() < ck.offset {
-		if err := s.evictFile(path); err != nil {
-			return err
-		}
-		ck.offset = 0
+	from := t.from
+	if st.Size() < from {
+		t.shrunk = true
+		from = 0
 	}
-	if st.Size() == ck.offset {
-		s.bumpStats(1, 0, 0)
+	if st.Size() == from {
 		return nil
 	}
-	if _, err := f.Seek(ck.offset, io.SeekStart); err != nil {
-		return fmt.Errorf("perfstore: %w", err)
+	if _, err := f.Seek(from, io.SeekStart); err != nil {
+		return err
 	}
-
 	r := bufio.NewReaderSize(faultinject.Reader("perfstore.read", f), 64*1024)
-	var parsed int64
-	var batch []*perflog.Entry
 	for {
 		line, err := r.ReadString('\n')
 		if err == io.EOF {
 			// Partial trailing line: a writer is mid-append. Leave the
 			// checkpoint before it so the next sync picks it up whole.
-			break
+			return nil
 		}
 		if err != nil {
-			s.addBatch(batch, path)
-			return fmt.Errorf("perfstore: %w", err)
+			return err
 		}
-		n := int64(len(line))
 		text := strings.TrimSpace(line)
 		if text != "" && !strings.HasPrefix(text, "#") {
 			e, perr := perflog.ParseLine(text)
 			if perr != nil {
-				// Entries whose offsets the checkpoint already covers
-				// must be indexed even though the file is bad past them.
-				s.addBatch(batch, path)
-				return fmt.Errorf("perfstore: %s @%d: %w", path, ck.offset+parsed, perr)
+				return fmt.Errorf("%s @%d: %w", path, from+t.bytes, perr)
 			}
-			batch = append(batch, e)
+			t.entries = append(t.entries, e)
 		}
-		parsed += n
-		ck.offset += n
+		t.bytes += int64(len(line))
 	}
-	s.addBatch(batch, path)
-	s.bumpStats(1, parsed, len(batch))
+}
+
+// commitTail indexes a tail and advances the file's checkpoint over it,
+// serialized on ckMu: two syncs of one file never double-ingest a byte
+// range. Entries the checkpoint comes to cover are indexed even when
+// the file is bad past them.
+func (s *Store) commitTail(path string, t fileTail) error {
+	start := time.Now()
+	s.ckMu.Lock()
+	defer s.ckMu.Unlock()
+	ck := s.ck[path]
+	if ck.offset != t.from {
+		// Another ingester (a group commit's AddBatch, a worker's
+		// SyncFile) moved the checkpoint while this tail was being read,
+		// so it no longer starts where the store ends. Read again from
+		// there; holding the lock keeps the checkpoint still this time.
+		t = readTail(path, ck.offset)
+	}
+	defer func() { metricSyncSeconds.Observe((t.took + time.Since(start)).Seconds()) }()
+	if t.shrunk {
+		if err := s.evictFile(path); err != nil {
+			return err
+		}
+		ck.offset = 0
+	}
+	s.addBatch(t.entries, path)
+	ck.offset += t.bytes
+	if t.err != nil {
+		return t.err
+	}
+	s.bumpStats(1, t.bytes, len(t.entries))
 	return nil
 }
 

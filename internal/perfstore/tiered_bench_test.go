@@ -157,3 +157,20 @@ func BenchmarkStoreSealedAggregate(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSegmentDecode measures the segment load path alone — CRC,
+// dictionary, rows, posting lists — on a 50k-row block, so allocs/op ÷
+// 50k is the per-row garbage a cold sealed boot pays.
+func BenchmarkSegmentDecode(b *testing.B) {
+	const n = 50_000
+	hdr, data := encodeSegment(sortedStored(21, n))
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := decodeSegment(hdr, data)
+		if err != nil || len(d.entries) != n {
+			b.Fatalf("decoded %d entries, err %v", len(d.entries), err)
+		}
+	}
+}

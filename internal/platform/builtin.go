@@ -240,14 +240,16 @@ func UKEstate() *Estate {
 
 // LocalSystem describes the host this process runs on as a
 // single-partition system with the "local" scheduler and launcher, used
-// for real (non-simulated) benchmark execution.
+// for real (non-simulated) benchmark execution. The description is
+// static; the processor's measured PeakBandwidthGBs is filled in when
+// Estate.Resolve first hands the partition out.
 func LocalSystem() *System {
 	return &System{
 		Name: "local",
 		Site: "localhost",
 		Partitions: []Partition{{
 			Name:      "default",
-			Processor: HostProcessor(),
+			Processor: hostProc,
 			Nodes:     1,
 			Scheduler: "local",
 			Launcher:  "local",

@@ -3,39 +3,64 @@ package platform
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/telemetry"
 )
+
+var metricHostCalibration = telemetry.DefaultRegistry.Gauge(
+	"platform_host_calibration_seconds",
+	"Wall-clock duration of the host memory-bandwidth calibration (set once, the first time the local system is resolved).").With()
+
+// hostProc describes the machine this process is running on. Everything
+// but PeakBandwidthGBs is known statically; the bandwidth is measured,
+// not theoretical, and stays zero until calibrateHost has run.
+var hostProc = &Processor{
+	Vendor:             "host",
+	Name:               runtime.GOARCH,
+	Microarch:          "host",
+	Kind:               CPU,
+	Arch:               hostArch(),
+	Sockets:            1,
+	CoresPerSocket:     runtime.NumCPU(),
+	ClockGHz:           2.0, // unknown without cpuid; nominal
+	L3CachePerSocketMB: 32,
+	MemoryGB:           16,
+	NUMADomains:        1,
+	PeakGFlopsFP64:     float64(runtime.NumCPU()) * 2.0 * 4,
+	TDPWatts:           15 * float64(runtime.NumCPU()), // nominal per-core estimate
+}
 
 var (
-	hostOnce sync.Once
-	hostProc *Processor
+	hostOnce       sync.Once
+	hostCalibrated atomic.Bool
 )
 
-// HostProcessor describes the machine this process is running on, with a
-// measured (not theoretical) memory bandwidth estimate so that local runs
-// can still report an efficiency. The measurement is a short
-// single-shot triad sweep; it is cached for the process lifetime.
-func HostProcessor() *Processor {
+// calibrateHost measures the host's memory bandwidth, once per process,
+// so local runs can still report an efficiency. It costs a few hundred
+// milliseconds, which is why it runs when the local system is first
+// resolved (Estate.Resolve) and not when an estate is built: a daemon
+// that never runs on "local" never pays it.
+func calibrateHost() {
 	hostOnce.Do(func() {
-		cores := runtime.NumCPU()
-		hostProc = &Processor{
-			Vendor:             "host",
-			Name:               runtime.GOARCH,
-			Microarch:          "host",
-			Kind:               CPU,
-			Arch:               hostArch(),
-			Sockets:            1,
-			CoresPerSocket:     cores,
-			ClockGHz:           2.0, // unknown without cpuid; nominal
-			L3CachePerSocketMB: 32,
-			MemoryGB:           16,
-			NUMADomains:        1,
-			PeakBandwidthGBs:   measureHostBandwidth(),
-			PeakGFlopsFP64:     float64(cores) * 2.0 * 4,
-			TDPWatts:           15 * float64(cores), // nominal per-core estimate
-		}
+		start := time.Now()
+		hostProc.PeakBandwidthGBs = measureHostBandwidth()
+		metricHostCalibration.Set(time.Since(start).Seconds())
+		hostCalibrated.Store(true)
 	})
+}
+
+// HostProcessor returns the calibrated description of this machine,
+// measuring its memory bandwidth on the first call.
+func HostProcessor() *Processor {
+	calibrateHost()
 	return hostProc
 }
+
+// HostCalibrated reports whether the host bandwidth calibration has run
+// in this process.
+func HostCalibrated() bool { return hostCalibrated.Load() }
 
 func hostArch() Arch {
 	switch runtime.GOARCH {

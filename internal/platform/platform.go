@@ -198,6 +198,9 @@ func (e *Estate) System(name string) (*System, error) {
 
 // Resolve splits "system:partition" syntax (as used on the ReFrame
 // command line, e.g. isambard-macs:cascadelake) and returns both halves.
+// It is the door every run and efficiency column goes through, so it is
+// where the host processor is calibrated: the first Resolve of a
+// partition on this machine pays the bandwidth measurement, once.
 func (e *Estate) Resolve(target string) (*System, *Partition, error) {
 	sysName, partName := target, ""
 	for i := 0; i < len(target); i++ {
@@ -213,6 +216,9 @@ func (e *Estate) Resolve(target string) (*System, *Partition, error) {
 	part, err := sys.Partition(partName)
 	if err != nil {
 		return nil, nil, err
+	}
+	if part.Processor == hostProc {
+		calibrateHost()
 	}
 	return sys, part, nil
 }

@@ -251,7 +251,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	run, err := s.Submit(SubmitRequest{
+	run, accepted, err := s.submit(SubmitRequest{
 		Benchmark:    req.Benchmark,
 		System:       req.System,
 		Spec:         req.Spec,
@@ -260,7 +260,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		CPUsPerTask:  req.CPUsPerTask,
 		Repetitions:  req.Repetitions,
 		Warmup:       req.Warmup,
-	})
+	}, "")
 	var stale *buildsys.StaleBinaryError
 	switch {
 	case errors.Is(err, errQueueFull), errors.Is(err, errShuttingDown), errors.Is(err, errDegraded):
@@ -290,7 +290,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/runs/"+run.ID)
-	writeJSON(w, http.StatusAccepted, viewRun(run))
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {

@@ -40,7 +40,7 @@ type scheduleRequest struct {
 // client work share one backpressure story. The schedule id rides on
 // the run so completion flows back into the scheduler's state.
 func (s *Server) startScheduled(sp cbsched.Spec) (string, error) {
-	run, err := s.submit(SubmitRequest{
+	run, _, err := s.submit(SubmitRequest{
 		Benchmark:    sp.Benchmark,
 		System:       sp.System,
 		Spec:         sp.BuildSpec,

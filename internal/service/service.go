@@ -48,6 +48,14 @@ var (
 		"benchd_ingest_batch_size",
 		"Entries entering the store per durable group commit.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128}).With()
+	// Set once per New: manifest_open (segment manifest and headers),
+	// tail_sync (perflog bytes past the sealed watermarks), registries_load
+	// (runner, schedules, observer, alerts) and total. What a first query
+	// then adds is the lazy segment loads, perfstore_segment_loads_total.
+	metricBootSeconds = telemetry.DefaultRegistry.Gauge(
+		"benchd_boot_seconds",
+		"Wall-clock duration of the last daemon boot, by phase.",
+		"phase")
 )
 
 // Config sizes the daemon.
@@ -294,6 +302,7 @@ type Server struct {
 // still comes up — degraded and read-only — by rebuilding everything
 // from the perflog tree, which remains the source of truth.
 func New(cfg Config) (*Server, error) {
+	bootStart := time.Now()
 	cfg = cfg.withDefaults()
 	var store *perfstore.Store
 	degraded := false
@@ -317,9 +326,11 @@ func New(cfg Config) (*Server, error) {
 		store = perfstore.Open(cfg.PerflogRoot)
 	}
 	store.RSDGate = cfg.RSDGate
+	manifestDone := time.Now()
 	if err := store.Sync(); err != nil {
 		return nil, fmt.Errorf("service: initial ingest: %w", err)
 	}
+	syncDone := time.Now()
 	runner := core.New(cfg.InstallTree, "")
 	if cfg.Retry != nil {
 		runner.Retry = *cfg.Retry
@@ -374,6 +385,7 @@ func New(cfg Config) (*Server, error) {
 	if err := s.loadAlerts(); err != nil {
 		return nil, err
 	}
+	registriesDone := time.Now()
 	// Every error return is behind us: start the write path, then the
 	// workers. The daemon's perflog writes all flow through this one
 	// group-commit writer via the runner's append stage, so concurrent
@@ -399,6 +411,21 @@ func New(cfg Config) (*Server, error) {
 		s.sched.Start()
 	}
 	s.obs.Start()
+	phases := []struct {
+		name string
+		d    time.Duration
+	}{
+		{"manifest_open", manifestDone.Sub(bootStart)},
+		{"tail_sync", syncDone.Sub(manifestDone)},
+		{"registries_load", registriesDone.Sub(syncDone)},
+		{"total", time.Since(bootStart)},
+	}
+	attrs := make([]any, 0, 2*len(phases)+2)
+	for _, p := range phases {
+		metricBootSeconds.With(p.name).Set(p.d.Seconds())
+		attrs = append(attrs, p.name+"_s", p.d.Seconds())
+	}
+	cfg.Logger.Info("boot complete", append(attrs, "degraded", degraded)...)
 	return s, nil
 }
 
@@ -521,29 +548,34 @@ type SubmitRequest struct {
 // install-tree binary (pre-flight validation; surfaces as
 // *buildsys.StaleBinaryError), or when the queue is full.
 func (s *Server) Submit(req SubmitRequest) (*Run, error) {
-	return s.submit(req, "")
+	run, _, err := s.submit(req, "")
+	return run, err
 }
 
 // submit is Submit plus the schedule provenance used by the recurring
 // scheduler's firings; both paths share the queue and its backpressure.
-func (s *Server) submit(req SubmitRequest, scheduleID string) (*Run, error) {
+// The runView is the run as accepted: rendered under the submit lock
+// before any worker can take it off the queue, so it reads "queued" —
+// what a 202 means — where rendering the *Run after submit returns may
+// already show it running.
+func (s *Server) submit(req SubmitRequest, scheduleID string) (*Run, runView, error) {
 	benchmark, system, specText := req.Benchmark, req.System, req.Spec
 	if benchmark == "" || system == "" {
-		return nil, fmt.Errorf("benchmark and system are required")
+		return nil, runView{}, fmt.Errorf("benchmark and system are required")
 	}
 	if s.degraded {
-		return nil, errDegraded
+		return nil, runView{}, errDegraded
 	}
 	// Layout overrides are "0 = use the benchmark default"; negative
 	// values would otherwise flow unchecked into the runner and job
 	// script (the runner only overrides on > 0, silently masking the
 	// caller's mistake).
 	if req.NumTasks < 0 || req.TasksPerNode < 0 || req.CPUsPerTask < 0 {
-		return nil, fmt.Errorf("layout overrides must be non-negative (num_tasks=%d, tasks_per_node=%d, cpus_per_task=%d)",
+		return nil, runView{}, fmt.Errorf("layout overrides must be non-negative (num_tasks=%d, tasks_per_node=%d, cpus_per_task=%d)",
 			req.NumTasks, req.TasksPerNode, req.CPUsPerTask)
 	}
 	if req.Repetitions < 0 || req.Warmup < 0 {
-		return nil, fmt.Errorf("repetitions and warmup must be non-negative (repetitions=%d, warmup=%d)",
+		return nil, runView{}, fmt.Errorf("repetitions and warmup must be non-negative (repetitions=%d, warmup=%d)",
 			req.Repetitions, req.Warmup)
 	}
 	reps := req.Repetitions
@@ -551,19 +583,19 @@ func (s *Server) submit(req SubmitRequest, scheduleID string) (*Run, error) {
 		reps = 1
 	}
 	if err := stats.ValidateProtocol(reps, req.Warmup); err != nil {
-		return nil, err
+		return nil, runView{}, err
 	}
 	b, err := suite.ByName(benchmark)
 	if err != nil {
-		return nil, err
+		return nil, runView{}, err
 	}
 	if _, _, err := s.runner.Estate.Resolve(system); err != nil {
-		return nil, err
+		return nil, runView{}, err
 	}
 	if specText != "" {
 		norm, err := suite.NormalizeModelSpec(specText)
 		if err != nil {
-			return nil, err
+			return nil, runView{}, err
 		}
 		specText = norm
 	}
@@ -577,19 +609,19 @@ func (s *Server) submit(req SubmitRequest, scheduleID string) (*Run, error) {
 	if err := s.runner.Preflight(b, core.Options{System: system, Spec: specText}); err != nil {
 		var stale *buildsys.StaleBinaryError
 		if errors.As(err, &stale) {
-			return nil, fmt.Errorf("service: preflight: %w", err)
+			return nil, runView{}, fmt.Errorf("service: preflight: %w", err)
 		}
 	}
 	// The "service.submit" injection point models the submission path
 	// itself failing transiently (the store behind it wobbling); the
 	// handler maps it to 503 + Retry-After, like a full queue.
 	if err := faultinject.Fire("service.submit"); err != nil {
-		return nil, fmt.Errorf("service: submit: %w", err)
+		return nil, runView{}, fmt.Errorf("service: submit: %w", err)
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, errShuttingDown
+		return nil, runView{}, errShuttingDown
 	}
 	s.nextID++
 	run := &Run{
@@ -606,6 +638,7 @@ func (s *Server) submit(req SubmitRequest, scheduleID string) (*Run, error) {
 		status:       StatusQueued,
 		submitted:    time.Now(),
 	}
+	accepted := viewRun(run)
 	select {
 	case s.queue <- run:
 		s.runs[run.ID] = run
@@ -614,10 +647,10 @@ func (s *Server) submit(req SubmitRequest, scheduleID string) (*Run, error) {
 		metricQueueDepth.Set(float64(len(s.queue)))
 		s.cfg.Logger.Info("run submitted",
 			"run_id", run.ID, "benchmark", benchmark, "system", system)
-		return run, nil
+		return run, accepted, nil
 	default:
 		s.mu.Unlock()
-		return nil, errQueueFull
+		return nil, runView{}, errQueueFull
 	}
 }
 

@@ -49,14 +49,28 @@ func (e *Entry) SetRepStats(fomName string, s RepStats) {
 	e.Extra[repKey(fomName, "ci_hi")] = formatRepFloat(s.CIHi)
 }
 
-// RepStats decodes the repetition aggregate for one FOM. ok is false when
-// the entry predates the repetition protocol (no rep extras) or the extras
-// are malformed — callers then fall back to the single-point value.
-func (e *Entry) RepStats(fomName string) (RepStats, bool) {
-	if e.Extra == nil {
-		return RepStats{}, false
+// RepStatsReader decodes one FOM's repetition aggregate from many
+// entries — the per-query form of Entry.RepStats. The six extras keys are
+// rendered once, so a read on an entry that carries no stats is one map
+// probe and no allocation.
+type RepStatsReader struct {
+	keys [len(repFields)]string
+}
+
+// NewRepStatsReader renders the extras keys of fomName's aggregate.
+func NewRepStatsReader(fomName string) RepStatsReader {
+	var r RepStatsReader
+	for i, field := range repFields {
+		r.keys[i] = repKey(fomName, field)
 	}
-	nStr, present := e.Extra[repKey(fomName, "n")]
+	return r
+}
+
+// Read decodes the aggregate from e. ok is false when the entry predates
+// the repetition protocol (no rep extras) or the extras are malformed —
+// callers then fall back to the single-point value.
+func (r *RepStatsReader) Read(e *Entry) (RepStats, bool) {
+	nStr, present := e.Extra[r.keys[0]]
 	if !present {
 		return RepStats{}, false
 	}
@@ -64,30 +78,27 @@ func (e *Entry) RepStats(fomName string) (RepStats, bool) {
 	if err != nil || n < 1 {
 		return RepStats{}, false
 	}
-	s := RepStats{N: n}
-	for _, field := range repFields[1:] {
-		raw, present := e.Extra[repKey(fomName, field)]
+	var vals [len(repFields) - 1]float64
+	for i, key := range r.keys[1:] {
+		raw, present := e.Extra[key]
 		if !present {
 			return RepStats{}, false
 		}
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
+		if vals[i], err = strconv.ParseFloat(raw, 64); err != nil {
 			return RepStats{}, false
 		}
-		switch field {
-		case "mean":
-			s.Mean = v
-		case "stddev":
-			s.Stddev = v
-		case "rsd":
-			s.RSD = v
-		case "ci_lo":
-			s.CILo = v
-		case "ci_hi":
-			s.CIHi = v
-		}
 	}
-	return s, true
+	return RepStats{N: n, Mean: vals[0], Stddev: vals[1], RSD: vals[2], CILo: vals[3], CIHi: vals[4]}, true
+}
+
+// RepStats decodes the repetition aggregate for one FOM: a one-shot
+// RepStatsReader.
+func (e *Entry) RepStats(fomName string) (RepStats, bool) {
+	if len(e.Extra) == 0 {
+		return RepStats{}, false
+	}
+	r := NewRepStatsReader(fomName)
+	return r.Read(e)
 }
 
 // RepFOMs lists the FOM names that carry repetition extras, in map order.

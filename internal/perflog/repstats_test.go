@@ -80,3 +80,29 @@ func TestFormatRepStats(t *testing.T) {
 		t.Fatalf("FormatRepStats = %q, want %q", got, want)
 	}
 }
+
+// TestRepStatsReaderReuse: one reader serves any number of entries, and
+// an entry that carries no stats costs it no allocation — the property
+// the query loops in perfstore rely on.
+func TestRepStatsReaderReuse(t *testing.T) {
+	with := &Entry{Extra: map[string]string{"num_tasks": "8"}}
+	want := RepStats{N: 3, Mean: 10, Stddev: 1, RSD: 0.1, CILo: 9, CIHi: 11}
+	with.SetRepStats("l0", want)
+	with.SetRepStats("l1", RepStats{N: 2, Mean: 5})
+	without := &Entry{Extra: map[string]string{"num_tasks": "8"}}
+	r := NewRepStatsReader("l0")
+	for i := 0; i < 2; i++ {
+		if got, ok := r.Read(with); !ok || got != want {
+			t.Fatalf("read %d: ok=%v got %+v want %+v", i, ok, got, want)
+		}
+		if _, ok := r.Read(without); ok {
+			t.Fatal("stat-less entry reported stats")
+		}
+		if _, ok := r.Read(&Entry{}); ok {
+			t.Fatal("nil extras reported stats")
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Read(without) }); n != 0 {
+		t.Fatalf("a miss allocated %v times", n)
+	}
+}

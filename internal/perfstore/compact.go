@@ -56,9 +56,7 @@ func (s *Store) Seal() (int, error) {
 	if len(ents) == 0 {
 		return 0, nil
 	}
-	slices.SortFunc(ents, func(a, b stored) int {
-		return cmpHits(hit{a.entry, a.t, a.seq}, hit{b.entry, b.t, b.seq})
-	})
+	slices.SortFunc(ents, func(a, b stored) int { return cmpOrder(a.t, a.seq, b.t, b.seq) })
 
 	s.seg.Lock()
 	defer s.seg.Unlock()
@@ -88,7 +86,7 @@ func (s *Store) Seal() (int, error) {
 	s.seg.list = append(s.seg.list, &segment{
 		dir:  s.dataDir,
 		info: info,
-		data: &segData{entries: ents, post: buildPostings(ents)},
+		data: &view{entries: ents, post: buildPostings(ents)},
 	})
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -151,9 +149,7 @@ func (s *Store) Compact(maxSegments int) (bool, error) {
 		}
 		ents = append(ents, d.entries...)
 	}
-	slices.SortFunc(ents, func(a, b stored) int {
-		return cmpHits(hit{a.entry, a.t, a.seq}, hit{b.entry, b.t, b.seq})
-	})
+	slices.SortFunc(ents, func(a, b stored) int { return cmpOrder(a.t, a.seq, b.t, b.seq) })
 	id := s.seg.man.NextSeg + 1
 	info, err := writeSegmentFile(s.dataDir, id, ents)
 	if err != nil {
@@ -172,7 +168,7 @@ func (s *Store) Compact(maxSegments int) (bool, error) {
 	s.seg.list = []*segment{{
 		dir:  s.dataDir,
 		info: info,
-		data: &segData{entries: ents, post: buildPostings(ents)},
+		data: &view{entries: ents, post: buildPostings(ents)},
 	}}
 	for _, oi := range old {
 		os.Remove(filepath.Join(s.dataDir, oi.File))
@@ -243,7 +239,7 @@ func (s *Store) evictSealed(path string) (int, error) {
 		newList = append(newList, &segment{
 			dir:  s.dataDir,
 			info: ni,
-			data: &segData{entries: kept, post: buildPostings(kept)},
+			data: &view{entries: kept, post: buildPostings(kept)},
 		})
 		newInfos = append(newInfos, ni)
 	}

@@ -65,14 +65,23 @@ func timeNanos(tm time.Time) int64 {
 	return tm.UnixNano()
 }
 
+// view is the read side of one leg of a query — a head shard or a sealed
+// segment: the arena, its posting lists, and its (time, seq) order. A
+// segment's arena is sealed in that order, so its byTime is nil, meaning
+// identity. Everything a query reads goes through a view, so both tiers
+// run the one scan in query.go.
+type view struct {
+	entries []stored           // arena; a shard's is append-only, dead slots tombstoned
+	post    map[string][]int32 // posting lists, ascending arena indices
+	byTime  []int32            // live arena indices, sorted by (Time, seq); non-nil whenever a shard holds anything
+}
+
 type shard struct {
-	mu      sync.RWMutex
-	entries []stored // arena; append-only, dead slots tombstoned
+	mu sync.RWMutex
+	view
 	deadN   int
 	live    int
-	byTime  []int32            // live arena indices, sorted by (Time, seq)
-	post    map[string][]int32 // posting lists, ascending arena indices
-	systems map[string]int     // live entries per system (Systems/Stats)
+	systems map[string]int // live entries per system (Systems/Stats)
 }
 
 func (sh *shard) init() {
@@ -209,111 +218,68 @@ type hit struct {
 	seq uint64
 }
 
-func hitLess(a, b hit) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
+func (st *stored) hit() hit { return hit{st.entry, st.t, st.seq} }
 
-// cmpHits is hitLess for slices.SortFunc, which skips the reflection
-// swap overhead of sort.Slice in the per-shard result sort.
-func cmpHits(a, b hit) int {
+// cmpOrder compares two (time, seq) ordering keys.
+func cmpOrder(at int64, aseq uint64, bt int64, bseq uint64) int {
 	switch {
-	case a.t != b.t:
-		if a.t < b.t {
-			return -1
-		}
-		return 1
-	case a.seq != b.seq:
-		if a.seq < b.seq {
-			return -1
-		}
+	case at < bt, at == bt && aseq < bseq:
+		return -1
+	case at > bt, aseq > bseq:
 		return 1
 	}
 	return 0
 }
 
-// collect returns the shard's matching entries in (Time, seq) order,
-// trimmed to the most recent limit when limit > 0. It is the per-shard
-// leg of Select.
-func (sh *shard) collect(m *matcher, limit int) []hit {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if len(m.keys) > 0 {
-		idxs, ok := sh.intersectLocked(m.keys)
+func cmpHits(a, b hit) int       { return cmpOrder(a.t, a.seq, b.t, b.seq) }
+func cmpStored(a, b *stored) int { return cmpOrder(a.t, a.seq, b.t, b.seq) }
+
+// rows is the number of live rows.
+func (v *view) rows() int {
+	if v.byTime != nil {
+		return len(v.byTime)
+	}
+	return len(v.entries)
+}
+
+// row is the i-th live row in (time, seq) order.
+func (v *view) row(i int) *stored {
+	if v.byTime != nil {
+		i = int(v.byTime[i])
+	}
+	return &v.entries[i]
+}
+
+// lists looks up the posting list of every key, rarest first. It returns
+// nil when some predicate value has no posting list at all — zero
+// matches, no work.
+func (v *view) lists(keys []string) [][]int32 {
+	lists := make([][]int32, 0, len(keys))
+	for _, k := range keys {
+		l, ok := v.post[k]
 		if !ok {
 			return nil
 		}
-		hits := make([]hit, 0, len(idxs))
-		for _, idx := range idxs {
-			st := &sh.entries[idx]
-			if m.hasSince && st.t < m.sinceNano {
-				continue
-			}
-			hits = append(hits, hit{st.entry, st.t, st.seq})
-		}
-		slices.SortFunc(hits, cmpHits)
-		if limit > 0 && len(hits) > limit {
-			hits = hits[len(hits)-limit:]
-		}
-		return hits
-	}
-	// No indexed predicate: every live entry matches except those before
-	// Since. The time view makes both Since and Limit sublinear — a
-	// binary-searched lower bound and a most-recent tail — instead of a
-	// full scan with a post-hoc sort.
-	lo := 0
-	if m.hasSince {
-		lo = sort.Search(len(sh.byTime), func(i int) bool {
-			return sh.entries[sh.byTime[i]].t >= m.sinceNano
-		})
-	}
-	n := len(sh.byTime) - lo
-	if n <= 0 {
-		return nil
-	}
-	if limit > 0 && n > limit {
-		lo = len(sh.byTime) - limit
-		n = limit
-	}
-	hits := make([]hit, 0, n)
-	for _, idx := range sh.byTime[lo:] {
-		st := &sh.entries[idx]
-		hits = append(hits, hit{st.entry, st.t, st.seq})
-	}
-	return hits
-}
-
-// intersectLocked runs the posting-list intersection under the shard's
-// read lock. Callers hold sh.mu.
-func (sh *shard) intersectLocked(keys []string) ([]int32, bool) {
-	return intersectPostings(sh.post, keys)
-}
-
-// intersectPostings plans and runs the posting-list intersection for the
-// query's indexed predicates — shared by the head shards and the sealed
-// segments, which maintain the same posting-list key scheme: the rarest
-// list drives, the others are probed with an advancing galloping search
-// — the probe starts where the previous one left off, doubles its step
-// until it overshoots, then binary-searches the bracketed window. Dense
-// probed lists cost ~O(1) per probe, sparse ones O(log gap); either way
-// no per-element closure calls. ok is false when some predicate value
-// has no posting list at all — zero matches, no work.
-func intersectPostings(post map[string][]int32, keys []string) ([]int32, bool) {
-	lists := make([][]int32, 0, len(keys))
-	for _, k := range keys {
-		l, ok := post[k]
-		if !ok {
-			return nil, false
-		}
 		lists = append(lists, l)
 	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
+	slices.SortFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
+	return lists
+}
+
+// intersect runs the posting-list intersection — shared by the head
+// shards and the sealed segments, which maintain the same posting-list
+// key scheme: the rarest list (lists[0]) drives, the others are probed
+// with an advancing galloping search — the probe starts where the
+// previous one left off, doubles its step until it overshoots, then
+// binary-searches the bracketed window. Dense probed lists cost ~O(1)
+// per probe, sparse ones O(log gap); either way no per-element closure
+// calls. A single list is returned as is: callers must not write to the
+// result.
+func intersect(lists [][]int32) []int32 {
 	base := lists[0]
 	rest := lists[1:]
 	if len(rest) == 0 {
-		return base, true
+		return base
 	}
 	cursors := make([]int, len(rest))
 	out := make([]int32, 0, len(base))
@@ -347,47 +313,8 @@ outer:
 		}
 		out = append(out, idx)
 	}
-	return out, true
+	return out
 }
-
-// aggregate computes per-group partial aggregates over the shard's
-// matching entries — the map-merge leg of Store.Aggregate. Partials
-// carry (lastTime, lastSeq) so the merged Last is exactly the
-// latest-by-time value, shard boundaries notwithstanding.
-func (sh *shard) aggregate(m *matcher, keyer *groupKeyer, fomName string, gate float64) map[string]*partialAgg {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	partials := map[string]*partialAgg{}
-	visit := func(st *stored) {
-		if m.hasSince && st.t < m.sinceNano {
-			return
-		}
-		raw := keyer.raw(st.entry)
-		pa := partials[string(raw)]
-		if pa == nil {
-			pa = newPartialAgg(string(raw))
-			partials[pa.group] = pa
-		}
-		pa.observe(st, fomName, gate)
-	}
-	if len(m.keys) > 0 {
-		idxs, ok := sh.intersectLocked(m.keys)
-		if !ok {
-			return partials
-		}
-		for _, idx := range idxs {
-			visit(&sh.entries[idx])
-		}
-		return partials
-	}
-	for _, idx := range sh.byTime {
-		visit(&sh.entries[idx])
-	}
-	return partials
-}
-
-// fanShards runs fn(i) for every shard on a bounded worker pool.
-func (s *Store) fanShards(fn func(i int)) { fanN(shardCount, fn) }
 
 // fanN runs fn(0..n-1) on a worker pool sized by GOMAXPROCS — queries
 // parallelize across head shards and sealed segments without spawning
@@ -421,11 +348,11 @@ func fanN(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// mergeHits merges per-shard (Time, seq)-ordered hit slices into one
-// entry slice in the same order. With a limit it merges backwards from
-// the tails and stops after limit entries, so at most limit entries are
-// ever materialized — each shard already trimmed itself to its own most
-// recent limit, and the global answer is a subset of those tails.
+// mergeHits merges per-leg (time, seq)-ordered hit slices into one entry
+// slice in the same order. With a limit it merges backwards from the
+// tails and stops after limit entries — each leg already trimmed itself
+// to its own most recent limit, and the global answer is a subset of
+// those tails.
 func mergeHits(parts [][]hit, limit int) []*perflog.Entry {
 	live := parts[:0]
 	total := 0
@@ -435,60 +362,39 @@ func mergeHits(parts [][]hit, limit int) []*perflog.Entry {
 			total += len(p)
 		}
 	}
-	switch len(live) {
-	case 0:
+	if total == 0 {
 		return nil
-	case 1:
-		out := make([]*perflog.Entry, 0, len(live[0]))
-		for _, h := range live[0] {
-			out = append(out, h.e)
-		}
-		if limit > 0 && len(out) > limit {
-			out = out[len(out)-limit:]
-		}
-		return out
 	}
-	if limit > 0 && limit < total {
-		out := make([]*perflog.Entry, 0, limit)
-		tails := make([]int, len(live))
+	n, back, step := total, limit > 0, 1
+	pos := make([]int, len(live)) // the next hit of each part: from its head, or from its tail backwards
+	if back {
+		n, step = min(limit, total), -1
 		for i, p := range live {
-			tails[i] = len(p)
+			pos[i] = len(p) - 1
 		}
-		for len(out) < limit {
-			best := -1
-			for i, p := range live {
-				if tails[i] == 0 {
-					continue
-				}
-				if best == -1 || hitLess(live[best][tails[best]-1], p[tails[i]-1]) {
-					best = i
-				}
-			}
-			if best == -1 {
-				break
-			}
-			tails[best]--
-			out = append(out, live[best][tails[best]].e)
-		}
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
-		return out
 	}
-	out := make([]*perflog.Entry, 0, total)
-	heads := make([]int, len(live))
-	for len(out) < total {
+	out := make([]*perflog.Entry, n)
+	for k := range out {
 		best := -1
 		for i, p := range live {
-			if heads[i] == len(p) {
-				continue
-			}
-			if best == -1 || hitLess(p[heads[i]], live[best][heads[best]]) {
+			if uint(pos[i]) < uint(len(p)) && (best == -1 || (cmpHits(p[pos[i]], live[best][pos[best]]) < 0) != back) {
 				best = i
 			}
 		}
-		out = append(out, live[best][heads[best]].e)
-		heads[best]++
+		if back {
+			out[n-1-k] = live[best][pos[best]].e
+		} else {
+			out[k] = live[best][pos[best]].e
+		}
+		pos[best] += step
 	}
 	return out
+}
+
+// newestHits is the most recent limit of the per-leg tails, in (time,
+// seq) order.
+func newestHits(parts [][]hit, limit int) []hit {
+	all := slices.Concat(parts...)
+	slices.SortFunc(all, cmpHits)
+	return all[max(0, len(all)-limit):]
 }

@@ -203,6 +203,96 @@ func TestRegressionsIndexMatchesScan(t *testing.T) {
 	}
 }
 
+// TestQueriesMatchReferencesHead is the property test of the one scan on
+// the head: on stores whose timestamps collide and arrive out of order,
+// before and after evictions heavy enough to compact the shard arenas,
+// every randomized query — predicates, Since, Limit, group-bys that span
+// shards, bounded and unbounded baselines, entries with and without
+// repetition statistics — must answer exactly as the reference scan.
+func TestQueriesMatchReferencesHead(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := Open("unused")
+		for i := 0; i < 2000; i++ {
+			s.add(refEntry(rng, i), []string{"a.log", "b.log", "b.log", "c.log"}[rng.Intn(4)])
+		}
+		qrng := rand.New(rand.NewSource(seed * 313))
+		check := func(trials int) {
+			t.Helper()
+			for trial := 0; trial < trials; trial++ {
+				q, window := refQuery(qrng)
+				checkAgainstRefs(t, s, q, window)
+			}
+		}
+		check(150)
+		for _, file := range []string{"b.log", "c.log"} { // three quarters of every arena: forces compaction
+			s.ckMu.Lock()
+			err := s.evictFile(file)
+			s.ckMu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(75)
+		}
+	}
+}
+
+// scanOne runs q's scan on the one shard that holds system "a" and
+// returns the plan it took, the rows it read and the entries it visited.
+func scanOne(s *Store, q Query, newestFirst bool, stopAfter int) (plan, read int, jobs []int) {
+	sh := s.shardFor("a")
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	plan, read = sh.view.scan(q.compile(), newestFirst, nil, func(h hit) bool {
+		jobs = append(jobs, h.e.JobID)
+		return len(jobs) != stopAfter
+	})
+	return plan, read, jobs
+}
+
+// TestScanPlanBoundaries pins the choice rule at its edges on a shard
+// small enough to count by hand: 100 entries a minute apart, the oldest
+// 40 of them carrying l1.
+func TestScanPlanBoundaries(t *testing.T) {
+	s := Open("unused")
+	for i := 0; i < 100; i++ {
+		foms := map[string]float64{"l0": float64(i)}
+		if i < 40 {
+			foms["l1"] = float64(i)
+		}
+		s.add(entry("a", "bench", i, t0.Add(time.Duration(i)*time.Minute), foms), "mem.log")
+	}
+	since := func(i int) time.Time { return t0.Add(time.Duration(i) * time.Minute) }
+	for _, tc := range []struct {
+		name        string
+		q           Query
+		newestFirst bool
+		stopAfter   int
+		plan, read  int
+		first, n    int // first visited job, and how many
+	}{
+		{"no predicate reads the window", Query{Since: since(90)}, false, 0, planTime, 10, 90, 10},
+		{"window shorter than the rarest list is walked", Query{FOM: "l1", Since: since(61)}, false, 0, planWindow, 39, 0, 0},
+		{"as long as it and the lists are intersected", Query{FOM: "l1", Since: since(60)}, false, 0, planPostings, 40, 0, 0},
+		{"every row carries the predicate: arena order, as without an index", Query{FOM: "l0"}, false, 0, planPostings, 100, 0, 100},
+		{"and newest first the walk covers it", Query{FOM: "l0"}, true, 0, planWindow, 100, 99, 100},
+		{"lists shorter than the window, rows before Since dropped", Query{FOM: "l1", Since: since(30)}, false, 0, planPostings, 40, 30, 10},
+		{"empty window", Query{FOM: "l0", Since: since(100)}, false, 0, planNone, 0, 0, 0},
+		{"unknown predicate value", Query{System: "nope"}, false, 0, planNone, 0, 0, 0},
+		{"limit without predicate stops at the tail", Query{}, true, 3, planTime, 3, 99, 3},
+		{"limit with a predicate the newest rows satisfy", Query{FOM: "l0", Result: "pass"}, true, 3, planWindow, 3, 99, 3},
+		{"limit with a predicate only old rows satisfy", Query{FOM: "l1"}, true, 3, planPostings, 80, 39, 3},
+	} {
+		plan, read, jobs := scanOne(s, tc.q, tc.newestFirst, tc.stopAfter)
+		if plan != tc.plan || read != tc.read || len(jobs) != tc.n || (tc.n > 0 && jobs[0] != tc.first) {
+			t.Errorf("%s: plan %d read %d visited %v, want plan %d read %d and %d rows from job %d",
+				tc.name, plan, read, jobs, tc.plan, tc.read, tc.n, tc.first)
+		}
+		tc.q.Limit = tc.stopAfter
+		checkAgainstRefs(t, s, tc.q, 5)
+	}
+}
+
 // TestSelectLimitAcrossShards pins the bounded merge: with tied
 // timestamps spread over many shards, Limit must keep exactly the
 // globally most recent entries in (time, ingest) order.

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/perflog"
@@ -33,6 +35,14 @@ type Query struct {
 	GroupBy []string
 	// Agg selects the aggregate: min, max, mean, last, count.
 	Agg string
+}
+
+// groupBy is the query's group-by fields, defaulted.
+func (q Query) groupBy() []string {
+	if len(q.GroupBy) == 0 {
+		return []string{"system", "benchmark"}
+	}
+	return q.GroupBy
 }
 
 // matcher is a Query compiled once per call: the extras map is
@@ -111,26 +121,6 @@ func (m *matcher) matchEntry(e *perflog.Entry) bool {
 	return true
 }
 
-// groupField resolves one group-by field of an entry: the fixed
-// identity columns first, then extras.
-func groupField(e *perflog.Entry, key string) string {
-	switch key {
-	case "system":
-		return e.System
-	case "benchmark":
-		return e.Benchmark
-	case "partition":
-		return e.Partition
-	case "environ":
-		return e.Environ
-	case "spec":
-		return e.Spec
-	case "result":
-		return e.Result
-	}
-	return e.Extra[key]
-}
-
 // groupKeyer renders group-by keys with the field resolvers bound once
 // per query (not re-switched per entry) and a reused buffer, so keying
 // an entry allocates nothing until a new group is actually inserted
@@ -177,12 +167,6 @@ func (k *groupKeyer) raw(e *perflog.Entry) []byte {
 		k.buf = append(k.buf, f(e)...)
 	}
 	return k.buf
-}
-
-// GroupKey joins the entry's group-by fields with "/" — the same shape
-// perfplot regress prints.
-func GroupKey(e *perflog.Entry, groupBy []string) string {
-	return string(newGroupKeyer(groupBy).raw(e))
 }
 
 // aggNames is the vocabulary ParseQuery accepts for agg=.
@@ -315,20 +299,204 @@ type Aggregate struct {
 	Unstable int `json:"unstable,omitempty"`
 }
 
-// entryUnstable reports whether an entry's FOM trips the variance gate:
-// it carries repetition stats (n >= 2) whose RSD exceeds the gate.
-func entryUnstable(e *perflog.Entry, fomName string, gate float64) bool {
-	if gate <= 0 || fomName == "" {
-		return false
+// The plan a leg's scan took. Every leg of a query picks its own.
+const (
+	planNone     = iota // nothing to read: empty window, or a predicate value with no posting list
+	planTime            // no indexed predicate: the time order is the answer
+	planWindow          // walked the time order, checking the predicates row by row
+	planPostings        // intersected the posting lists
+	planCount
+)
+
+// scan is the one query plan: it visits the rows of one leg that match m
+// until visit returns false, and reports the plan it took and how many
+// rows it read. Select, Aggregate and Regressions all run on it, on both
+// tiers. Before the first visit it tells reserve (when not nil) the most
+// rows it can visit, so a caller collecting them allocates once.
+//
+// It reads the time window first — Since binary-searches its lower bound
+// in the time order — and then picks the smaller candidate set: when the
+// window is shorter than the rarest posting list (always, without an
+// indexed predicate) it walks the window in (time, seq) order and checks
+// the predicates with matchEntry; otherwise it intersects the posting
+// lists, drops rows before Since, and visits in arena order — (time, seq)
+// order for a segment, ingest order for a shard.
+//
+// Newest first is for a visitor that stops once it has enough (a Limit,
+// a bounded baseline): rows always arrive newest first, and before
+// intersecting anything the scan walks back from the newest row over as
+// many rows as the rarest list holds — recent matches are usually near
+// the top, and the detour at most doubles the work of the intersection it
+// usually saves. If the visitor is still hungry the intersection serves
+// the rows older than the walk reached.
+func (v *view) scan(m *matcher, newestFirst bool, reserve func(rows int), visit func(hit) bool) (plan, read int) {
+	n := v.rows()
+	lo := 0
+	if m.hasSince {
+		lo = sort.Search(n, func(i int) bool { return v.row(i).t >= m.sinceNano })
 	}
-	s, ok := e.RepStats(fomName)
-	return ok && s.N >= 2 && s.RSD > gate
+	if lo == n {
+		return planNone, 0
+	}
+	if reserve == nil {
+		reserve = func(int) {}
+	}
+	walk := n - lo // rows the time order serves: rows [lo, lo+walk), or [n-walk, n) newest first
+	plan = planTime
+	var lists [][]int32
+	if len(m.keys) > 0 {
+		if lists = v.lists(m.keys); lists == nil {
+			return planNone, 0
+		}
+		plan = planWindow
+		if rarest := len(lists[0]); rarest <= walk {
+			plan, walk = planPostings, 0
+			if newestFirst {
+				walk = rarest
+			}
+		}
+	}
+	if walk > 0 {
+		reserve(walk)
+	}
+	from, step := lo, 1
+	if newestFirst {
+		from, step = n-1, -1
+	}
+	for i := 0; i < walk; i++ {
+		st := v.row(from + i*step)
+		if (plan == planTime || m.matchEntry(st.entry)) && !visit(st.hit()) {
+			return min(plan, planWindow), i + 1 // the walk was enough: no intersection ran
+		}
+	}
+	if walk == n-lo {
+		return min(plan, planWindow), walk // the walk covered the window
+	}
+	idxs := intersect(lists)
+	byOrder := func(a, b int32) int { return cmpStored(&v.entries[a], &v.entries[b]) }
+	if newestFirst && v.byTime != nil && !slices.IsSortedFunc(idxs, byOrder) {
+		idxs = slices.Clone(idxs) // a shard that ingested out of order
+		slices.SortFunc(idxs, byOrder)
+	}
+	var reached *stored // the oldest row the walk already served
+	if walk > 0 {
+		reached = v.row(n - walk)
+	} else {
+		reserve(len(idxs))
+	}
+	if from, step = 0, 1; newestFirst {
+		from, step = len(idxs)-1, -1
+	}
+	for i := range idxs {
+		st := &v.entries[idxs[from+i*step]]
+		if m.hasSince && st.t < m.sinceNano || reached != nil && cmpStored(st, reached) >= 0 {
+			continue
+		}
+		if !visit(st.hit()) {
+			break
+		}
+	}
+	return plan, walk + len(lists[0])
 }
 
-// partialAgg is one group's running summary inside a single shard —
-// the unit of Aggregate's map-merge. (lastT, lastSeq) identify the
-// group's latest entry in global (time, ingest) order, so merging
-// partials from different shards still yields the true Last.
+// scanLegs runs leg over every leg of the store — sealed segments in
+// manifest order (oldest first), then the head shards — on the bounded
+// worker pool, and returns the per-leg results in that order. A segment
+// whose zone map ends before Since is skipped without touching disk; one
+// whose data block cannot be loaded is served as absent and counted.
+//
+// The segment read lock is held across the whole fan, so a concurrent
+// Seal (segment published + head cleared under the write lock) is atomic
+// to the query — every entry is observed in exactly one tier.
+func scanLegs[T any](s *Store, m *matcher, leg func(v *view) (out T, plan, read int)) []T {
+	s.seg.RLock()
+	defer s.seg.RUnlock()
+	segs := s.seg.list
+	out := make([]T, len(segs)+shardCount)
+	var took [planCount]atomic.Bool
+	var rows atomic.Int64
+	fanN(len(out), func(i int) {
+		var v *view
+		if i < len(segs) {
+			g := segs[i]
+			if m.hasSince && g.info.MaxT < m.sinceNano {
+				metricSegmentsPruned.Inc()
+				return
+			}
+			var err error
+			if v, err = g.load(); err != nil {
+				s.noteLoadFailure(err)
+				return
+			}
+		} else {
+			sh := &s.shards[i-len(segs)]
+			sh.mu.RLock()
+			defer sh.mu.RUnlock()
+			v = &sh.view
+		}
+		if v.rows() == 0 {
+			return // an empty shard: spare the leg its set-up
+		}
+		var plan, read int
+		out[i], plan, read = leg(v)
+		took[plan].Store(true)
+		rows.Add(int64(read))
+	})
+	for plan := planTime; plan < planCount; plan++ {
+		if took[plan].Load() {
+			metricQueries[plan].Inc()
+		}
+	}
+	metricRowsVisited.Add(float64(rows.Load()))
+	return out
+}
+
+// selectLegs is Select before the merge: each leg's matching entries in
+// (time, seq) order, trimmed to the leg's most recent limit when
+// limit > 0 — the global answer is a subset of those tails.
+func (s *Store) selectLegs(m *matcher, limit int) [][]hit {
+	return scanLegs(s, m, func(v *view) ([]hit, int, int) {
+		var hits []hit
+		plan, read := v.scan(m, limit > 0, func(rows int) {
+			if limit > 0 {
+				rows = min(rows, limit)
+			}
+			hits = make([]hit, 0, rows)
+		}, func(h hit) bool {
+			hits = append(hits, h)
+			return len(hits) != limit
+		})
+		if limit > 0 {
+			slices.Reverse(hits) // arrived newest first
+		} else if plan == planPostings && v.byTime != nil {
+			slices.SortFunc(hits, cmpHits) // arrived in ingest order
+		}
+		return hits, plan, read
+	})
+}
+
+// Select returns the entries matching the query, ordered by timestamp
+// ascending (ties keep ingest order). A Limit keeps the most recent
+// Limit entries — the tail of the time series.
+//
+// Every leg — each head shard, each sealed segment — runs the one scan
+// (view.scan): the Since window is located in the leg's time order first,
+// and the leg then reads whichever is shorter, the window (checking the
+// equality predicates row by row) or the rarest posting list among the
+// query's predicates (system, benchmark, result, FOM presence, extras —
+// all indexed in both tiers). With a Limit the scan runs newest first and
+// stops as soon as the leg's tail is full, so no leg collects a row
+// outside its own most recent Limit. The legs run in parallel on a
+// bounded worker pool (scanLegs) and merge in (time, ingest) order; with
+// a Limit the merge keeps the newest Limit of the per-leg tails.
+func (s *Store) Select(q Query) []*perflog.Entry {
+	return mergeHits(s.selectLegs(q.compile(), q.Limit), q.Limit)
+}
+
+// partialAgg is one group's running summary inside a single leg — the
+// unit of Aggregate's map-merge. (lastT, lastSeq) identify the group's
+// latest entry in global (time, ingest) order, so merging partials from
+// different legs still yields the true Last.
 type partialAgg struct {
 	group    string
 	count    int
@@ -340,32 +508,6 @@ type partialAgg struct {
 	lastT    int64 // timeNanos of the entry that supplied last
 	lastSeq  uint64
 	unit     string
-}
-
-func newPartialAgg(group string) *partialAgg {
-	return &partialAgg{group: group, min: math.Inf(1), max: math.Inf(-1)}
-}
-
-func (p *partialAgg) observe(st *stored, fomName string, gate float64) {
-	p.count++
-	if fomName == "" {
-		return
-	}
-	if entryUnstable(st.entry, fomName, gate) {
-		p.unstable++
-		return
-	}
-	p.stable++
-	v := st.entry.FOMs[fomName]
-	p.min = math.Min(p.min, v.Value)
-	p.max = math.Max(p.max, v.Value)
-	p.sum += v.Value
-	if p.stable == 1 || st.t > p.lastT || (st.t == p.lastT && st.seq > p.lastSeq) {
-		p.last = v.Value
-		p.lastT = st.t
-		p.lastSeq = st.seq
-		p.unit = v.Unit
-	}
 }
 
 func (p *partialAgg) merge(o *partialAgg) {
@@ -383,43 +525,94 @@ func (p *partialAgg) merge(o *partialAgg) {
 	p.stable += o.stable
 }
 
+// aggregator folds entries into per-group partials: one per leg, so the
+// key buffer and the map are never shared between workers.
+type aggregator struct {
+	keyer  *groupKeyer
+	fom    string
+	gate   float64
+	stats  perflog.RepStatsReader
+	groups map[string]*partialAgg
+}
+
+func newAggregator(groupBy []string, fomName string, gate float64) *aggregator {
+	return &aggregator{
+		keyer:  newGroupKeyer(groupBy),
+		fom:    fomName,
+		gate:   gate,
+		stats:  perflog.NewRepStatsReader(fomName),
+		groups: map[string]*partialAgg{},
+	}
+}
+
+// observe folds one entry in. It is a scan visitor that never stops.
+func (a *aggregator) observe(h hit) bool {
+	raw := a.keyer.raw(h.e)
+	p := a.groups[string(raw)]
+	if p == nil {
+		p = &partialAgg{group: string(raw), min: math.Inf(1), max: math.Inf(-1)}
+		a.groups[p.group] = p
+	}
+	p.count++
+	if a.fom == "" {
+		return true
+	}
+	if a.gate > 0 {
+		// The variance gate: repetition stats (n >= 2) whose RSD exceeds it.
+		if s, ok := a.stats.Read(h.e); ok && s.N >= 2 && s.RSD > a.gate {
+			p.unstable++
+			return true
+		}
+	}
+	p.stable++
+	v := h.e.FOMs[a.fom]
+	p.min = math.Min(p.min, v.Value)
+	p.max = math.Max(p.max, v.Value)
+	p.sum += v.Value
+	if p.stable == 1 || h.t > p.lastT || (h.t == p.lastT && h.seq > p.lastSeq) {
+		p.last = v.Value
+		p.lastT = h.t
+		p.lastSeq = h.seq
+		p.unit = v.Unit
+	}
+	return true
+}
+
 // Aggregate groups the matching entries by q.GroupBy (default
 // system,benchmark) and summarises q.FOM per group: min, max, mean, and
 // the latest value by timestamp. With Agg=count, q.FOM may be empty and
 // only Count is meaningful.
 //
-// Without a Limit the shards aggregate independently (each over its own
-// posting-list intersection or time view) and the per-group partials
-// are map-merged — no entry slice is ever materialized. A Limit makes
-// the group contents depend on the global most-recent cut, so that case
-// aggregates over Select's bounded result instead.
+// Without a Limit the legs aggregate independently inside the scan and
+// the per-group partials are map-merged — no entry slice is ever
+// materialized. A Limit makes the group contents depend on the global
+// most-recent cut, so that case folds the newest Limit of the per-leg
+// tails instead.
 func (s *Store) Aggregate(q Query) ([]Aggregate, error) {
 	if q.FOM == "" && q.Agg != "count" {
 		return nil, fmt.Errorf("perfstore: aggregate needs Query.FOM")
 	}
-	groupBy := q.GroupBy
-	if len(groupBy) == 0 {
-		groupBy = []string{"system", "benchmark"}
-	}
-	gate := s.rsdGate()
+	groupBy, gate, m := q.groupBy(), s.rsdGate(), q.compile()
+	var parts []*aggregator
 	if q.Limit > 0 {
-		return aggregateEntries(s.Select(q), groupBy, q.FOM, gate), nil
-	}
-	m := q.compile()
-	s.seg.RLock()
-	defer s.seg.RUnlock()
-	segs := s.seg.list
-	parts := make([]map[string]*partialAgg, shardCount+len(segs))
-	fanN(len(parts), func(i int) {
-		if i < shardCount {
-			parts[i] = s.shards[i].aggregate(m, newGroupKeyer(groupBy), q.FOM, gate)
-		} else {
-			parts[i] = segs[i-shardCount].aggregate(s, m, newGroupKeyer(groupBy), q.FOM, gate)
+		a := newAggregator(groupBy, q.FOM, gate)
+		for _, h := range newestHits(s.selectLegs(m, q.Limit), q.Limit) {
+			a.observe(h)
 		}
-	})
+		parts = []*aggregator{a}
+	} else {
+		parts = scanLegs(s, m, func(v *view) (*aggregator, int, int) {
+			a := newAggregator(groupBy, q.FOM, gate)
+			plan, read := v.scan(m, false, nil, a.observe)
+			return a, plan, read
+		})
+	}
 	merged := map[string]*partialAgg{}
 	for _, part := range parts {
-		for key, pa := range part {
+		if part == nil {
+			continue // a leg that never ran: pruned, unloadable or empty
+		}
+		for key, pa := range part.groups {
 			if cur := merged[key]; cur != nil {
 				cur.merge(pa)
 			} else {
@@ -445,52 +638,4 @@ func (s *Store) Aggregate(q Query) ([]Aggregate, error) {
 		out = append(out, agg)
 	}
 	return out, nil
-}
-
-// aggregateEntries is the sequential aggregation over an already
-// selected, time-ascending entry slice — the pre-index reference the
-// property tests compare the map-merge path against, and the path
-// Aggregate takes when a Limit bounds the match set.
-func aggregateEntries(entries []*perflog.Entry, groupBy []string, fomName string, gate float64) []Aggregate {
-	keyer := newGroupKeyer(groupBy)
-	byGroup := map[string]*Aggregate{}
-	stableCount := map[string]int{}
-	var order []string
-	for _, e := range entries {
-		raw := keyer.raw(e)
-		agg := byGroup[string(raw)]
-		if agg == nil {
-			key := string(raw)
-			agg = &Aggregate{Group: key, Min: math.Inf(1), Max: math.Inf(-1)}
-			byGroup[key] = agg
-			order = append(order, key)
-		}
-		agg.Count++
-		if fomName == "" {
-			continue
-		}
-		if entryUnstable(e, fomName, gate) {
-			agg.Unstable++
-			continue
-		}
-		stableCount[agg.Group]++
-		v := e.FOMs[fomName]
-		agg.Unit = v.Unit
-		agg.Min = math.Min(agg.Min, v.Value)
-		agg.Max = math.Max(agg.Max, v.Value)
-		agg.Mean += v.Value // sum; divided below
-		agg.Last = v.Value  // entries are time-ascending
-	}
-	sort.Strings(order)
-	out := make([]Aggregate, 0, len(order))
-	for _, key := range order {
-		agg := byGroup[key]
-		if fomName != "" && stableCount[key] > 0 {
-			agg.Mean /= float64(stableCount[key])
-		} else {
-			agg.Min, agg.Max = 0, 0
-		}
-		out = append(out, *agg)
-	}
-	return out
 }

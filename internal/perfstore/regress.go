@@ -3,7 +3,7 @@ package perfstore
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/perflog"
 )
@@ -90,6 +90,25 @@ func unstablePoint(p SeriesPoint, gate float64) bool {
 	return gate > 0 && p.Stats != nil && p.Stats.N >= 2 && p.Stats.RSD > gate
 }
 
+// baseline accumulates the base points of one verdict in series order:
+// how many, their sum, and the envelope of their intervals.
+type baseline struct {
+	n      int
+	sum    float64
+	lo, hi float64
+}
+
+func (b *baseline) add(p SeriesPoint) {
+	lo, hi := pointInterval(p)
+	if b.n == 0 {
+		b.lo, b.hi = math.Inf(1), math.Inf(-1)
+	}
+	b.n++
+	b.sum += p.Value
+	b.lo = math.Min(b.lo, lo)
+	b.hi = math.Max(b.hi, hi)
+}
+
 // EvalSeriesPoints applies the regression rule to one time-ascending
 // series of points: baseline = the window of points preceding the latest
 // (window <= 0 means all of them), excluding unstable baseline points
@@ -107,37 +126,44 @@ func unstablePoint(p SeriesPoint, gate float64) bool {
 // It reports false when the series is too short to judge (fewer than two
 // usable values).
 func EvalSeriesPoints(points []SeriesPoint, tolerance float64, window int, rsdGate float64) (Report, bool) {
-	clean := points[:0:0]
-	for _, p := range points {
-		if !math.IsNaN(p.Value) {
-			clean = append(clean, p)
-		}
+	// NaN values are unusable. The latest usable point is judged against
+	// the usable points in [from, last) — all of them, or the nearest
+	// window.
+	last := len(points) - 1
+	for last >= 0 && math.IsNaN(points[last].Value) {
+		last--
 	}
-	if len(clean) < 2 {
+	if last < 1 {
 		return Report{}, false
 	}
-	latest := clean[len(clean)-1]
-	base := clean[:len(clean)-1]
-	if window > 0 && len(base) > window {
-		base = base[len(base)-window:]
+	from := last
+	for n := 0; from > 0 && (window <= 0 || n < window); {
+		if from--; !math.IsNaN(points[from].Value) {
+			n++
+		}
 	}
 	// Unstable base points do not contribute to the baseline: their
 	// means are noise. If every base point is unstable there is nothing
 	// better — use them all rather than refuse a verdict.
-	stable := base[:0:0]
-	for _, p := range base {
+	var all, stable baseline
+	for _, p := range points[from:last] {
+		if math.IsNaN(p.Value) {
+			continue
+		}
+		all.add(p)
 		if !unstablePoint(p, rsdGate) {
-			stable = append(stable, p)
+			stable.add(p)
 		}
 	}
-	if len(stable) == 0 {
-		stable = base
+	if all.n == 0 {
+		return Report{}, false
 	}
-	sum := 0.0
-	for _, p := range stable {
-		sum += p.Value
+	base := stable
+	if base.n == 0 {
+		base = all
 	}
-	mean := sum / float64(len(stable))
+	latest := points[last]
+	mean := base.sum / float64(base.n)
 	change := 0.0
 	if mean != 0 {
 		change = (latest.Value - mean) / mean
@@ -146,7 +172,7 @@ func EvalSeriesPoints(points []SeriesPoint, tolerance float64, window int, rsdGa
 		Baseline: mean,
 		Latest:   latest.Value,
 		Change:   change,
-		Samples:  len(stable),
+		Samples:  base.n,
 	}
 	if latest.Stats != nil {
 		r.LatestN = latest.Stats.N
@@ -165,15 +191,9 @@ func EvalSeriesPoints(points []SeriesPoint, tolerance float64, window int, rsdGa
 		// stable base points' intervals — the range of means the history
 		// supports. A regression requires the latest run's entire CI to
 		// sit below it.
-		baseLo, baseHi := math.Inf(1), math.Inf(-1)
-		for _, p := range stable {
-			lo, hi := pointInterval(p)
-			baseLo = math.Min(baseLo, lo)
-			baseHi = math.Max(baseHi, hi)
-		}
-		r.BaselineLo, r.BaselineHi = baseLo, baseHi
+		r.BaselineLo, r.BaselineHi = base.lo, base.hi
 		r.Method = MethodCI
-		if r.LatestHi < baseLo && change < 0 {
+		if r.LatestHi < base.lo && change < 0 {
 			r.Flagged = true
 			r.Verdict = VerdictRegressed
 		} else {
@@ -192,6 +212,67 @@ func EvalSeriesPoints(points []SeriesPoint, tolerance float64, window int, rsdGa
 	return r, true
 }
 
+// point is one run of a series with its ordering key, so the legs' series
+// concatenate (or, when their time ranges overlap, sort) into one.
+type point struct {
+	t   int64
+	seq uint64
+	SeriesPoint
+}
+
+func cmpPoints(a, b point) int { return cmpOrder(a.t, a.seq, b.t, b.seq) }
+
+// legSeries is the per-group series of one leg. The runs sit in one
+// pointer-free slab in arrival order, each linked to the next run of its
+// group, and the repetition statistics of the runs that carry any in a
+// second: what a leg allocates grows with its groups, not with its runs.
+type legSeries struct {
+	runs   []run
+	stats  []perflog.RepStats
+	groups map[string]*span
+}
+
+type run struct {
+	t     int64
+	seq   uint64
+	value float64
+	stats int32 // index into legSeries.stats, -1 for a single-execution entry
+	next  int32 // slab index of the group's next run, -1 at its latest
+}
+
+// span is one group's first and latest run in the slab.
+type span struct{ first, last int32 }
+
+// appendGroup appends the group's points to dst in arrival order.
+func (l *legSeries) appendGroup(dst []point, group string) []point {
+	g := l.groups[group]
+	if g == nil {
+		return dst
+	}
+	for i := g.first; i >= 0; i = l.runs[i].next {
+		r := &l.runs[i]
+		p := point{r.t, r.seq, SeriesPoint{Value: r.value}}
+		if r.stats >= 0 {
+			p.Stats = &l.stats[r.stats]
+		}
+		dst = append(dst, p)
+	}
+	return dst
+}
+
+// pinsGroups reports whether q's equality predicates fix every group-by
+// field, so that all matching entries fall in one group: an entry made of
+// nothing but the predicates has every field set.
+func pinsGroups(q Query, groupBy []string) bool {
+	probe := &perflog.Entry{System: q.System, Benchmark: q.Benchmark, Result: q.Result, Extra: q.Extra}
+	for _, field := range newGroupKeyer(groupBy).fields {
+		if field(probe) == "" {
+			return false
+		}
+	}
+	return true
+}
+
 // Regressions evaluates q.FOM over the matching entries, grouped by
 // q.GroupBy (default system,benchmark), each group ordered by
 // timestamp. window bounds the sliding baseline (0 = every earlier
@@ -199,42 +280,100 @@ func EvalSeriesPoints(points []SeriesPoint, tolerance float64, window int, rsdGa
 // and gated on run-to-run variance (Store.RSDGate, default 10%);
 // stat-less series fall back to the fixed tolerance. Groups with fewer
 // than two runs are skipped — nothing to compare yet.
+//
+// The series are built inside the scan: each leg appends its matching
+// rows straight into per-group series, no entry slice in between. When
+// the baseline is bounded and the query pins the one group (the post-run
+// check of a scheduled run: system + benchmark + FOM), each leg scans
+// newest first and stops at window+1 usable values — the verdict reads
+// nothing older. A Limit cuts the series from the global most recent
+// Limit entries first.
 func (s *Store) Regressions(q Query, tolerance float64, window int) ([]Report, error) {
 	if q.FOM == "" {
 		return nil, fmt.Errorf("perfstore: regressions need Query.FOM")
 	}
-	groupBy := q.GroupBy
-	if len(groupBy) == 0 {
-		groupBy = []string{"system", "benchmark"}
+	groupBy := q.groupBy()
+	m := q.compile()
+	stats := perflog.NewRepStatsReader(q.FOM)
+	bounded := window > 0 && q.Limit == 0 && pinsGroups(q, groupBy)
+	// newSeries starts one leg's per-group series; add appends a run and
+	// reports whether a bounded baseline still wants more. The group key
+	// is rendered into the keyer's reused buffer and only materialized as
+	// a string when a new group appears.
+	newSeries := func() (l *legSeries, reserve func(int), add func(hit) bool) {
+		keyer := newGroupKeyer(groupBy)
+		l = &legSeries{groups: map[string]*span{}}
+		usable := 0
+		reserve = func(rows int) {
+			if bounded {
+				rows = min(rows, window+1)
+			}
+			l.runs = make([]run, 0, rows)
+		}
+		return l, reserve, func(h hit) bool {
+			idx := int32(len(l.runs))
+			raw := keyer.raw(h.e)
+			if g := l.groups[string(raw)]; g == nil {
+				l.groups[string(raw)] = &span{idx, idx}
+			} else {
+				l.runs[g.last].next, g.last = idx, idx
+			}
+			r := run{h.t, h.seq, h.e.FOMs[q.FOM].Value, -1, -1}
+			if rs, ok := stats.Read(h.e); ok {
+				r.stats = int32(len(l.stats))
+				l.stats = append(l.stats, rs)
+			}
+			l.runs = append(l.runs, r)
+			if !math.IsNaN(r.value) {
+				usable++
+			}
+			return !bounded || usable <= window
+		}
 	}
+	var legs []*legSeries
+	if q.Limit > 0 {
+		// The series are cut from the global most recent Limit.
+		l, _, add := newSeries()
+		for _, h := range newestHits(s.selectLegs(m, q.Limit), q.Limit) {
+			add(h)
+		}
+		legs = append(legs, l)
+	} else {
+		legs = scanLegs(s, m, func(v *view) (*legSeries, int, int) {
+			l, reserve, add := newSeries()
+			plan, read := v.scan(m, bounded, reserve, add)
+			return l, plan, read
+		})
+	}
+	legs = slices.DeleteFunc(legs, func(l *legSeries) bool { return l == nil }) // legs that never ran
+	var keys []string
+	for _, l := range legs {
+		for key := range l.groups {
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
 	gate := s.rsdGate()
-	entries := s.Select(q) // time-ascending, fanned out across shards
-	// Pointer values keep the hot loop allocation-free: the group key is
-	// rendered into the keyer's reused buffer and only materialized as a
-	// string when a new group appears.
-	keyer := newGroupKeyer(groupBy)
-	series := map[string]*[]SeriesPoint{}
-	for _, e := range entries {
-		raw := keyer.raw(e)
-		pts := series[string(raw)]
-		if pts == nil {
-			pts = new([]SeriesPoint)
-			series[string(raw)] = pts
-		}
-		p := SeriesPoint{Value: e.FOMs[q.FOM].Value}
-		if st, ok := e.RepStats(q.FOM); ok {
-			p.Stats = &st
-		}
-		*pts = append(*pts, p)
-	}
-	keys := make([]string, 0, len(series))
-	for k := range series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var out []Report
-	for _, key := range keys {
-		r, ok := EvalSeriesPoints(*series[key], tolerance, window, gate)
+	var pts []point
+	var series []SeriesPoint
+	for _, key := range slices.Compact(keys) {
+		// Legs come oldest segment first, head last, so their series
+		// usually concatenate in order; only overlapping time ranges, a
+		// shard that ingested out of order or a newest-first scan need
+		// the sort.
+		pts = pts[:0]
+		for _, l := range legs {
+			pts = l.appendGroup(pts, key)
+		}
+		if !slices.IsSortedFunc(pts, cmpPoints) {
+			slices.SortFunc(pts, cmpPoints)
+		}
+		series = series[:0]
+		for _, p := range pts {
+			series = append(series, p.SeriesPoint)
+		}
+		r, ok := EvalSeriesPoints(series, tolerance, window, gate)
 		if !ok {
 			continue
 		}

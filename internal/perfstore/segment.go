@@ -129,15 +129,6 @@ type SegmentInfo struct {
 	Systems []string `json:"systems,omitempty"`
 }
 
-// segData is a decoded (or freshly sealed) segment resident in memory:
-// the arena is sorted by (t, seq), so posting lists — same key scheme as
-// the head shards — come back in merge order for free, and the no-key
-// query path binary-searches the arena directly.
-type segData struct {
-	entries []stored
-	post    map[string][]int32
-}
-
 // buildPostings indexes an immutable (t, seq)-sorted arena with the
 // same posting-list keys the head shards maintain incrementally. It
 // serves arenas assembled in memory (seal, compact, sealed eviction) and
@@ -483,7 +474,7 @@ func lastOf(dict []string, ids []uint64, j, stride int) bool {
 // one slab per segment and the posting lists are bucketed as the rows
 // decode (see postingBuilder), so a load costs a handful of allocations
 // per row rather than dozens.
-func decodeSegment(h segHeader, data []byte) (*segData, error) {
+func decodeSegment(h segHeader, data []byte) (*view, error) {
 	if uint64(len(data)) != h.DataLen {
 		return nil, fmt.Errorf("data block is %d bytes, header says %d", len(data), h.DataLen)
 	}
@@ -534,7 +525,7 @@ func decodeSegment(h segHeader, data []byte) (*segData, error) {
 	}
 
 	slab := make([]perflog.Entry, h.Count)
-	d := &segData{entries: make([]stored, h.Count)}
+	d := &view{entries: make([]stored, h.Count)}
 	pb := newPostingBuilder(dict, h.Count)
 	var ids []uint64 // the row's FOM-name ids, then its extra (key, value) id pairs
 	prevSec := int64(0)
@@ -774,7 +765,7 @@ type segment struct {
 	info SegmentInfo
 
 	mu   sync.Mutex
-	data *segData
+	data *view // byTime nil: the arena is (time, seq)-sorted as sealed
 }
 
 // segLoadPolicy absorbs transient read hiccups (NFS wobble, injected
@@ -784,13 +775,13 @@ var segLoadPolicy = retry.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond
 // load decodes the segment's data block, once; later calls return the
 // resident arena. The "perfstore.segload" injection point models the
 // read failing.
-func (g *segment) load() (*segData, error) {
+func (g *segment) load() (*view, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.data != nil {
 		return g.data, nil
 	}
-	var d *segData
+	var d *view
 	err := segLoadPolicy.Do(context.Background(), "perfstore.segload", func(context.Context, int) error {
 		if err := faultinject.Fire("perfstore.segload"); err != nil {
 			return err
@@ -819,107 +810,4 @@ func (g *segment) load() (*segData, error) {
 	metricSegmentLoads.Inc()
 	g.data = d
 	return d, nil
-}
-
-// loaded reports whether the data block is resident (zone-map pruning
-// tests peek at this).
-func (g *segment) loaded() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.data != nil
-}
-
-// collect is the sealed tier's leg of Select: zone-map prune first,
-// lazy-load, then the same posting-intersection / time-window plan the
-// head shards run. The arena is already (t, seq)-sorted, so posting
-// results come out in merge order without a sort.
-func (g *segment) collect(s *Store, m *matcher, limit int) []hit {
-	if m.hasSince && g.info.MaxT < m.sinceNano {
-		metricSegmentsPruned.Inc()
-		return nil
-	}
-	d, err := g.load()
-	if err != nil {
-		s.noteLoadFailure(err)
-		return nil
-	}
-	if len(m.keys) > 0 {
-		idxs, ok := intersectPostings(d.post, m.keys)
-		if !ok {
-			return nil
-		}
-		hits := make([]hit, 0, len(idxs))
-		for _, idx := range idxs {
-			st := &d.entries[idx]
-			if m.hasSince && st.t < m.sinceNano {
-				continue
-			}
-			hits = append(hits, hit{st.entry, st.t, st.seq})
-		}
-		if limit > 0 && len(hits) > limit {
-			hits = hits[len(hits)-limit:]
-		}
-		return hits
-	}
-	lo := 0
-	if m.hasSince {
-		lo = sort.Search(len(d.entries), func(i int) bool {
-			return d.entries[i].t >= m.sinceNano
-		})
-	}
-	n := len(d.entries) - lo
-	if n <= 0 {
-		return nil
-	}
-	if limit > 0 && n > limit {
-		lo = len(d.entries) - limit
-		n = limit
-	}
-	hits := make([]hit, 0, n)
-	for i := lo; i < len(d.entries); i++ {
-		st := &d.entries[i]
-		hits = append(hits, hit{st.entry, st.t, st.seq})
-	}
-	return hits
-}
-
-// aggregate is the sealed tier's leg of Store.Aggregate — the same
-// per-group partials the head shards produce, map-merged by the caller.
-func (g *segment) aggregate(s *Store, m *matcher, keyer *groupKeyer, fomName string, gate float64) map[string]*partialAgg {
-	partials := map[string]*partialAgg{}
-	if m.hasSince && g.info.MaxT < m.sinceNano {
-		metricSegmentsPruned.Inc()
-		return partials
-	}
-	d, err := g.load()
-	if err != nil {
-		s.noteLoadFailure(err)
-		return partials
-	}
-	visit := func(st *stored) {
-		if m.hasSince && st.t < m.sinceNano {
-			return
-		}
-		raw := keyer.raw(st.entry)
-		pa := partials[string(raw)]
-		if pa == nil {
-			pa = newPartialAgg(string(raw))
-			partials[pa.group] = pa
-		}
-		pa.observe(st, fomName, gate)
-	}
-	if len(m.keys) > 0 {
-		idxs, ok := intersectPostings(d.post, m.keys)
-		if !ok {
-			return partials
-		}
-		for _, idx := range idxs {
-			visit(&d.entries[idx])
-		}
-		return partials
-	}
-	for i := range d.entries {
-		visit(&d.entries[i])
-	}
-	return partials
 }

@@ -217,6 +217,14 @@ func FuzzSegmentDecode(f *testing.F) {
 	})
 }
 
+// loaded reports whether the data block is resident (zone-map pruning
+// tests peek at this).
+func (g *segment) loaded() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.data != nil
+}
+
 // TestSegmentZoneMapPrunes: a Since window entirely past a segment's
 // MaxT must answer from the zone map alone — the data block is never
 // read from disk.
@@ -229,19 +237,18 @@ func TestSegmentZoneMapPrunes(t *testing.T) {
 	}
 	g := &segment{dir: dir, info: info}
 	s := Open("unused")
-	m := Query{Since: time.Unix(0, info.MaxT).UTC().Add(time.Hour)}.compile()
-	if hits := g.collect(s, m, 0); len(hits) != 0 {
-		t.Fatalf("pruned segment returned %d hits", len(hits))
+	s.seg.list = []*segment{g}
+	if got := s.Select(Query{Since: time.Unix(0, info.MaxT).UTC().Add(time.Hour)}); len(got) != 0 {
+		t.Fatalf("pruned segment returned %d entries", len(got))
 	}
 	if g.loaded() {
 		t.Fatal("zone-map prune still loaded the data block")
 	}
 	// A window inside the zone map does load and answer.
-	m = Query{Since: time.Unix(0, info.MinT).UTC()}.compile()
-	if hits := g.collect(s, m, 0); len(hits) != 50 {
-		t.Fatalf("in-range collect returned %d hits, want 50", len(hits))
+	if got := s.Select(Query{Since: time.Unix(0, info.MinT).UTC()}); len(got) != 50 {
+		t.Fatalf("in-range select returned %d entries, want 50", len(got))
 	}
 	if !g.loaded() {
-		t.Fatal("in-range collect did not load the segment")
+		t.Fatal("in-range select did not load the segment")
 	}
 }

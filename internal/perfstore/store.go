@@ -22,7 +22,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -52,14 +51,21 @@ var (
 		"perfstore_sync_seconds",
 		"Wall-clock duration of one SyncFile call.",
 		nil).With()
-	// Query-path metrics: which plan served each Select/Aggregate —
-	// "postings" (posting-list intersection) or "time" (the ordered
-	// time view). The linear reference scan is test/bench-only and has
-	// no series here.
-	metricSelects = telemetry.DefaultRegistry.Counter(
-		"perfstore_query_total",
-		"Queries served, by plan path.",
-		"path")
+	// Query-path metrics: which plans the legs of each Select, Aggregate
+	// and Regressions took (a query whose legs split counts once under
+	// each), and how many rows those legs read. The linear reference scan
+	// is test/bench-only and has no series here.
+	metricQueries = func() (c [planCount]*telemetry.Counter) {
+		vec := telemetry.DefaultRegistry.Counter(
+			"perfstore_query_total",
+			"Queries served, by the plan their legs took.",
+			"path")
+		c[planTime], c[planWindow], c[planPostings] = vec.With("time"), vec.With("window"), vec.With("postings")
+		return c
+	}()
+	metricRowsVisited = telemetry.DefaultRegistry.Counter(
+		"perfstore_query_rows_visited_total",
+		"Rows read by query legs: window rows walked plus rarest posting lists driven.").With()
 )
 
 // shardCount fixes the number of index shards. Sharding is by system:
@@ -482,16 +488,6 @@ func (s *Store) AddBatch(c perflog.Commit) bool {
 	return true
 }
 
-// add indexes a single entry — the unit addBatch amortizes.
-func (s *Store) add(e *perflog.Entry, file string) {
-	sh := s.shardFor(e.System)
-	seq := s.seq.Add(1)
-	sh.mu.Lock()
-	sh.addLocked(e, file, seq)
-	sh.mu.Unlock()
-	s.gen.Add(1)
-}
-
 // addBatch indexes entries under one shard-lock pass per contiguous
 // shard run and bumps the generation once for the whole batch — one
 // query-cache invalidation per commit instead of one per entry. A
@@ -624,88 +620,5 @@ func (s *Store) Systems() []string {
 		out = append(out, sys)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Select returns the entries matching the query, ordered by timestamp
-// ascending (ties keep ingest order). A Limit keeps the most recent
-// Limit entries — the tail of the time series.
-//
-// The plan: every equality predicate (system, benchmark, result, FOM
-// presence, extras) is indexed in both tiers, so each head shard and
-// each sealed segment intersects the matching posting lists — cost
-// proportional to the rarest predicate, not the store. A query with no
-// equality predicate reads the time-ordered view (shards) or the
-// time-sorted arena (segments), where Since binary-searches its lower
-// bound and Limit takes a bounded tail; segments whose zone map ends
-// before Since are skipped without touching disk. All legs run in
-// parallel on a bounded worker pool and merge in (time, ingest) order;
-// with a Limit the merge walks the per-leg tails backwards and stops
-// after Limit entries, so the full match set is never materialized.
-//
-// The segment read lock is held across the whole fan, so a concurrent
-// Seal (segment published + head cleared under the write lock) is
-// atomic to the query — every entry is observed in exactly one tier.
-func (s *Store) Select(q Query) []*perflog.Entry {
-	m := q.compile()
-	s.seg.RLock()
-	defer s.seg.RUnlock()
-	segs := s.seg.list
-	parts := make([][]hit, shardCount+len(segs))
-	fanN(len(parts), func(i int) {
-		if i < shardCount {
-			parts[i] = s.shards[i].collect(m, q.Limit)
-		} else {
-			parts[i] = segs[i-shardCount].collect(s, m, q.Limit)
-		}
-	})
-	if len(m.keys) > 0 {
-		metricSelects.With("postings").Inc()
-	} else {
-		metricSelects.With("time").Inc()
-	}
-	return mergeHits(parts, q.Limit)
-}
-
-// selectScan is the reference implementation Select is measured and
-// property-tested against: a full linear scan of both tiers with
-// per-entry predicate checks and a post-hoc sort — the pre-index query
-// path. It must return results identical to Select for every query.
-func (s *Store) selectScan(q Query) []*perflog.Entry {
-	m := q.compile()
-	var hits []hit
-	scan := func(st *stored) {
-		if !st.dead && !(m.hasSince && st.t < m.sinceNano) && m.matchEntry(st.entry) {
-			hits = append(hits, hit{st.entry, st.t, st.seq})
-		}
-	}
-	s.seg.RLock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for j := range sh.entries {
-			scan(&sh.entries[j])
-		}
-		sh.mu.RUnlock()
-	}
-	for _, g := range s.seg.list {
-		d, err := g.load()
-		if err != nil {
-			s.noteLoadFailure(err)
-			continue
-		}
-		for j := range d.entries {
-			scan(&d.entries[j])
-		}
-	}
-	s.seg.RUnlock()
-	slices.SortFunc(hits, cmpHits)
-	if q.Limit > 0 && len(hits) > q.Limit {
-		hits = hits[len(hits)-q.Limit:]
-	}
-	out := make([]*perflog.Entry, len(hits))
-	for i, h := range hits {
-		out[i] = h.e
-	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -542,6 +543,65 @@ func TestTieredMatchesInMemoryRandomized(t *testing.T) {
 				t.Fatalf("seed %d post-compact trial %d: diverged\nquery %+v", seed, trial, q)
 			}
 		}
+	}
+}
+
+// TestQueriesMatchReferencesTiered is TestQueriesMatchReferencesHead on
+// the sealed tier: a store sealed in three cuts with nothing left in the
+// head, and one with two segments under a live head. Timestamps are drawn
+// from one range throughout, so every segment's time range overlaps the
+// others' and the head's — a group's series never concatenates in order
+// by luck. Both stores are checked again after an eviction that rewrites
+// the segments and after a compaction.
+func TestQueriesMatchReferencesTiered(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		seals []int // entry counts at which the head is sealed
+	}{
+		{"sealed only", []int{700, 1400, 2000}},
+		{"head and sealed", []int{600, 1200}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(tc.seals))))
+			s, err := OpenTiered(t.TempDir(), t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= 2000; i++ {
+				s.add(refEntry(rng, i), []string{"a.log", "a.log", "b.log"}[rng.Intn(3)])
+				if slices.Contains(tc.seals, i) {
+					if _, err := s.Seal(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			qrng := rand.New(rand.NewSource(99))
+			check := func(trials int) {
+				t.Helper()
+				for trial := 0; trial < trials; trial++ {
+					q, window := refQuery(qrng)
+					checkAgainstRefs(t, s, q, window)
+				}
+			}
+			check(150)
+			s.ckMu.Lock()
+			err = s.evictFile("b.log")
+			s.ckMu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(75)
+			if ran, err := s.Compact(2); err != nil || !ran {
+				t.Fatalf("compact: ran=%v err=%v", ran, err)
+			}
+			check(75)
+			// A window past everything sealed answers from the zone maps.
+			pruned := metricSegmentsPruned.Value()
+			checkAgainstRefs(t, s, Query{FOM: "l0", Since: t0.Add(1000 * time.Hour)}, 0)
+			if metricSegmentsPruned.Value() == pruned {
+				t.Fatal("a Since past the segment's MaxT still read it")
+			}
+		})
 	}
 }
 

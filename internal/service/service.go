@@ -782,7 +782,10 @@ func (s *Server) runEventData(run *Run, entry *perflog.Entry) map[string]string 
 // detectRegressions runs the sliding-baseline evaluator over every FOM
 // the scheduled run produced and publishes regression.detected for each
 // flagged group — the push half of continuous benchmarking: nobody has
-// to poll /v1/regressions to learn a scheduled run got slower.
+// to poll /v1/regressions to learn a scheduled run got slower. Each
+// query pins the run's one (system, benchmark) group, so with a bounded
+// window the store reads the newest window+1 runs of the pair and stops:
+// the check costs the same however long the pair's history has grown.
 func (s *Server) detectRegressions(ctx context.Context, run *Run, entry *perflog.Entry) {
 	if s.cfg.RegressionWindow < 0 {
 		return

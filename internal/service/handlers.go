@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/buildsys"
-	"repro/internal/perflog"
 	"repro/internal/perfstore"
 	"repro/internal/retry"
 	"repro/internal/telemetry"
@@ -115,12 +114,19 @@ func (s *Server) Handler() http.Handler {
 	return outer
 }
 
+// writeJSON renders v indented into a pooled buffer before anything is
+// sent, so a value encoding/json refuses (a NaN in an aggregate) answers
+// 500 with the uniform error body instead of a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	buf := getWire()
+	defer buf.free()
+	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, code, buf.b)
 }
 
 // writeError emits the daemon's uniform JSON error shape.
@@ -160,48 +166,8 @@ type runRequest struct {
 	Warmup       int    `json:"warmup,omitempty"`
 }
 
-// fomView is one figure of merit on the wire.
-type fomView struct {
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit,omitempty"`
-}
-
-// entryView is a perflog entry on the wire.
-type entryView struct {
-	Timestamp time.Time          `json:"timestamp"`
-	Benchmark string             `json:"benchmark"`
-	System    string             `json:"system"`
-	Partition string             `json:"partition"`
-	Environ   string             `json:"environ"`
-	Spec      string             `json:"spec"`
-	Job       int                `json:"job"`
-	Result    string             `json:"result"`
-	FOMs      map[string]fomView `json:"foms,omitempty"`
-	Extra     map[string]string  `json:"extra,omitempty"`
-}
-
-func viewEntry(e *perflog.Entry) entryView {
-	v := entryView{
-		Timestamp: e.Time,
-		Benchmark: e.Benchmark,
-		System:    e.System,
-		Partition: e.Partition,
-		Environ:   e.Environ,
-		Spec:      e.Spec,
-		Job:       e.JobID,
-		Result:    e.Result,
-		Extra:     e.Extra,
-	}
-	if len(e.FOMs) > 0 {
-		v.FOMs = map[string]fomView{}
-		for k, f := range e.FOMs {
-			v.FOMs[k] = fomView{Value: f.Value, Unit: f.Unit}
-		}
-	}
-	return v
-}
-
-// runView is a run's status on the wire.
+// runView is a run's status on the wire. Its entry is written by the
+// wire encoder.
 type runView struct {
 	ID         string     `json:"id"`
 	Benchmark  string     `json:"benchmark"`
@@ -212,7 +178,7 @@ type runView struct {
 	Submitted  time.Time  `json:"submitted_at"`
 	Started    *time.Time `json:"started_at,omitempty"`
 	Finished   *time.Time `json:"finished_at,omitempty"`
-	Entry      *entryView `json:"entry,omitempty"`
+	Entry      *wireEntry `json:"entry,omitempty"`
 	StatusCode int        `json:"-"`
 }
 
@@ -237,8 +203,7 @@ func viewRun(r *Run) runView {
 		v.Finished = &t
 	}
 	if r.entry != nil {
-		e := viewEntry(r.entry)
-		v.Entry = &e
+		v.Entry = (*wireEntry)(r.entry)
 	}
 	return v
 }
@@ -353,12 +318,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"aggregates": aggs, "count": len(aggs)})
 		return
 	}
-	entries := s.store.Select(q)
-	views := make([]entryView, len(entries))
-	for i, e := range entries {
-		views[i] = viewEntry(e)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"entries": views, "count": len(views)})
+	writeEntries(w, s.store.Select(q))
 }
 
 // handleRegressions serves GET /v1/regressions: the perfstore sliding

@@ -93,7 +93,7 @@ func TestE2ERunQueryRegress(t *testing.T) {
 	}
 
 	// Poll to completion.
-	var final runView
+	var final runRef
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if time.Now().After(deadline) {
@@ -429,7 +429,7 @@ func TestFailedRunIsReported(t *testing.T) {
 
 // submitAndWait pushes one run through the HTTP API and polls it to a
 // terminal status.
-func submitAndWait(t *testing.T, ts *httptest.Server, body string) runView {
+func submitAndWait(t *testing.T, ts *httptest.Server, body string) runRef {
 	t.Helper()
 	var submitted runView
 	if code := postJSON(t, ts.URL+"/v1/runs", body, &submitted); code != http.StatusAccepted {
@@ -437,7 +437,7 @@ func submitAndWait(t *testing.T, ts *httptest.Server, body string) runView {
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		var v runView
+		var v runRef
 		if code := getJSON(t, ts.URL+"/v1/runs/"+submitted.ID, &v); code != http.StatusOK {
 			t.Fatalf("poll status = %d", code)
 		}

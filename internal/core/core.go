@@ -67,6 +67,10 @@ type Benchmark interface {
 	// Sanity patterns decide whether the run was valid.
 	Sanity() fom.Sanity
 	// PerfPatterns extract the Figures of Merit from stdout.
+	//
+	// Implementations may return the same values on every call (the
+	// suite's are compiled once and shared by every run), so callers
+	// treat what Sanity and PerfPatterns return as read-only.
 	PerfPatterns() []fom.Pattern
 }
 

@@ -168,15 +168,11 @@ func (c *capturer) store(id string, data []byte) error {
 		c.mem[id] = data
 		return nil
 	}
-	// tmp + rename: a crash mid-write never leaves a half-written
-	// artifact under a listed id (the index only references completed
-	// writes, and the index itself is replaced atomically after).
-	path := filepath.Join(c.dir, id+".pprof")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	// tmp + fsync + rename + directory sync: a crash, power loss
+	// included, never leaves a half-written artifact under a listed id
+	// (the index only references durable writes, and the index itself
+	// is replaced the same way after).
+	return AtomicWrite(filepath.Join(c.dir, id+".pprof"), data)
 }
 
 // evict trims the ring to its capacity, oldest artifacts first.

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/faultinject"
@@ -19,6 +20,10 @@ type dialect interface {
 // identical nodes. Jobs are started FIFO as soon as enough nodes are
 // free; payload durations come from the Executor. Time is virtual — a
 // Wait over a full queue completes immediately in real time.
+//
+// A job gets the lowest-numbered free nodes. The free pool is held as
+// node-index ranges and only the nodes a job receives are ever named, so
+// what a job costs depends on its size, not on the partition's.
 type Sim struct {
 	d            dialect
 	totalNodes   int
@@ -37,8 +42,13 @@ type Sim struct {
 	queue    []int           // pending job IDs, FIFO
 	running  map[int]float64 // job ID -> virtual end time
 	timedOut map[int]bool    // running jobs that will hit their limit
-	free     []string        // free node names (sorted for determinism)
+	free     []span          // free node ranges: sorted, disjoint, never adjacent
+	nfree    int             // nodes in free
+	held     map[int][]span  // running job ID -> its node ranges
 }
+
+// span is the half-open node-index range [lo, hi).
+type span struct{ lo, hi int }
 
 // NewSim builds a simulated scheduler with the given dialect name
 // ("slurm" or "pbs"), node pool, and payload executor.
@@ -67,9 +77,9 @@ func NewSim(dialectName string, totalNodes, coresPerNode int, exec Executor) (*S
 		jobs:         map[int]*Info{},
 		running:      map[int]float64{},
 		timedOut:     map[int]bool{},
-	}
-	for i := 0; i < totalNodes; i++ {
-		s.free = append(s.free, d.nodeName(i))
+		free:         []span{{0, totalNodes}},
+		nfree:        totalNodes,
+		held:         map[int][]span{},
 	}
 	return s, nil
 }
@@ -78,7 +88,7 @@ func NewSim(dialectName string, totalNodes, coresPerNode int, exec Executor) (*S
 func (s *Sim) Name() string { return s.d.name() }
 
 // FreeNodes reports how many nodes are currently unallocated.
-func (s *Sim) FreeNodes() int { return len(s.free) }
+func (s *Sim) FreeNodes() int { return s.nfree }
 
 // Clock reports the current virtual time in seconds.
 func (s *Sim) Clock() float64 { return s.clock }
@@ -169,7 +179,7 @@ func (s *Sim) Cancel(id int) error {
 			}
 		}
 	case Running:
-		s.releaseNodes(info)
+		s.releaseNodes(id)
 		delete(s.running, id)
 		delete(s.timedOut, id)
 	default:
@@ -212,7 +222,7 @@ func (s *Sim) step() bool {
 	s.clock = bestEnd
 	info := s.jobs[bestID]
 	delete(s.running, bestID)
-	s.releaseNodes(info)
+	s.releaseNodes(bestID)
 	info.EndTime = s.clock
 	switch {
 	case s.timedOut[bestID]:
@@ -243,7 +253,7 @@ func (s *Sim) schedule() bool {
 			info.EndTime = s.clock
 			continue
 		}
-		if nodes > len(s.free) {
+		if nodes > s.nfree {
 			// The head does not fit. With backfilling enabled, later
 			// jobs may slip through; either way the head keeps its
 			// place in line.
@@ -262,9 +272,14 @@ func (s *Sim) schedule() bool {
 // start allocates nodes and launches the payload for a queued job.
 func (s *Sim) start(id, nodes int) {
 	info := s.jobs[id]
-	alloc := s.free[:nodes]
-	s.free = s.free[nodes:]
-	info.Nodes = append([]string(nil), alloc...)
+	held := s.take(nodes)
+	s.held[id] = held
+	info.Nodes = make([]string, 0, nodes)
+	for _, r := range held {
+		for i := r.lo; i < r.hi; i++ {
+			info.Nodes = append(info.Nodes, s.d.nodeName(i))
+		}
+	}
 	info.State = Running
 	info.StartTime = s.clock
 
@@ -303,7 +318,7 @@ func (s *Sim) backfill(headNeed int) bool {
 			i++
 			continue
 		}
-		fits := nodes <= len(s.free)
+		fits := nodes <= s.nfree
 		finishesInTime := s.clock+info.Job.TimeLimit.Seconds() <= reservation
 		if !fits || !finishesInTime {
 			i++
@@ -320,7 +335,7 @@ func (s *Sim) backfill(headNeed int) bool {
 // headStartEstimate returns the virtual time at which headNeed nodes will
 // be available, assuming every running job runs to its recorded end.
 func (s *Sim) headStartEstimate(headNeed int) (float64, bool) {
-	avail := len(s.free)
+	avail := s.nfree
 	if avail >= headNeed {
 		return s.clock, true
 	}
@@ -342,7 +357,44 @@ func (s *Sim) headStartEstimate(headNeed int) (float64, bool) {
 	return 0, false
 }
 
-func (s *Sim) releaseNodes(info *Info) {
-	s.free = append(s.free, info.Nodes...)
-	sort.Strings(s.free)
+// take removes the n lowest-numbered free nodes from the pool and
+// returns them as ranges. The caller has checked that n nodes are free.
+func (s *Sim) take(n int) []span {
+	var got []span
+	s.nfree -= n
+	for n > 0 {
+		r := &s.free[0]
+		k := min(n, r.hi-r.lo)
+		got = append(got, span{r.lo, r.lo + k})
+		r.lo += k
+		n -= k
+		if r.lo == r.hi {
+			s.free = s.free[1:]
+		}
+	}
+	return got
+}
+
+// releaseNodes returns a running job's ranges to the pool, merging each
+// with the free ranges it touches.
+func (s *Sim) releaseNodes(id int) {
+	for _, r := range s.held[id] {
+		s.nfree += r.hi - r.lo
+		// Every free range before i ends at or before r.lo.
+		i := sort.Search(len(s.free), func(i int) bool { return s.free[i].lo >= r.hi })
+		left := i > 0 && s.free[i-1].hi == r.lo
+		right := i < len(s.free) && s.free[i].lo == r.hi
+		switch {
+		case left && right:
+			s.free[i-1].hi = s.free[i].hi
+			s.free = slices.Delete(s.free, i, i+1)
+		case left:
+			s.free[i-1].hi = r.hi
+		case right:
+			s.free[i].lo = r.lo
+		default:
+			s.free = slices.Insert(s.free, i, r)
+		}
+	}
+	delete(s.held, id)
 }

@@ -156,22 +156,44 @@ func (b *BabelStream) Execute(ctx *core.RunContext) (string, time.Duration, erro
 	return res.Output, time.Duration(perSweep * float64(cfg.NumTimes) * float64(time.Second)), nil
 }
 
-// Sanity implements core.Benchmark.
-func (b *BabelStream) Sanity() fom.Sanity {
-	return fom.Sanity{
-		Require: []*regexp.Regexp{mustRe(`Validation passed`)},
-		Forbid:  []*regexp.Regexp{mustRe(`Validation failed`)},
+// The benchmarks' sanity and FOM patterns are compiled once, at package
+// init, and shared by every run: callers treat them as read-only.
+var (
+	babelStreamSanity = fom.Sanity{
+		Require: []*regexp.Regexp{regexp.MustCompile(`Validation passed`)},
+		Forbid:  []*regexp.Regexp{regexp.MustCompile(`Validation failed`)},
 	}
-}
+	babelStreamPatterns = func() []fom.Pattern {
+		var out []fom.Pattern
+		for _, k := range babelstream.KernelNames() {
+			out = append(out, fom.MustPattern(strings.ToLower(k)+"_mbps", "MB/s", k+`\s+([0-9.]+)`))
+		}
+		return out
+	}()
+
+	hpcgSanity = fom.Sanity{
+		Require: []*regexp.Regexp{regexp.MustCompile(`Results are valid`)},
+		Forbid:  []*regexp.Regexp{regexp.MustCompile(`INVALID`)},
+	}
+	hpcgPatterns = []fom.Pattern{fom.MustPattern("gflops", "GF/s", `GFLOP/s rating of:\s+([0-9.]+)`)}
+
+	hpgmgSanity   = fom.Sanity{Require: []*regexp.Regexp{regexp.MustCompile(`average solve rate l0`)}}
+	hpgmgPatterns = func() []fom.Pattern {
+		var out []fom.Pattern
+		for _, lvl := range []string{"l0", "l1", "l2"} {
+			p := fom.MustPattern(lvl, "MDOF/s", `average solve rate `+lvl+`: ([0-9.e+-]+) DOF/s`)
+			p.Scale = 1e-6
+			out = append(out, p)
+		}
+		return out
+	}()
+)
+
+// Sanity implements core.Benchmark.
+func (b *BabelStream) Sanity() fom.Sanity { return babelStreamSanity }
 
 // PerfPatterns implements core.Benchmark.
-func (b *BabelStream) PerfPatterns() []fom.Pattern {
-	var out []fom.Pattern
-	for _, k := range babelstream.KernelNames() {
-		out = append(out, fom.MustPattern(strings.ToLower(k)+"_mbps", "MB/s", k+`\s+([0-9.]+)`))
-	}
-	return out
-}
+func (b *BabelStream) PerfPatterns() []fom.Pattern { return babelStreamPatterns }
 
 // --- HPCG --------------------------------------------------------------------
 
@@ -264,17 +286,10 @@ func (b *HPCG) Execute(ctx *core.RunContext) (string, time.Duration, error) {
 }
 
 // Sanity implements core.Benchmark.
-func (b *HPCG) Sanity() fom.Sanity {
-	return fom.Sanity{
-		Require: []*regexp.Regexp{mustRe(`Results are valid`)},
-		Forbid:  []*regexp.Regexp{mustRe(`INVALID`)},
-	}
-}
+func (b *HPCG) Sanity() fom.Sanity { return hpcgSanity }
 
 // PerfPatterns implements core.Benchmark.
-func (b *HPCG) PerfPatterns() []fom.Pattern {
-	return []fom.Pattern{fom.MustPattern("gflops", "GF/s", `GFLOP/s rating of:\s+([0-9.]+)`)}
-}
+func (b *HPCG) PerfPatterns() []fom.Pattern { return hpcgPatterns }
 
 // --- HPGMG-FV -----------------------------------------------------------------
 
@@ -370,20 +385,8 @@ func (b *HPGMG) Execute(ctx *core.RunContext) (string, time.Duration, error) {
 }
 
 // Sanity implements core.Benchmark.
-func (b *HPGMG) Sanity() fom.Sanity {
-	return fom.Sanity{Require: []*regexp.Regexp{mustRe(`average solve rate l0`)}}
-}
+func (b *HPGMG) Sanity() fom.Sanity { return hpgmgSanity }
 
 // PerfPatterns implements core.Benchmark: the three Table 4 FOMs,
 // converted to 10^6 DOF/s at extraction.
-func (b *HPGMG) PerfPatterns() []fom.Pattern {
-	var out []fom.Pattern
-	for _, lvl := range []string{"l0", "l1", "l2"} {
-		p := fom.MustPattern(lvl, "MDOF/s", `average solve rate `+lvl+`: ([0-9.e+-]+) DOF/s`)
-		p.Scale = 1e-6
-		out = append(out, p)
-	}
-	return out
-}
-
-func mustRe(s string) *regexp.Regexp { return regexp.MustCompile(s) }
+func (b *HPGMG) PerfPatterns() []fom.Pattern { return hpgmgPatterns }

@@ -264,3 +264,18 @@ func TestLocalDistributedHPGMG(t *testing.T) {
 		t.Errorf("stdout:\n%s", rep.Job.Stdout)
 	}
 }
+
+// TestPatternsCompiledOnce: every benchmark hands out the same compiled
+// regexps on every call, so a run compiles nothing.
+func TestPatternsCompiledOnce(t *testing.T) {
+	for _, b := range All() {
+		s1, s2 := b.Sanity(), b.Sanity()
+		if len(s1.Require) == 0 || s1.Require[0] != s2.Require[0] {
+			t.Errorf("%s: Sanity compiled its patterns again", b.Name())
+		}
+		p1, p2 := b.PerfPatterns(), b.PerfPatterns()
+		if len(p1) == 0 || p1[0].Regex != p2[0].Regex {
+			t.Errorf("%s: PerfPatterns compiled its patterns again", b.Name())
+		}
+	}
+}

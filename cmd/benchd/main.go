@@ -3,7 +3,10 @@
 // the same reproducible pipeline benchctl drives (concretize → build →
 // schedule → run → extract), and every perflog entry — whether produced
 // by a daemon run or appended to the tree by out-of-band benchctl
-// invocations — is served from one incremental, queryable store.
+// invocations — is served from one incremental, queryable store. A
+// run's entry enters the store through its durable group commit; lines
+// other processes append are picked up by the maintenance loop, within
+// one maintenance interval (30 s). Queries never read the tree.
 //
 //	benchd --addr :8080 --perflog perflogs --tree install --workers 4
 //

@@ -212,22 +212,17 @@ func unescape(s string) string {
 // following the directory layout <root>/<system>/<benchmark>.log and
 // creating directories as needed.
 //
-// The whole batch is rendered into one buffer and written with a single
-// Write on the O_APPEND descriptor: concurrent appenders (several
-// benchctl processes, or benchd workers) then never interleave bytes
-// mid-line, which a buffered writer could do by splitting a line across
-// flushes. The data is fsynced before Append reports success, so an
-// acknowledged entry survives a crash immediately after — results are
-// the whole point of a benchmark run, and perflogs are their only
-// durable record (Principle 6).
+// The whole batch is written with a single Write on the O_APPEND
+// descriptor, so concurrent appenders (several benchctl processes, a
+// benchd writer) never interleave bytes mid-line, and it is fsynced
+// before Append reports success: perflogs are the only durable record
+// of a run (Principle 6).
 //
 // Injection points: "perflog.open" models the open failing,
-// "perflog.sync" the fsync failing — the crash-mid-run cases the chaos
-// suite exercises. Both fire before any byte is written, so an injected
-// fault never leaves landed-but-unacknowledged bytes behind: chaos
-// harnesses can arm either point on any write path and still account
-// for every line exactly. (A real fsync error after the write does
-// carry that ambiguity; it is surfaced but cannot be injected.)
+// "perflog.sync" the fsync failing. Both fire before any byte is
+// written, so an injected fault never leaves landed-but-unacknowledged
+// bytes behind and chaos harnesses can account for every line exactly.
+// (A real fsync error after the write does carry that ambiguity.)
 func Append(root, system, benchmark string, entries ...*Entry) error {
 	if err := faultinject.Fire("perflog.open"); err != nil {
 		return fmt.Errorf("perflog: %w", err)

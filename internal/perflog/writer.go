@@ -111,6 +111,7 @@ type WriterOptions struct {
 // zero lost, duplicated, or torn lines. (A real fsync failure after the
 // write carries the same landed-but-unacked caveat as Append; the
 // descriptor is dropped so the next commit reopens cleanly.)
+// "perflog.written" fires between a commit's write and its fsync.
 type Writer struct {
 	root string
 	opt  WriterOptions
@@ -119,6 +120,8 @@ type Writer struct {
 	cur      *writeBatch
 	inflight *writeBatch // detached by the committer, verdict pending
 	closed   bool
+
+	committing sync.Mutex // held by each commit; BetweenCommits runs under it
 
 	wake   chan struct{} // buffered(1): batch opened, committer has work
 	stop   chan struct{}
@@ -257,6 +260,15 @@ func (w *Writer) Pending() (entries, bytes int) {
 	return w.cur.entries, w.cur.bytes
 }
 
+// BetweenCommits runs fn, blocking commits meanwhile, when no commit is
+// between its write and the end of its OnCommit calls: fn never sees
+// bytes that are not yet durable and handed to OnCommit.
+func (w *Writer) BetweenCommits(fn func()) {
+	w.committing.Lock()
+	defer w.committing.Unlock()
+	fn()
+}
+
 // Close commits any pending batch, stops the committer, and closes the
 // cached descriptors. Appends racing Close either make the final batch
 // (and get a real durability verdict) or fail with ErrWriterClosed.
@@ -334,6 +346,8 @@ func (w *Writer) commitNext(draining bool) {
 // file, OnCommit notifications, then metrics. Any error fails the whole
 // batch.
 func (w *Writer) commit(b *writeBatch) error {
+	w.committing.Lock()
+	defer w.committing.Unlock()
 	// Both injection points fire per commit and before any byte reaches
 	// a file, so an injected fault can never acknowledge or strand a
 	// partial batch — the property the chaos suite leans on.
@@ -372,12 +386,9 @@ func (w *Writer) commit(b *writeBatch) error {
 		// The landing offset must come from the descriptor position
 		// *after* the write: O_APPEND means an out-of-band appender can
 		// slip bytes in ahead of us, and an offset sampled before the
-		// write would then point into the middle of our own bytes — the
-		// store would accept it (it still matches its checkpoint) and
-		// advance the checkpoint over bytes it never ingested. The
-		// post-write position is the truth; a raced commit carries an
-		// offset past the checkpoint, AddBatch declines it, and SyncFile
-		// parses the gap from the file.
+		// write would point into the middle of our own bytes. From the
+		// post-write position, a raced commit carries an offset past the
+		// store's checkpoint, and the store parses the gap before it.
 		pos, err := st.f.Seek(0, io.SeekCurrent)
 		if err != nil {
 			w.drop(st.key)
@@ -385,6 +396,10 @@ func (w *Writer) commit(b *writeBatch) error {
 			return fmt.Errorf("perflog: %s: %w", st.path, err)
 		}
 		st.off = pos - int64(len(st.g.buf))
+	}
+	if err := faultinject.Fire("perflog.written"); err != nil {
+		metricCommitsError.Inc()
+		return fmt.Errorf("perflog: %w", err)
 	}
 	for i := range stage {
 		st := &stage[i]

@@ -26,7 +26,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/perflog"
@@ -47,10 +46,9 @@ var (
 	metricIngestFiles = telemetry.DefaultRegistry.Counter(
 		"perfstore_ingest_files_scanned_total",
 		"Perflog files examined by ingest (including no-op checkpoint hits).").With()
-	metricSyncSeconds = telemetry.DefaultRegistry.Histogram(
-		"perfstore_sync_seconds",
-		"Wall-clock duration of one SyncFile call.",
-		nil).With()
+	metricCommitGaps = telemetry.DefaultRegistry.Counter(
+		"perfstore_commit_gaps_total",
+		"Group commits preceded by out-of-band lines, parsed before the commit was indexed.").With()
 	// Query-path metrics: which plans the legs of each Select, Aggregate
 	// and Regressions took (a query whose legs split counts once under
 	// each), and how many rows those legs read. The linear reference scan
@@ -295,7 +293,7 @@ func (s *Store) Sync() error {
 		defer readers.Done()
 		fanN(len(paths), func(i int) {
 			if !failed.Load() {
-				tails[i] = readTail(paths[i], from[i])
+				tails[i] = readTail(paths[i], from[i], -1)
 			}
 			close(ready[i])
 		})
@@ -312,22 +310,17 @@ func (s *Store) Sync() error {
 	return walkErr
 }
 
-// SyncFile incrementally ingests one perflog file: it seeks to the
-// file's checkpoint and parses only complete lines appended since. A
-// line still being written (no trailing newline yet) is left for the
-// next sync. If the file shrank below its checkpoint it was truncated
-// or rewritten, so its previous entries are evicted and it is re-read
-// from the start.
+// SyncFile incrementally ingests one perflog file: it parses only the
+// complete lines past the file's checkpoint, leaving a line still being
+// written for the next sync. A file shorter than its checkpoint was
+// rewritten: its entries are evicted and it is re-read from the start.
 //
-// Injection points: "perfstore.sync" fires before any work (a failed
-// re-sync, e.g. the filesystem dropping out from under the daemon);
-// "perfstore.read" can truncate the read stream early (a short read).
-// A short read is indistinguishable from a writer mid-append, so the
-// checkpoint simply stays before the torn tail and the next sync
-// re-reads it whole — fault tolerance by the same mechanism as normal
-// incremental ingest.
+// Injection points: "perfstore.sync" fails a read before any work;
+// "perfstore.read" cuts the read stream short, which looks like a
+// writer mid-append, so the checkpoint stays before the torn line and
+// the next sync re-reads it whole.
 func (s *Store) SyncFile(path string) error {
-	return s.commitTail(path, readTail(path, s.checkpointOffset(path)))
+	return s.commitTail(path, readTail(path, s.checkpointOffset(path), -1))
 }
 
 // checkpointOffset returns how far into path the store has ingested,
@@ -350,23 +343,21 @@ type fileTail struct {
 	from    int64 // checkpoint offset the read started at
 	shrunk  bool  // the file is shorter than from: it was rewritten, and the tail is the whole file
 	entries []*perflog.Entry
-	bytes   int64         // consumed through the last complete, well-formed line
-	err     error         // what cut the read short; entries and bytes still cover the good prefix
-	took    time.Duration // reading and parsing
+	bytes   int64 // consumed through the last complete, well-formed line
+	err     error // what cut the read short; entries and bytes still cover the good prefix
 }
 
-// readTail reads the complete lines of path past offset from.
-func readTail(path string, from int64) fileTail {
-	start := time.Now()
+// readTail reads the complete lines of path past offset from and, unless
+// to is negative, before offset to.
+func readTail(path string, from, to int64) fileTail {
 	t := fileTail{from: from}
-	if err := t.read(path); err != nil {
+	if err := t.read(path, to); err != nil {
 		t.err = fmt.Errorf("perfstore: %w", err)
 	}
-	t.took = time.Since(start)
 	return t
 }
 
-func (t *fileTail) read(path string) error {
+func (t *fileTail) read(path string, to int64) error {
 	if err := faultinject.Fire("perfstore.sync"); err != nil {
 		return err
 	}
@@ -380,17 +371,19 @@ func (t *fileTail) read(path string) error {
 		return err
 	}
 	from := t.from
-	if st.Size() < from {
-		t.shrunk = true
-		from = 0
+	if to < 0 {
+		if to = st.Size(); to < from {
+			t.shrunk = true
+			from = 0
+		}
 	}
-	if st.Size() == from {
+	if to == from {
 		return nil
 	}
 	if _, err := f.Seek(from, io.SeekStart); err != nil {
 		return err
 	}
-	r := bufio.NewReaderSize(faultinject.Reader("perfstore.read", f), 64*1024)
+	r := bufio.NewReaderSize(faultinject.Reader("perfstore.read", io.LimitReader(f, to-from)), 64*1024)
 	for {
 		line, err := r.ReadString('\n')
 		if err == io.EOF {
@@ -418,18 +411,16 @@ func (t *fileTail) read(path string) error {
 // range. Entries the checkpoint comes to cover are indexed even when
 // the file is bad past them.
 func (s *Store) commitTail(path string, t fileTail) error {
-	start := time.Now()
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
 	ck := s.ck[path]
 	if ck.offset != t.from {
-		// Another ingester (a group commit's AddBatch, a worker's
-		// SyncFile) moved the checkpoint while this tail was being read,
-		// so it no longer starts where the store ends. Read again from
-		// there; holding the lock keeps the checkpoint still this time.
-		t = readTail(path, ck.offset)
+		// Another ingester (a group commit, another sync) moved the
+		// checkpoint while this tail was being read, so it no longer
+		// starts where the store ends. Read again from there; holding the
+		// lock keeps the checkpoint still this time.
+		t = readTail(path, ck.offset, -1)
 	}
-	defer func() { metricSyncSeconds.Observe((t.took + time.Since(start)).Seconds()) }()
 	if t.shrunk {
 		if err := s.evictFile(path); err != nil {
 			return err
@@ -445,9 +436,8 @@ func (s *Store) commitTail(path string, t fileTail) error {
 	return nil
 }
 
-// Append persists entries through perflog.Append and ingests exactly
-// the bytes just written, so store and tree stay in lockstep — the
-// write path benchd workers use.
+// Append persists entries through perflog.Append and ingests the file,
+// so store and tree stay in lockstep.
 func (s *Store) Append(system, benchmark string, entries ...*perflog.Entry) error {
 	if err := perflog.Append(s.root, system, benchmark, entries...); err != nil {
 		return err
@@ -456,21 +446,28 @@ func (s *Store) Append(system, benchmark string, entries ...*perflog.Entry) erro
 }
 
 // AddBatch ingests one durable group commit from a perflog.Writer
-// without touching the file: the entries are already parsed and their
-// byte extent is known exactly. When the file's checkpoint sits at the
-// commit's start offset — the steady state with the Writer as the
-// file's only appender — the batch is indexed in one shard pass and the
-// checkpoint advances over bytes ingest never has to read back, with
-// the stats reporting true ingest work (entries added, zero bytes
-// parsed). Any
-// other checkpoint position means unknown bytes precede the commit
-// (out-of-band benchctl appends, or an earlier notification this method
-// declined), so it declines too, reporting false: the next SyncFile
-// parses the gap from the file itself, which stays correct — just not
-// zero-copy. Either way acked entries converge into the store.
-func (s *Store) AddBatch(c perflog.Commit) bool {
+// without reading the file: the entries come parsed, with their exact
+// byte extent. When the file's checkpoint sits at the commit's start —
+// the steady state with the Writer as the file's only appender — the
+// batch is indexed in one shard pass and the checkpoint moves past it
+// (entries added, zero bytes parsed). Otherwise unknown bytes precede
+// the commit and AddBatch declines, reporting false and changing
+// nothing.
+func (s *Store) AddBatch(c perflog.Commit) bool { return s.ingestCommit(c, false) == nil }
+
+// IngestCommit is AddBatch that parses instead of declining: lines an
+// out-of-band writer appended between the checkpoint and the commit are
+// read first, up to the commit's start and never past it, and indexed
+// before the commit's own entries, leaving the checkpoint at the
+// commit's end. A gap it cannot read whole keeps its good prefix
+// indexed, leaves the commit to the next Sync, and is returned.
+func (s *Store) IngestCommit(c perflog.Commit) error { return s.ingestCommit(c, true) }
+
+const gapReads = 3 // reads of a gap that keeps coming back short
+
+func (s *Store) ingestCommit(c perflog.Commit, parseGap bool) error {
 	if len(c.Entries) == 0 {
-		return true
+		return nil
 	}
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
@@ -479,13 +476,30 @@ func (s *Store) AddBatch(c perflog.Commit) bool {
 		ck = &checkpoint{}
 		s.ck[c.Path] = ck
 	}
+	var gap []*perflog.Entry
+	var parsed int64
+	var err error
+	reads := 0
+	if parseGap && ck.offset < c.Offset {
+		metricCommitGaps.Inc()
+	}
+	for ; parseGap && reads < gapReads && ck.offset+parsed < c.Offset; reads++ {
+		t := readTail(c.Path, ck.offset+parsed, c.Offset)
+		gap, parsed, err = append(gap, t.entries...), parsed+t.bytes, t.err
+	}
+	s.addBatch(gap, c.Path)
+	ck.offset += parsed
 	if ck.offset != c.Offset {
-		return false
+		s.bumpStats(reads, parsed, len(gap))
+		if err == nil {
+			err = fmt.Errorf("perfstore: %s: commit starts at %d, store is at %d", c.Path, c.Offset, ck.offset)
+		}
+		return err
 	}
 	s.addBatch(c.Entries, c.Path)
 	ck.offset += c.Bytes
-	s.bumpStats(0, 0, len(c.Entries))
-	return true
+	s.bumpStats(reads, parsed, len(gap)+len(c.Entries))
+	return nil
 }
 
 // addBatch indexes entries under one shard-lock pass per contiguous

@@ -160,6 +160,7 @@ func chaosSoak(t *testing.T, dataDir string) {
 	loadFaults(t, seed, schedule)
 
 	exhaustedBefore, _ := reg.Value("retry_exhausted_total", "service.publish")
+	gapsBefore, _ := reg.Value("perfstore_commit_gaps_total")
 
 	// A persistent healthy watcher: a reconnecting /v1/watch consumer
 	// that must end up having seen run.finished for every completed run
@@ -355,14 +356,16 @@ func chaosSoak(t *testing.T, dataDir string) {
 	// An out-of-band appender plays the benchctl-invocation role: one-shot
 	// perflog.Append calls against the same files the daemon's
 	// group-commit writer holds open. These bytes reach the store only by
-	// being parsed (the query path's Sync, or a worker's post-commit
-	// SyncFile) — which keeps the perfstore.read fault class drawing now
-	// that the daemon's own entries enter the store pre-parsed — and they
-	// move file offsets underneath the writer, forcing the store to
-	// decline stale commit notifications and fall back to parsing. An
-	// injected perflog.sync fault fails an append cleanly (nothing
-	// lands), so successes are countable exactly.
-	oobLanded := 0
+	// being parsed — which keeps the perfstore.read fault class drawing
+	// now that the daemon's own entries enter the store pre-parsed — and
+	// they move file offsets underneath the writer. Each landed append is
+	// followed by a daemon commit to the same file, which finds the
+	// out-of-band line between the store's checkpoint and its own bytes
+	// and has the store parse that gap before indexing the commit (unless
+	// a maintenance sync got there first). An injected perflog.sync fault
+	// fails either append cleanly (nothing lands), so successes are
+	// countable exactly.
+	oobLanded, writerLanded := 0, 0
 	var oobWG sync.WaitGroup
 	oobWG.Add(1)
 	go func() {
@@ -384,14 +387,15 @@ func chaosSoak(t *testing.T, dataDir string) {
 			switch {
 			case err == nil:
 				oobLanded++
-				// Query immediately so the tail is parsed while this
-				// append is the only unparsed byte range: one parse
-				// event (and its perfstore.read draws) per landed
-				// append, independent of how slowly the background
-				// readers cycle under the race detector.
-				if resp, err := client.Get(ts.URL + "/v1/query?benchmark=babelstream-omp"); err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
+				d := *e
+				d.JobID += 1000
+				d.Extra = map[string]string{"source": "daemon-writer"}
+				switch werr := srv.Writer().Append(d.System, d.Benchmark, &d); {
+				case werr == nil:
+					writerLanded++
+				case !faultinject.Is(werr):
+					t.Errorf("daemon append failed for a non-injected reason: %v", werr)
+					return
 				}
 			case !faultinject.Is(err):
 				t.Errorf("out-of-band append failed for a non-injected reason: %v", err)
@@ -631,13 +635,13 @@ func chaosSoak(t *testing.T, dataDir string) {
 		t.Fatalf("perflog tree corrupt after soak: %v", err)
 	}
 	// Invariant: exactly one line per completed run — client-submitted
-	// and scheduled both — plus one per acknowledged out-of-band append;
-	// nothing lost, nothing duplicated, even with perflog.sync faults
-	// failing whole commit batches along the way (acked ⇒ durable,
-	// faulted ⇒ nothing landed).
-	if len(entries) != len(completedAll)+oobLanded {
-		t.Errorf("perflog holds %d entries, want %d (%d completed runs + %d out-of-band appends) — lost or duplicated results",
-			len(entries), len(completedAll)+oobLanded, len(completedAll), oobLanded)
+	// and scheduled both — plus one per acknowledged out-of-band and
+	// direct writer append; nothing lost, nothing duplicated, even with
+	// perflog.sync faults failing whole commit batches along the way
+	// (acked ⇒ durable, faulted ⇒ nothing landed).
+	if want := len(completedAll) + oobLanded + writerLanded; len(entries) != want {
+		t.Errorf("perflog holds %d entries, want %d (%d completed runs + %d out-of-band + %d writer appends) — lost or duplicated results",
+			len(entries), want, len(completedAll), oobLanded, writerLanded)
 	}
 	// Invariant: no partial repetition sets and no double-counted reps.
 	// An entry that declares a repetition protocol carries a complete,
@@ -709,6 +713,11 @@ func chaosSoak(t *testing.T, dataDir string) {
 	}
 	if retries := reg.SumValues("retry_retries_total") - retriesBefore; retries <= 0 {
 		t.Error("no retries recorded in retry_retries_total")
+	}
+	if gaps, _ := reg.Value("perfstore_commit_gaps_total"); gaps-gapsBefore <= 0 {
+		t.Error("no commit found out-of-band lines ahead of it: the gap parse never ran")
+	} else {
+		t.Logf("commits that parsed an out-of-band gap first: %g", gaps-gapsBefore)
 	}
 	for _, pk := range [][2]string{
 		{"scheduler.submit", "error"}, {"buildsys.install", "error"}, {"perfstore.read", "short"},

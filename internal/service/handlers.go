@@ -134,24 +134,11 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// writeUnavailable reports a transient condition (full queue, store
-// wobble, injected fault) as 503 with a Retry-After hint, so
-// well-behaved clients back off and retry instead of treating the
-// daemon as broken.
+// writeUnavailable reports a transient condition (full queue, injected
+// fault) as 503 with a Retry-After hint, so clients back off and retry.
 func writeUnavailable(w http.ResponseWriter, err error) {
 	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusServiceUnavailable, err)
-}
-
-// syncError classifies a store re-sync failure: transient conditions
-// (including injected faults) are retryable 503s, anything else is a
-// genuine 500.
-func syncError(w http.ResponseWriter, err error) {
-	if retry.IsTransient(err) {
-		writeUnavailable(w, err)
-		return
-	}
-	writeError(w, http.StatusInternalServerError, err)
 }
 
 // runRequest is the POST /v1/runs body.
@@ -278,22 +265,13 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery serves GET /v1/query: filtered entries, or group-by
-// aggregates when agg= is present. The store re-syncs incrementally
-// first so entries appended by out-of-band CLI runs are visible — an
-// unchanged tree costs zero parsed bytes.
-//
-// Aggregate results are served through the generation-stamped cache: a
-// repeated dashboard query against an unchanged store costs one map
-// lookup (the no-op Sync leaves the generation untouched, so the stamp
-// still matches).
+// aggregates when agg= is present, from what the store has indexed; it
+// reads no file. Aggregates go through the generation-stamped cache, so
+// a repeated dashboard query on an unchanged store is one map lookup.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q, err := perfstore.ParseQuery(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.store.Sync(); err != nil {
-		syncError(w, err)
 		return
 	}
 	if q.Agg != "" {
@@ -353,10 +331,6 @@ func (s *Server) handleRegressions(w http.ResponseWriter, r *http.Request) {
 	}
 	if q.FOM == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("fom= is required"))
-		return
-	}
-	if err := s.store.Sync(); err != nil {
-		syncError(w, err)
 		return
 	}
 	// Regression reports ride the same generation-stamped cache as

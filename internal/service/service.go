@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -48,6 +47,10 @@ var (
 		"benchd_ingest_batch_size",
 		"Entries entering the store per durable group commit.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128}).With()
+	metricIngestErrors = telemetry.DefaultRegistry.Counter(
+		"benchd_ingest_errors_total",
+		"Store ingest failures: a commit's out-of-band gap (commit), the maintenance pickup (sync).",
+		"path")
 	// Set once per New: manifest_open (segment manifest and headers),
 	// tail_sync (perflog bytes past the sealed watermarks), registries_load
 	// (runner, schedules, observer, alerts) and total. What a first query
@@ -73,8 +76,8 @@ type Config struct {
 	// CompactSegments is the segment count at which the maintenance
 	// loop merges the sealed tier into one segment (default 8).
 	CompactSegments int
-	// MaintenanceInterval paces the seal/compact maintenance loop
-	// (default 30s).
+	// MaintenanceInterval paces the maintenance loop: out-of-band perflog
+	// lines are queryable within one interval (default 30s).
 	MaintenanceInterval time.Duration
 	// InstallTree is the build cache for executed runs.
 	InstallTree string
@@ -257,10 +260,8 @@ type Server struct {
 	cfg    Config
 	store  *perfstore.Store
 	runner *core.Runner
-	// writer is the shared group-commit perflog writer every worker's
-	// append stage goes through: concurrent runs coalesce into batches
-	// of one write + one fsync, and each durable commit feeds the store
-	// directly (see commitIngest).
+	// writer is the group-commit perflog writer every run appends
+	// through; each durable commit feeds the store (commitIngest).
 	writer *perflog.Writer
 	tracer *telemetry.Tracer
 	cache  *queryCache
@@ -387,10 +388,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	registriesDone := time.Now()
 	// Every error return is behind us: start the write path, then the
-	// workers. The daemon's perflog writes all flow through this one
-	// group-commit writer via the runner's append stage, so concurrent
-	// runs share commits (one write + one fsync per batch) and each
-	// durable commit is handed straight to the store.
+	// workers, whose appends share commits (one write + one fsync each).
 	s.writer = perflog.NewWriter(store.Root(), perflog.WriterOptions{
 		MaxDelay: cfg.CommitInterval,
 		MaxBytes: cfg.CommitBytes,
@@ -401,10 +399,8 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if cfg.DataDir != "" && !degraded {
-		s.maintWG.Add(1)
-		go s.maintain()
-	}
+	s.maintWG.Add(1)
+	go s.maintain()
 	// A degraded (read-only) daemon keeps its registry queryable but
 	// does not tick: every firing would be refused by the store anyway.
 	if !degraded {
@@ -476,10 +472,10 @@ func (s *Server) publishPolicy() retry.Policy {
 // segment manifest was unreadable.
 func (s *Server) Degraded() bool { return s.degraded }
 
-// maintain is the storage maintenance loop: it periodically seals a
-// grown head into a segment and compacts accumulated small segments,
-// keeping boot O(headers) and query fan-out bounded without blocking
-// the ingest or query paths for longer than one manifest swap.
+// maintain is the storage maintenance loop: each tick it ingests what
+// out-of-band appenders added to the perflog tree and, on a tiered
+// store, seals a grown head into a segment and compacts small segments,
+// keeping boot O(headers) and query fan-out bounded.
 func (s *Server) maintain() {
 	defer s.maintWG.Done()
 	t := time.NewTicker(s.cfg.MaintenanceInterval)
@@ -489,6 +485,10 @@ func (s *Server) maintain() {
 		case <-s.maintStop:
 			return
 		case <-t.C:
+			s.syncOutOfBand()
+			if s.cfg.DataDir == "" || s.degraded {
+				continue
+			}
 			if n, err := s.store.MaybeSeal(s.cfg.SealThreshold); err != nil {
 				s.cfg.Logger.Error("seal failed", "error", err.Error())
 			} else if n > 0 {
@@ -518,14 +518,27 @@ func (s *Server) Runner() *core.Runner { return s.runner }
 // through it).
 func (s *Server) Writer() *perflog.Writer { return s.writer }
 
+// syncOutOfBand ingests perflog lines the daemon did not write, between
+// group commits, so it never reads a commit's bytes before the commit
+// has indexed them. A failure is logged and counted.
+func (s *Server) syncOutOfBand() {
+	var err error
+	s.writer.BetweenCommits(func() { err = s.store.Sync() })
+	if err != nil {
+		metricIngestErrors.With("sync").Inc()
+		s.cfg.Logger.Error("out-of-band sync failed", "error", err.Error())
+	}
+}
+
 // commitIngest runs on the writer's committer goroutine once per file
-// per durable commit: the batch's entries enter the store directly —
-// one shard pass, one generation bump — and the checkpoint advances
-// past the commit's bytes, so the worker-side SyncFile that follows
-// re-parses nothing the commit just made durable.
+// per durable commit, before the commit's appenders wake: the only way
+// the daemon's own entries enter the store (see IngestCommit).
 func (s *Server) commitIngest(c perflog.Commit) {
 	metricIngestBatch.Observe(float64(len(c.Entries)))
-	s.store.AddBatch(c)
+	if err := s.store.IngestCommit(c); err != nil {
+		metricIngestErrors.With("commit").Inc()
+		s.cfg.Logger.Error("commit ingest left to the next sync", "error", err.Error())
+	}
 }
 
 // SubmitRequest is one run submission: what to run, where, and under
@@ -714,23 +727,8 @@ func (s *Server) execute(run *Run) {
 		s.fail(ctx, span, run, err)
 		return
 	}
+	// The entry's commit put it in the store before the append returned.
 	entry := report.Entry
-	// The runner's append stage already wrote the entry through the
-	// shared group-commit writer (exactly once — the append is never
-	// retried, since a retry after landed-but-unacknowledged bytes
-	// would duplicate the line), and the commit's OnCommit hook fed it
-	// to the store. The retried SyncFile below is the idempotent
-	// reconciliation pass: normally a checkpoint no-op that re-parses
-	// zero bytes, it only reads when out-of-band appenders touched the
-	// file or a commit notification was declined, and it is safe to
-	// retry through transient store faults.
-	logPath := filepath.Join(s.store.Root(), entry.System, entry.Benchmark+".log")
-	if err := s.runner.Retry.Do(ctx, "benchd.ingest", func(context.Context, int) error {
-		return s.store.SyncFile(logPath)
-	}); err != nil {
-		s.fail(ctx, span, run, fmt.Errorf("run executed but ingest failed: %w", err))
-		return
-	}
 	span.End(nil)
 	metricRunsTotal.With(StatusCompleted).Inc()
 	run.set(func(r *Run) {

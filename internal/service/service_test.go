@@ -184,8 +184,9 @@ func TestE2ERunQueryRegress(t *testing.T) {
 
 func TestRegressionsFlagsDropAcrossDaemonAndCLIEntries(t *testing.T) {
 	// Entries written to the tree by out-of-band CLI runs are visible to
-	// the daemon's query path after its incremental re-sync, and a drop
-	// is flagged with the shared tolerance rule.
+	// the daemon's query path once the store has synced them (the
+	// maintenance loop's job; called directly here), and a drop is
+	// flagged with the shared tolerance rule.
 	srv, ts := newTestServer(t)
 	t0 := time.Date(2023, 7, 7, 10, 0, 0, 0, time.UTC)
 	for i, v := range []float64{100, 101, 80} {
@@ -199,6 +200,9 @@ func TestRegressionsFlagsDropAcrossDaemonAndCLIEntries(t *testing.T) {
 		if err := perflog.Append(srv.Store().Root(), "archer2", "hpgmg-fv", e); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := srv.Store().Sync(); err != nil {
+		t.Fatal(err)
 	}
 	var reg struct {
 		Regressions []struct {
@@ -669,40 +673,5 @@ func TestInjectedSubmitFaultIs503WithRetryAfter(t *testing.T) {
 	// The fault was times=1: a client that honours the hint succeeds.
 	if code := postJSON(t, ts.URL+"/v1/runs", body, nil); code != http.StatusAccepted {
 		t.Errorf("retry after injected fault: status = %d, want 202", code)
-	}
-}
-
-func TestTransientStoreSyncFaultIs503(t *testing.T) {
-	srv, ts := newTestServer(t)
-	// The query path only re-syncs files that exist; seed one.
-	e := &perflog.Entry{
-		Time: time.Date(2023, 7, 7, 10, 0, 0, 0, time.UTC), Benchmark: "bs",
-		System: "archer2", Result: "pass",
-		FOMs: map[string]fom.Value{}, Extra: map[string]string{},
-	}
-	if err := perflog.Append(srv.Store().Root(), e.System, e.Benchmark, e); err != nil {
-		t.Fatal(err)
-	}
-	loadFaults(t, 1, "perfstore.sync:error:times=1")
-	resp, err := http.Get(ts.URL + "/v1/query?benchmark=bs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("query during store fault: status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("503 carries no Retry-After hint")
-	}
-	var out struct {
-		Count int `json:"count"`
-	}
-	if code := getJSON(t, ts.URL+"/v1/query?benchmark=bs", &out); code != http.StatusOK {
-		t.Fatalf("query after fault cleared: status = %d, want 200", code)
-	}
-	if out.Count != 1 {
-		t.Errorf("entries after recovery = %d, want 1", out.Count)
 	}
 }

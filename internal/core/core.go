@@ -133,13 +133,15 @@ type Runner struct {
 	Repo   *repo.Repository
 	// InstallTree is the build-cache directory.
 	InstallTree string
-	// PerflogRoot receives perflog entries; empty disables logging.
+	// PerflogRoot receives perflog entries through one-shot
+	// perflog.Append calls when Log is nil (the CLI: one run, one
+	// append, no writer to share); empty with a nil Log disables
+	// logging.
 	PerflogRoot string
-	// Log, when non-nil, receives perflog entries instead of one-shot
-	// Append calls against PerflogRoot. benchd wires its group-commit
-	// *perflog.Writer here so concurrent workers' append stages share
-	// commits (one write + one fsync per batch); the CLI leaves it nil
-	// and keeps the one-shot path.
+	// Log, when non-nil, receives perflog entries instead. benchd wires
+	// its group-commit *perflog.Writer here so concurrent workers'
+	// append stages share commits (one write + one fsync per batch) and
+	// its descriptors; both paths run the same commit routine.
 	Log perflog.Appender
 	// RebuildEveryRun enforces Principle 3 (default in New).
 	RebuildEveryRun bool

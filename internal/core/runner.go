@@ -400,27 +400,17 @@ func (r *Runner) RunContext(ctx context.Context, b Benchmark, opts Options) (rep
 		entry.Extra["stage_"+name+"_s"] = fmt.Sprintf("%.6f", d)
 	}
 
-	if log := r.appender(); log != nil {
+	if r.Log != nil || r.PerflogRoot != "" {
 		if err := stage("append", false, func(context.Context) error {
-			return log.Append(sys.Name, b.Name(), entry)
+			if r.Log != nil {
+				return r.Log.Append(sys.Name, b.Name(), entry)
+			}
+			return perflog.Append(r.PerflogRoot, sys.Name, b.Name(), entry)
 		}); err != nil {
 			return report, err
 		}
 	}
 	return report, nil
-}
-
-// appender resolves the perflog sink: the shared writer when one is
-// wired in (benchd's group-commit path), else one-shot appends under
-// PerflogRoot (the CLI), else nil — logging disabled.
-func (r *Runner) appender() perflog.Appender {
-	if r.Log != nil {
-		return r.Log
-	}
-	if r.PerflogRoot != "" {
-		return perflog.TreeAppender(r.PerflogRoot)
-	}
-	return nil
 }
 
 // aggregateRepetitions reduces the measured repetitions' FOM maps to one

@@ -5,18 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/faultinject"
 )
 
 // History persistence: the whole multi-resolution corpus serialises to
-// one JSON file under the daemon's data dir, replaced with the same
-// atomic tmp + fsync + rename pattern the segment manifest and schedule
-// registry use. A crash at any instant leaves either the previous or
-// the new file, both complete — never a torn one — so a rebooted daemon
-// serves pre-crash metric history from its first request on.
+// one JSON file under the daemon's data dir, replaced with
+// atomicfile.Write like the segment manifest and schedule registry. A
+// crash at any instant leaves either the previous or the new file, both
+// complete — never a torn one — so a rebooted daemon serves pre-crash
+// metric history from its first request on.
 
 // HistoryFile is the history snapshot's on-disk name under the
 // observer's data dir.
@@ -34,35 +34,6 @@ type historySnapshot struct {
 type persistedSeries struct {
 	Kind  string    `json:"kind"`
 	Tiers [][]Point `json:"tiers"`
-}
-
-// AtomicWrite replaces path with data via tmp + fsync + rename and a
-// directory sync, the same durability pattern as the segment manifest.
-func AtomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
 
 // saveHistory writes the current corpus. The "obs.historywrite"
@@ -98,7 +69,7 @@ func (o *Observer) saveHistory() error {
 		metricHistoryFlushErrors.Inc()
 		return fmt.Errorf("obs: history: %w", err)
 	}
-	if err := AtomicWrite(o.historyPath, append(data, '\n')); err != nil {
+	if err := atomicfile.Write(o.historyPath, data, []byte{'\n'}); err != nil {
 		metricHistoryFlushErrors.Inc()
 		return fmt.Errorf("obs: history: %w", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/faultinject"
 	"repro/internal/telemetry"
 )
@@ -168,11 +169,10 @@ func (c *capturer) store(id string, data []byte) error {
 		c.mem[id] = data
 		return nil
 	}
-	// tmp + fsync + rename + directory sync: a crash, power loss
-	// included, never leaves a half-written artifact under a listed id
-	// (the index only references durable writes, and the index itself
-	// is replaced the same way after).
-	return AtomicWrite(filepath.Join(c.dir, id+".pprof"), data)
+	// A crash, power loss included, never leaves a half-written
+	// artifact under a listed id (the index only references durable
+	// writes, and the index itself is replaced the same way after).
+	return atomicfile.Write(filepath.Join(c.dir, id+".pprof"), data)
 }
 
 // evict trims the ring to its capacity, oldest artifacts first.
@@ -193,7 +193,7 @@ func (c *capturer) saveIndex() error {
 	if err != nil {
 		return err
 	}
-	return AtomicWrite(filepath.Join(c.dir, profileIndexFile), append(data, '\n'))
+	return atomicfile.Write(filepath.Join(c.dir, profileIndexFile), data, []byte{'\n'})
 }
 
 // list returns the retained artifacts, oldest first.

@@ -22,7 +22,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/faultinject"
+	"repro/internal/atomicfile"
 	"repro/internal/fom"
 )
 
@@ -210,52 +210,86 @@ func unescape(s string) string {
 
 // Append appends entries to the perflog for a benchmark on a system,
 // following the directory layout <root>/<system>/<benchmark>.log and
-// creating directories as needed.
+// creating directories as needed. It is a batch of one through the same
+// commit routine the group-commit Writer runs: the entries land with a
+// single Write on an O_APPEND descriptor from openLog, so concurrent
+// appenders (several benchctl processes, a benchd writer) never
+// interleave bytes mid-line, and they are fsynced before Append reports
+// success: perflogs are the only durable record of a run (Principle 6).
+// The descriptor is closed before Append returns.
 //
-// The whole batch is written with a single Write on the O_APPEND
-// descriptor, so concurrent appenders (several benchctl processes, a
-// benchd writer) never interleave bytes mid-line, and it is fsynced
-// before Append reports success: perflogs are the only durable record
-// of a run (Principle 6).
-//
-// Injection points: "perflog.open" models the open failing,
-// "perflog.sync" the fsync failing. Both fire before any byte is
-// written, so an injected fault never leaves landed-but-unacknowledged
-// bytes behind and chaos harnesses can account for every line exactly.
-// (A real fsync error after the write does carry that ambiguity.)
+// The injection points are the Writer's: "perflog.open" and
+// "perflog.sync" fire before any byte is written, so an injected fault
+// never leaves landed-but-unacknowledged bytes behind and chaos
+// harnesses can account for every line exactly; "perflog.written" fires
+// between the write and the fsync. (A real fsync error after the write
+// does carry that ambiguity.)
 func Append(root, system, benchmark string, entries ...*Entry) error {
-	if err := faultinject.Fire("perflog.open"); err != nil {
-		return fmt.Errorf("perflog: %w", err)
+	b := &writeBatch{groups: map[string]*commitGroup{}}
+	b.add(system, benchmark, render(entries), entries)
+	files := logFiles{root: root, open: map[string]*os.File{}}
+	_, err := files.commit(b)
+	if cerr := files.closeAll(); err == nil {
+		err = cerr
 	}
-	if err := faultinject.Fire("perflog.sync"); err != nil {
-		return fmt.Errorf("perflog: %w", err)
-	}
+	return err
+}
+
+// openLog opens <root>/<system>/<benchmark>.log for appending, creating
+// it and its directory as needed; it is the one way a perflog is opened
+// for writing. Two rules make what the caller appends next durable and
+// whole:
+//
+//   - The system directory and the root are fsynced on every open, so a
+//     newly created file's name survives power loss along with the
+//     entries fsynced into it. There is no "did I create it" branch: a
+//     failed directory sync fails the open, and the next open syncs
+//     again.
+//   - A file whose last byte is not '\n' ends in a torn line (a writer
+//     died mid-append). A '\n' is written to terminate it, so the next
+//     entry starts a line of its own instead of being glued to the
+//     fragment; the caller's commit fsync makes it durable. If an
+//     out-of-band writer races in between the check and the write, the
+//     worst case is an empty line, which every reader skips.
+func openLog(root, system, benchmark string) (*os.File, string, error) {
 	dir := filepath.Join(root, system)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("perflog: %w", err)
+		return nil, "", fmt.Errorf("perflog: %w", err)
 	}
 	path := filepath.Join(dir, benchmark+".log")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
-		return fmt.Errorf("perflog: %w", err)
+		return nil, "", fmt.Errorf("perflog: %w", err)
 	}
-	var buf strings.Builder
-	for _, e := range entries {
-		buf.WriteString(e.Line())
-		buf.WriteByte('\n')
+	err = atomicfile.SyncDir(dir)
+	if err == nil {
+		err = atomicfile.SyncDir(root)
 	}
-	if _, err := f.WriteString(buf.String()); err != nil {
+	if err == nil {
+		err = terminateTail(f)
+	}
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("perflog: %w", err)
+		return nil, "", fmt.Errorf("perflog: %s: %w", path, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("perflog: sync: %w", err)
+	return f, path, nil
+}
+
+// terminateTail writes a '\n' after a torn last line, as openLog
+// describes.
+func terminateTail(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return err
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("perflog: close: %w", err)
+	var last [1]byte
+	if _, err := f.ReadAt(last[:], fi.Size()-1); err != nil {
+		return err
 	}
-	return nil
+	if last[0] != '\n' {
+		_, err = f.Write([]byte{'\n'})
+	}
+	return err
 }
 
 // Read decodes all entries from one perflog file.

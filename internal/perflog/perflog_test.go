@@ -303,3 +303,87 @@ func TestAppendSurfacesOpenFault(t *testing.T) {
 		t.Fatalf("log file exists after open fault (stat err %v)", err)
 	}
 }
+
+// TestAppendFiresWrittenPoint: the one-shot path runs the Writer's
+// commit routine, so "perflog.written" fires between its write and its
+// fsync — the bytes have landed, and the append still reports failure.
+func TestAppendFiresWrittenPoint(t *testing.T) {
+	root := t.TempDir()
+	if err := faultinject.Load(1, []faultinject.Rule{
+		{Point: "perflog.written", Kind: faultinject.KindError, Times: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+
+	if err := Append(root, "archer2", "hpgmg-fv", sampleEntry()); !faultinject.Is(err) {
+		t.Fatalf("written fault not surfaced: %v", err)
+	}
+	entries, err := Read(filepath.Join(root, "archer2", "hpgmg-fv.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("log holds %d entries after a fault between write and fsync, want the 1 written", len(entries))
+	}
+}
+
+// TestAppendTerminatesTornTail: a writer that died mid-append leaves the
+// file ending in half a line. The next append, on either path, must
+// land as a line of its own, byte-identical to its Line(), after the
+// fragment terminated on its own line — not glued onto the fragment,
+// where "…|job" + "ts=…" would read back as an invented "jobts" extra.
+// The fragment line itself stays unparseable; skipping or quarantining
+// it is the store's job, not the append path's.
+func TestAppendTerminatesTornTail(t *testing.T) {
+	paths := []struct {
+		name   string
+		append func(root string, e *Entry) error
+	}{
+		{"Append", func(root string, e *Entry) error {
+			return Append(root, "archer2", "hpgmg-fv", e)
+		}},
+		{"Writer", func(root string, e *Entry) error {
+			w := NewWriter(root, WriterOptions{})
+			err := w.Append("archer2", "hpgmg-fv", e)
+			if cerr := w.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			root := t.TempDir()
+			first := sampleEntry()
+			if err := Append(root, "archer2", "hpgmg-fv", first); err != nil {
+				t.Fatal(err)
+			}
+			line := first.Line()
+			fragment := line[:strings.Index(line, "|job=")+len("|job")]
+			path := filepath.Join(root, "archer2", "hpgmg-fv.log")
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(fragment); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			next := sampleEntry()
+			next.JobID = 99
+			if err := p.append(root, next); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := line + "\n" + fragment + "\n" + next.Line() + "\n"
+			if string(data) != want {
+				t.Fatalf("file after torn tail + append:\n%s\nwant:\n%s", data, want)
+			}
+		})
+	}
+}

@@ -34,21 +34,10 @@ var (
 )
 
 // Appender is the perflog write path: Append blocks until the entries
-// are durable (fsynced) or reports why they are not. Append (via
-// TreeAppender) and *Writer both satisfy it, so callers like
-// core.Runner can take either the one-shot or the group-commit path.
+// are durable (fsynced) or reports why they are not. *Writer satisfies
+// it; callers like core.Runner take it so tests can substitute a fake.
 type Appender interface {
 	Append(system, benchmark string, entries ...*Entry) error
-}
-
-// TreeAppender adapts the one-shot Append function to the Appender
-// interface for callers configured with just a root directory (the CLI
-// path: one run, one append, no writer to share).
-type TreeAppender string
-
-// Append appends through the one-shot open→write→fsync→close path.
-func (root TreeAppender) Append(system, benchmark string, entries ...*Entry) error {
-	return Append(string(root), system, benchmark, entries...)
 }
 
 // Commit describes one file's slice of a durable group commit: the
@@ -100,9 +89,10 @@ type WriterOptions struct {
 // batch: no appender is ever acknowledged for bytes that did not reach
 // disk, and none is left guessing about a partially applied commit.
 //
-// Unlike the one-shot Append, the Writer keeps per-(system, benchmark)
-// descriptors open across commits, so a loaded daemon pays neither an
-// open/close pair nor a dedicated fsync per run.
+// The one-shot Append runs the same commit routine on a batch of one;
+// unlike it, the Writer keeps per-(system, benchmark) descriptors open
+// across commits, so a loaded daemon pays neither an open/close pair
+// (with its directory fsyncs) nor a dedicated fsync per run.
 //
 // The "perflog.open" and "perflog.sync" injection points fire once per
 // commit, before any byte is written: a faulted commit acknowledges
@@ -113,8 +103,7 @@ type WriterOptions struct {
 // descriptor is dropped so the next commit reopens cleanly.)
 // "perflog.written" fires between a commit's write and its fsync.
 type Writer struct {
-	root string
-	opt  WriterOptions
+	opt WriterOptions
 
 	mu       sync.Mutex
 	cur      *writeBatch
@@ -127,9 +116,9 @@ type Writer struct {
 	stop   chan struct{}
 	exited chan struct{}
 
-	// files caches open descriptors keyed by system\x00benchmark. Only
-	// the committer goroutine touches it.
-	files    map[string]*os.File
+	// files caches the open descriptors. Only the committer goroutine
+	// touches it.
+	files    logFiles
 	closeErr error
 }
 
@@ -163,12 +152,11 @@ func NewWriter(root string, opt WriterOptions) *Writer {
 		opt.MaxBytes = DefaultCommitBytes
 	}
 	w := &Writer{
-		root:   root,
 		opt:    opt,
 		wake:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		exited: make(chan struct{}),
-		files:  map[string]*os.File{},
+		files:  logFiles{root: root, open: map[string]*os.File{}},
 	}
 	go w.run()
 	return w
@@ -183,11 +171,7 @@ func (w *Writer) Append(system, benchmark string, entries ...*Entry) error {
 	}
 	// Render outside the lock: Line() is the expensive part and needs
 	// no batch state.
-	var buf []byte
-	for _, e := range entries {
-		buf = append(buf, e.Line()...)
-		buf = append(buf, '\n')
-	}
+	buf := render(entries)
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -207,17 +191,7 @@ func (w *Writer) Append(system, benchmark string, entries ...*Entry) error {
 		default:
 		}
 	}
-	key := system + "\x00" + benchmark
-	g := b.groups[key]
-	if g == nil {
-		g = &commitGroup{system: system, benchmark: benchmark}
-		b.groups[key] = g
-		b.order = append(b.order, key)
-	}
-	g.buf = append(g.buf, buf...)
-	g.entries = append(g.entries, entries...)
-	b.entries += len(entries)
-	b.bytes += len(buf)
+	b.add(system, benchmark, buf, entries)
 	if b.bytes >= w.opt.MaxBytes && !b.fullOnce {
 		b.fullOnce = true
 		close(b.full)
@@ -293,11 +267,7 @@ func (w *Writer) run() {
 			w.commitNext(false)
 		case <-w.stop:
 			w.commitNext(true) // final flush: drain without delay
-			for _, f := range w.files {
-				if err := f.Close(); err != nil && w.closeErr == nil {
-					w.closeErr = fmt.Errorf("perflog: close: %w", err)
-				}
-			}
+			w.closeErr = w.files.closeAll()
 			close(w.exited)
 			return
 		}
@@ -342,86 +312,20 @@ func (w *Writer) commitNext(draining bool) {
 	w.mu.Unlock()
 }
 
-// commit makes one batch durable: one write and one fsync per target
-// file, OnCommit notifications, then metrics. Any error fails the whole
-// batch.
+// commit makes one batch durable through the shared commit routine,
+// then hands each file's slice to OnCommit and records metrics. Any
+// error fails the whole batch.
 func (w *Writer) commit(b *writeBatch) error {
 	w.committing.Lock()
 	defer w.committing.Unlock()
-	// Both injection points fire per commit and before any byte reaches
-	// a file, so an injected fault can never acknowledge or strand a
-	// partial batch — the property the chaos suite leans on.
-	if err := faultinject.Fire("perflog.open"); err != nil {
+	commits, err := w.files.commit(b)
+	if err != nil {
 		metricCommitsError.Inc()
-		return fmt.Errorf("perflog: %w", err)
-	}
-	if err := faultinject.Fire("perflog.sync"); err != nil {
-		metricCommitsError.Inc()
-		return fmt.Errorf("perflog: %w", err)
-	}
-	type staged struct {
-		g    *commitGroup
-		key  string
-		path string
-		f    *os.File
-		off  int64
-	}
-	stage := make([]staged, 0, len(b.order))
-	for _, key := range b.order {
-		g := b.groups[key]
-		f, path, err := w.file(key, g.system, g.benchmark)
-		if err != nil {
-			metricCommitsError.Inc()
-			return err
-		}
-		stage = append(stage, staged{g: g, key: key, path: path, f: f})
-	}
-	for i := range stage {
-		st := &stage[i]
-		if _, err := st.f.Write(st.g.buf); err != nil {
-			w.drop(st.key)
-			metricCommitsError.Inc()
-			return fmt.Errorf("perflog: %s: %w", st.path, err)
-		}
-		// The landing offset must come from the descriptor position
-		// *after* the write: O_APPEND means an out-of-band appender can
-		// slip bytes in ahead of us, and an offset sampled before the
-		// write would point into the middle of our own bytes. From the
-		// post-write position, a raced commit carries an offset past the
-		// store's checkpoint, and the store parses the gap before it.
-		pos, err := st.f.Seek(0, io.SeekCurrent)
-		if err != nil {
-			w.drop(st.key)
-			metricCommitsError.Inc()
-			return fmt.Errorf("perflog: %s: %w", st.path, err)
-		}
-		st.off = pos - int64(len(st.g.buf))
-	}
-	if err := faultinject.Fire("perflog.written"); err != nil {
-		metricCommitsError.Inc()
-		return fmt.Errorf("perflog: %w", err)
-	}
-	for i := range stage {
-		st := &stage[i]
-		t0 := time.Now()
-		if err := st.f.Sync(); err != nil {
-			w.drop(st.key)
-			metricCommitsError.Inc()
-			return fmt.Errorf("perflog: sync %s: %w", st.path, err)
-		}
-		metricFsyncSeconds.Observe(time.Since(t0).Seconds())
+		return err
 	}
 	if w.opt.OnCommit != nil {
-		for i := range stage {
-			st := &stage[i]
-			w.opt.OnCommit(Commit{
-				Path:      st.path,
-				System:    st.g.system,
-				Benchmark: st.g.benchmark,
-				Entries:   st.g.entries,
-				Offset:    st.off,
-				Bytes:     int64(len(st.g.buf)),
-			})
+		for _, c := range commits {
+			w.opt.OnCommit(c)
 		}
 	}
 	metricCommitsOK.Inc()
@@ -429,30 +333,136 @@ func (w *Writer) commit(b *writeBatch) error {
 	return nil
 }
 
-// file returns the cached descriptor for one (system, benchmark)
-// target, opening (and creating) it on first use.
-func (w *Writer) file(key, system, benchmark string) (*os.File, string, error) {
-	path := filepath.Join(w.root, system, benchmark+".log")
-	if f, ok := w.files[key]; ok {
-		return f, path, nil
+// render renders entries as perflog lines, each ending in '\n'.
+func render(entries []*Entry) []byte {
+	var buf []byte
+	for _, e := range entries {
+		buf = append(buf, e.Line()...)
+		buf = append(buf, '\n')
 	}
-	if err := os.MkdirAll(filepath.Join(w.root, system), 0o755); err != nil {
-		return nil, "", fmt.Errorf("perflog: %w", err)
+	return buf
+}
+
+// add appends rendered lines for one (system, benchmark) file to the
+// batch.
+func (b *writeBatch) add(system, benchmark string, buf []byte, entries []*Entry) {
+	key := system + "\x00" + benchmark
+	g := b.groups[key]
+	if g == nil {
+		g = &commitGroup{system: system, benchmark: benchmark}
+		b.groups[key] = g
+		b.order = append(b.order, key)
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	g.buf = append(g.buf, buf...)
+	g.entries = append(g.entries, entries...)
+	b.entries += len(entries)
+	b.bytes += len(buf)
+}
+
+// logFiles holds open perflog descriptors under one root, keyed by
+// system\x00benchmark: the Writer's cache, or a one-shot Append's
+// descriptor until it closes it.
+type logFiles struct {
+	root string
+	open map[string]*os.File
+}
+
+// commit is the one commit routine, run by the Writer's committer for
+// every batch and by Append for its batch of one: one write and one
+// fsync per target file, in batch order. It returns each file's Commit;
+// any error fails the whole batch.
+func (fs *logFiles) commit(b *writeBatch) ([]Commit, error) {
+	// Both injection points fire per commit and before any byte reaches
+	// a file, so an injected fault can never acknowledge or strand a
+	// partial batch — the property the chaos suite leans on.
+	if err := faultinject.Fire("perflog.open"); err != nil {
+		return nil, fmt.Errorf("perflog: %w", err)
+	}
+	if err := faultinject.Fire("perflog.sync"); err != nil {
+		return nil, fmt.Errorf("perflog: %w", err)
+	}
+	files := make([]*os.File, len(b.order))
+	commits := make([]Commit, len(b.order))
+	for i, key := range b.order {
+		g := b.groups[key]
+		f, path, err := fs.get(key, g.system, g.benchmark)
+		if err != nil {
+			return nil, err
+		}
+		files[i] = f
+		commits[i] = Commit{
+			Path:      path,
+			System:    g.system,
+			Benchmark: g.benchmark,
+			Entries:   g.entries,
+			Bytes:     int64(len(g.buf)),
+		}
+	}
+	for i, key := range b.order {
+		c := &commits[i]
+		if _, err := files[i].Write(b.groups[key].buf); err != nil {
+			fs.drop(key)
+			return nil, fmt.Errorf("perflog: %s: %w", c.Path, err)
+		}
+		// The landing offset must come from the descriptor position
+		// *after* the write: O_APPEND means an out-of-band appender can
+		// slip bytes in ahead of us, and an offset sampled before the
+		// write would point into the middle of our own bytes. From the
+		// post-write position, a raced commit carries an offset past the
+		// store's checkpoint, and the store parses the gap before it.
+		pos, err := files[i].Seek(0, io.SeekCurrent)
+		if err != nil {
+			fs.drop(key)
+			return nil, fmt.Errorf("perflog: %s: %w", c.Path, err)
+		}
+		c.Offset = pos - c.Bytes
+	}
+	if err := faultinject.Fire("perflog.written"); err != nil {
+		return nil, fmt.Errorf("perflog: %w", err)
+	}
+	for i, key := range b.order {
+		t0 := time.Now()
+		if err := files[i].Sync(); err != nil {
+			fs.drop(key)
+			return nil, fmt.Errorf("perflog: sync %s: %w", commits[i].Path, err)
+		}
+		metricFsyncSeconds.Observe(time.Since(t0).Seconds())
+	}
+	return commits, nil
+}
+
+// get returns the open descriptor for one (system, benchmark) target,
+// opening it through openLog on first use.
+func (fs *logFiles) get(key, system, benchmark string) (*os.File, string, error) {
+	if f, ok := fs.open[key]; ok {
+		return f, filepath.Join(fs.root, system, benchmark+".log"), nil
+	}
+	f, path, err := openLog(fs.root, system, benchmark)
 	if err != nil {
-		return nil, "", fmt.Errorf("perflog: %w", err)
+		return nil, "", err
 	}
-	w.files[key] = f
+	fs.open[key] = f
 	return f, path, nil
 }
 
 // drop closes and forgets a descriptor after a write or sync error:
 // fsync failures are sticky on some kernels, so the next commit must
 // reopen rather than reuse a descriptor in an unknown state.
-func (w *Writer) drop(key string) {
-	if f, ok := w.files[key]; ok {
+func (fs *logFiles) drop(key string) {
+	if f, ok := fs.open[key]; ok {
 		f.Close()
-		delete(w.files, key)
+		delete(fs.open, key)
 	}
+}
+
+// closeAll closes every open descriptor and reports the first error.
+func (fs *logFiles) closeAll() error {
+	var first error
+	for key, f := range fs.open {
+		if err := f.Close(); err != nil && first == nil {
+			first = fmt.Errorf("perflog: close: %w", err)
+		}
+		delete(fs.open, key)
+	}
+	return first
 }

@@ -339,27 +339,6 @@ func TestWriterMaxBytesCutsTheWindow(t *testing.T) {
 	}
 }
 
-func TestTreeAppenderMatchesAppend(t *testing.T) {
-	rootA, rootB := t.TempDir(), t.TempDir()
-	if err := Append(rootA, "archer2", "hpgmg-fv", sampleEntry()); err != nil {
-		t.Fatal(err)
-	}
-	if err := TreeAppender(rootB).Append("archer2", "hpgmg-fv", sampleEntry()); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(filepath.Join(rootA, "archer2", "hpgmg-fv.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(filepath.Join(rootB, "archer2", "hpgmg-fv.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("TreeAppender wrote %q, one-shot Append wrote %q", b, a)
-	}
-}
-
 // TestWriterManyFilesOneBatch: a single batch spanning several
 // (system, benchmark) targets commits each file once with its own
 // OnCommit notification.

@@ -357,7 +357,7 @@ func TestEvictionKeepsIndexConsistent(t *testing.T) {
 		// has innocent bystanders to preserve.
 		if cycle == 0 {
 			e := entry("csd3", "hpgmg-fv", 1, t0, map[string]float64{"l0": 126})
-			if err := s.Append("csd3", "hpgmg-fv", e); err != nil {
+			if err := appendAndSync(s, "csd3", "hpgmg-fv", e); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -412,7 +412,7 @@ func TestInterleavedAppendEvictSelect(t *testing.T) {
 			sys := []string{"archer2", "csd3", "cosma8"}[w]
 			for i := 0; i < 20; i++ {
 				e := entry(sys, "hpgmg-fv", w*1000+i, t0.Add(time.Duration(i)*time.Minute), map[string]float64{"l0": 90 + float64(i)})
-				if err := s.Append(sys, "hpgmg-fv", e); err != nil {
+				if err := appendAndSync(s, sys, "hpgmg-fv", e); err != nil {
 					t.Error(err)
 					return
 				}
@@ -495,7 +495,7 @@ func TestGenerationTracksMutations(t *testing.T) {
 		t.Fatal("reads moved the generation")
 	}
 	e := entry("archer2", "hpgmg-fv", 1, t0, map[string]float64{"l0": 95})
-	if err := s.Append("archer2", "hpgmg-fv", e); err != nil {
+	if err := appendAndSync(s, "archer2", "hpgmg-fv", e); err != nil {
 		t.Fatal(err)
 	}
 	g1 := s.Generation()

@@ -6,12 +6,11 @@
 // checkpoints from the watermarks, and re-parses only the perflog tail
 // past them: O(segment headers) work, not O(perflog bytes).
 //
-// The manifest is replaced atomically (write temp, fsync, rename,
-// fsync directory), so a crash at any instant leaves either the old
-// manifest or the new one — never a torn file. Segment files not named
-// by the manifest (a seal or compaction that crashed between writing
-// the segment and swapping the manifest) are orphans; Open sweeps them
-// away, and the entries they held are re-ingested from the perflog
+// The manifest is replaced with atomicfile.Write, so a crash at any
+// instant leaves either the old manifest or the new one — never a torn
+// file. Segment files not named by the manifest (a seal or compaction
+// that crashed between writing the segment and swapping the manifest)
+// are orphans; Open sweeps them away, and the entries they held are re-ingested from the perflog
 // tail the old watermarks still point at. Nothing is lost, nothing is
 // duplicated, because the text tree remains the source of truth.
 package perfstore
@@ -23,6 +22,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/atomicfile"
 	"repro/internal/faultinject"
 )
 
@@ -72,26 +72,9 @@ func saveManifest(dir string, m *manifest) error {
 	if err != nil {
 		return fmt.Errorf("perfstore: manifest: %w", err)
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := atomicfile.Write(filepath.Join(dir, manifestName), data, []byte{'\n'}); err != nil {
 		return fmt.Errorf("perfstore: manifest: %w", err)
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("perfstore: manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("perfstore: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("perfstore: manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("perfstore: manifest: %w", err)
-	}
-	syncDir(dir)
 	return nil
 }
 

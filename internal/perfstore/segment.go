@@ -46,6 +46,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/faultinject"
 	"repro/internal/fom"
 	"repro/internal/perflog"
@@ -669,44 +670,20 @@ func decodeSegment(h segHeader, data []byte) (*view, error) {
 // segFileName names segment id on disk.
 func segFileName(id uint64) string { return fmt.Sprintf("seg-%08d.seg", id) }
 
-// writeSegmentFile seals an arena into dir atomically: the bytes land
-// in a .tmp file first, are fsynced, and only then renamed into place
-// (and the directory fsynced), so a crash mid-seal leaves at worst an
+// writeSegmentFile seals an arena into dir with atomicfile.Write, the
+// header and the body as two chunks: a crash mid-seal leaves at worst an
 // orphan .tmp the next Open sweeps away — never a half-written live
-// segment. The "perfstore.segwrite" injection point models exactly that
-// crash: it fires after the temp file exists but before the data is
-// durable.
+// segment. The "perfstore.segwrite" injection point models that crash:
+// it fires before any byte of the segment is written.
 func writeSegmentFile(dir string, id uint64, entries []stored) (SegmentInfo, error) {
 	hdr, data := encodeSegment(entries)
 	name := segFileName(id)
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return SegmentInfo{}, fmt.Errorf("perfstore: seal: %w", err)
-	}
 	if err := faultinject.Fire("perfstore.segwrite"); err != nil {
-		f.Close()
 		return SegmentInfo{}, fmt.Errorf("perfstore: seal %s: %w", name, err)
 	}
-	if _, err := f.Write(marshalHeader(hdr)); err != nil {
-		f.Close()
+	if err := atomicfile.Write(filepath.Join(dir, name), marshalHeader(hdr), data); err != nil {
 		return SegmentInfo{}, fmt.Errorf("perfstore: seal: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return SegmentInfo{}, fmt.Errorf("perfstore: seal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return SegmentInfo{}, fmt.Errorf("perfstore: seal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return SegmentInfo{}, fmt.Errorf("perfstore: seal: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return SegmentInfo{}, fmt.Errorf("perfstore: seal: %w", err)
-	}
-	syncDir(dir)
 
 	info := SegmentInfo{
 		File:   name,
@@ -732,15 +709,6 @@ func writeSegmentFile(dir string, id uint64, entries []stored) (SegmentInfo, err
 	}
 	sort.Strings(info.Systems)
 	return info, nil
-}
-
-// syncDir fsyncs a directory so a rename into it is durable; best
-// effort, some filesystems reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // readSegmentHeader reads and validates only the fixed-size header —

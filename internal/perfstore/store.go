@@ -436,15 +436,6 @@ func (s *Store) commitTail(path string, t fileTail) error {
 	return nil
 }
 
-// Append persists entries through perflog.Append and ingests the file,
-// so store and tree stay in lockstep.
-func (s *Store) Append(system, benchmark string, entries ...*perflog.Entry) error {
-	if err := perflog.Append(s.root, system, benchmark, entries...); err != nil {
-		return err
-	}
-	return s.SyncFile(filepath.Join(s.root, system, benchmark+".log"))
-}
-
 // AddBatch ingests one durable group commit from a perflog.Writer
 // without reading the file: the entries come parsed, with their exact
 // byte extent. When the file's checkpoint sits at the commit's start —

@@ -13,6 +13,15 @@ import (
 	"repro/internal/perflog"
 )
 
+// appendAndSync appends through the one-shot perflog path and ingests
+// the file, so store and tree move in lockstep.
+func appendAndSync(s *Store, system, benchmark string, entries ...*perflog.Entry) error {
+	if err := perflog.Append(s.root, system, benchmark, entries...); err != nil {
+		return err
+	}
+	return s.SyncFile(filepath.Join(s.root, system, benchmark+".log"))
+}
+
 func entry(system, benchmark string, job int, t0 time.Time, foms map[string]float64) *perflog.Entry {
 	e := &perflog.Entry{
 		Time:      t0,
@@ -183,7 +192,7 @@ func TestAppendKeepsStoreAndTreeInLockstep(t *testing.T) {
 	root := t.TempDir()
 	s := Open(root)
 	e := entry("archer2", "hpgmg-fv", 1, t0, map[string]float64{"l0": 95})
-	if err := s.Append("archer2", "hpgmg-fv", e); err != nil {
+	if err := appendAndSync(s, "archer2", "hpgmg-fv", e); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 1 {
@@ -302,7 +311,7 @@ func TestRegressionsSlidingWindow(t *testing.T) {
 	vals := []float64{200, 200, 200, 100, 100, 100, 100}
 	for i, v := range vals {
 		e := entry("archer2", "bench", i+1, t0.Add(time.Duration(i)*time.Hour), map[string]float64{"x": v})
-		if err := s.Append("archer2", "bench", e); err != nil {
+		if err := appendAndSync(s, "archer2", "bench", e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,7 +383,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 			sys := systems[w%len(systems)]
 			for i := 0; i < perWriter; i++ {
 				e := entry(sys, "hpgmg-fv", w*1000+i, t0.Add(time.Duration(i)*time.Minute), map[string]float64{"l0": 90 + float64(i)})
-				if err := s.Append(sys, "hpgmg-fv", e); err != nil {
+				if err := appendAndSync(s, sys, "hpgmg-fv", e); err != nil {
 					t.Error(err)
 					return
 				}

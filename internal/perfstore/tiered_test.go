@@ -293,7 +293,16 @@ func TestTieredCrashMidSeal(t *testing.T) {
 	if s.Stats().SealedSegments != 0 {
 		t.Fatal("failed seal left a segment in the manifest")
 	}
+	// The fault fires before any byte lands, so it strands no temp file;
+	// a kill -9 mid-write does. Plant that debris: reboot must sweep it.
+	debris := filepath.Join(dataDir, segFileName(1)+".tmp")
+	if err := os.WriteFile(debris, []byte("half a segment"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	crashRecoveryCheck(t, root, dataDir)
+	if _, err := os.Stat(debris); !os.IsNotExist(err) {
+		t.Fatalf("reboot left the crashed seal's temp file behind (stat err %v)", err)
+	}
 }
 
 // TestTieredCrashMidManifest kills the manifest swap after the segment
@@ -345,7 +354,7 @@ func TestTieredCrashMidCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := entry("archer2", "hpgmg-fv", 99, t0.Add(40*time.Hour), map[string]float64{"l0": 77})
-			if err := s.Append("archer2", "hpgmg-fv", e); err != nil {
+			if err := appendAndSync(s, "archer2", "hpgmg-fv", e); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.Seal(); err != nil {
@@ -385,7 +394,7 @@ func TestTieredCompactionMergesSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := entry("archer2", "hpgmg-fv", 200+i, t0.Add(time.Duration(50+i)*time.Hour), map[string]float64{"l0": float64(i)})
-		if err := s.Append("archer2", "hpgmg-fv", e); err != nil {
+		if err := appendAndSync(s, "archer2", "hpgmg-fv", e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -712,7 +721,7 @@ func TestTieredConcurrent(t *testing.T) {
 				// live store and a fresh rebuild.
 				ts := t0.Add(time.Duration(i)*time.Minute + time.Duration(w)*time.Second)
 				e := entry(sys, "hpgmg-fv", w*1000+i, ts, map[string]float64{"l0": 90 + float64(i)})
-				if err := s.Append(sys, "hpgmg-fv", e); err != nil {
+				if err := appendAndSync(s, sys, "hpgmg-fv", e); err != nil {
 					t.Error(err)
 					return
 				}

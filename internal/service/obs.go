@@ -2,10 +2,8 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strconv"
 	"time"
@@ -20,63 +18,26 @@ import (
 // registry's.
 
 // alertsFile is the alert-rule registry's on-disk name under
-// Config.DataDir. Replaced atomically like schedules.json, so
-// registered rules survive a reboot.
+// Config.DataDir (see loadRegistry).
 const alertsFile = "alerts.json"
 
-// alertsPath returns the rule registry file path, or "" when the daemon
-// has no data dir (rules are then in-memory only).
-func (s *Server) alertsPath() string {
-	if s.cfg.DataDir == "" {
-		return ""
-	}
-	return filepath.Join(s.cfg.DataDir, alertsFile)
-}
-
-// loadAlerts restores persisted rules at boot. Missing file = empty
-// registry; a corrupt one is surfaced like a corrupt schedule registry.
+// loadAlerts restores the persisted alert rules at boot.
 func (s *Server) loadAlerts() error {
-	path := s.alertsPath()
-	if path == "" {
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("service: alerts: %w", err)
-	}
 	var rules []obs.Rule
-	if err := json.Unmarshal(data, &rules); err != nil {
-		return fmt.Errorf("service: alerts: parse %s: %w", path, err)
+	if ok, err := s.loadRegistry(alertsFile, &rules); !ok {
+		return err
 	}
 	s.obs.RestoreRules(rules)
 	if len(rules) > 0 {
-		s.cfg.Logger.Info("alert rules restored", "count", len(rules), "path", path)
+		s.cfg.Logger.Info("alert rules restored", "count", len(rules), "path", filepath.Join(s.cfg.DataDir, alertsFile))
 	}
 	return nil
 }
 
-// saveAlerts atomically replaces the rule registry with the engine's
-// current snapshot. Shares persistMu with the schedule registry saver
-// (both are single small files; one lock keeps tmp writes from
-// interleaving either way).
+// saveAlerts replaces the rule registry with the engine's current
+// snapshot.
 func (s *Server) saveAlerts() error {
-	path := s.alertsPath()
-	if path == "" {
-		return nil
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	data, err := json.MarshalIndent(s.obs.SnapshotRules(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("service: alerts: %w", err)
-	}
-	if err := obs.AtomicWrite(path, append(data, '\n')); err != nil {
-		return fmt.Errorf("service: alerts: %w", err)
-	}
-	return nil
+	return s.saveRegistry(alertsFile, func() any { return s.obs.SnapshotRules() })
 }
 
 // persistAlerts saves and logs rather than failing the caller, matching

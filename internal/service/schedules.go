@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/cbsched"
 	"repro/internal/concretize"
 	"repro/internal/spec"
@@ -16,9 +18,7 @@ import (
 )
 
 // schedulesFile is the schedule registry's on-disk name under
-// Config.DataDir. Like the segment MANIFEST, it is replaced atomically
-// (tmp + fsync + rename) so a crash mid-save leaves the previous
-// registry intact and registered schedules always survive a reboot.
+// Config.DataDir (see loadRegistry).
 const schedulesFile = "schedules.json"
 
 // scheduleRequest is the POST /v1/schedules body. Every is a Go
@@ -85,80 +85,70 @@ func (s *Server) scheduleBuildHash(sp cbsched.Spec) (string, error) {
 	return conc.Spec.DAGHash(), nil
 }
 
-// schedulesPath returns the registry file path, or "" when the daemon
-// has no data dir (schedules are then in-memory only and die with the
-// process).
-func (s *Server) schedulesPath() string {
-	if s.cfg.DataDir == "" {
-		return ""
-	}
-	return filepath.Join(s.cfg.DataDir, schedulesFile)
-}
+// Schedules and alert rules persist the same way: one JSON file each
+// under Config.DataDir, replaced with atomicfile.Write so a crash
+// mid-save leaves the previous registry intact. Without a data dir they
+// are in-memory only and die with the process.
 
-// loadSchedules restores the persisted registry at boot. A missing
-// file is an empty registry; a corrupt one is surfaced (the operator
-// should decide, not lose schedules silently).
-func (s *Server) loadSchedules() error {
-	path := s.schedulesPath()
-	if path == "" {
-		return nil
+// loadRegistry decodes the registry file name into v at boot. It
+// reports false, leaving v alone, when there is no data dir or no file
+// (an empty registry); a corrupt file is an error, because the operator
+// should decide, not lose registrations silently.
+func (s *Server) loadRegistry(name string, v any) (bool, error) {
+	if s.cfg.DataDir == "" {
+		return false, nil
 	}
+	what := strings.TrimSuffix(name, ".json")
+	path := filepath.Join(s.cfg.DataDir, name)
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return false, nil
 	}
 	if err != nil {
-		return fmt.Errorf("service: schedules: %w", err)
+		return false, fmt.Errorf("service: %s: %w", what, err)
 	}
-	var persisted []cbsched.Persisted
-	if err := json.Unmarshal(data, &persisted); err != nil {
-		return fmt.Errorf("service: schedules: parse %s: %w", path, err)
+	if err := json.Unmarshal(data, v); err != nil {
+		return false, fmt.Errorf("service: %s: parse %s: %w", what, path, err)
 	}
-	s.sched.Restore(persisted)
-	if n := len(persisted); n > 0 {
-		s.cfg.Logger.Info("schedules restored", "count", n, "path", path)
-	}
-	return nil
+	return true, nil
 }
 
-// saveSchedules atomically replaces the registry file with the
-// scheduler's current snapshot. Serialized by persistMu so concurrent
-// CRUD calls cannot interleave their tmp files.
-func (s *Server) saveSchedules() error {
-	path := s.schedulesPath()
-	if path == "" {
+// saveRegistry replaces the registry file name with snapshot(). The
+// snapshot is taken under persistMu, so concurrent CRUD calls land
+// their snapshots in the order they took them.
+func (s *Server) saveRegistry(name string, snapshot func() any) error {
+	if s.cfg.DataDir == "" {
 		return nil
 	}
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	data, err := json.MarshalIndent(s.sched.Snapshot(), "", "  ")
+	data, err := json.MarshalIndent(snapshot(), "", "  ")
+	if err == nil {
+		err = atomicfile.Write(filepath.Join(s.cfg.DataDir, name), data, []byte{'\n'})
+	}
 	if err != nil {
-		return fmt.Errorf("service: schedules: %w", err)
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: schedules: %w", err)
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("service: schedules: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("service: schedules: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("service: schedules: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("service: schedules: %w", err)
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
+		return fmt.Errorf("service: %s: %w", strings.TrimSuffix(name, ".json"), err)
 	}
 	return nil
+}
+
+// loadSchedules restores the persisted schedule registry at boot.
+func (s *Server) loadSchedules() error {
+	var persisted []cbsched.Persisted
+	if ok, err := s.loadRegistry(schedulesFile, &persisted); !ok {
+		return err
+	}
+	s.sched.Restore(persisted)
+	if n := len(persisted); n > 0 {
+		s.cfg.Logger.Info("schedules restored", "count", n, "path", filepath.Join(s.cfg.DataDir, schedulesFile))
+	}
+	return nil
+}
+
+// saveSchedules replaces the registry file with the scheduler's
+// current snapshot.
+func (s *Server) saveSchedules() error {
+	return s.saveRegistry(schedulesFile, func() any { return s.sched.Snapshot() })
 }
 
 // persistSchedules saves and logs rather than failing the caller: a

@@ -269,8 +269,9 @@ type Server struct {
 	sched  *cbsched.Scheduler
 	obs    *obs.Observer
 
-	// persistMu serializes schedule-registry saves (atomic replace of
-	// one file; concurrent savers must not interleave tmp writes).
+	// persistMu serializes registry saves (schedules and alert rules):
+	// each replaces one file, and concurrent savers must not interleave
+	// tmp writes.
 	persistMu sync.Mutex
 
 	queue chan *Run

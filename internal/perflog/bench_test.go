@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/fom"
 )
 
 // lineReference is the pre-optimization Line renderer (field slice +
@@ -39,6 +41,84 @@ func lineReference(e *Entry) string {
 		add("fom:"+k, text)
 	}
 	return strings.Join(parts, "|")
+}
+
+// parseLineReference is ParseLine as it was before it walked fields
+// with strings.Cut: one strings.Split slice per line. FuzzParseLine
+// holds ParseLine to it, entry for entry and error text for error text.
+func parseLineReference(line string) (*Entry, error) {
+	e := &Entry{FOMs: map[string]fom.Value{}, Extra: map[string]string{}}
+	if strings.TrimSpace(line) == "" {
+		return nil, fmt.Errorf("perflog: empty line")
+	}
+	for _, field := range strings.Split(line, "|") {
+		key, val, found := strings.Cut(field, "=")
+		if !found {
+			return nil, fmt.Errorf("perflog: malformed field %q", field)
+		}
+		val = unescape(val)
+		switch key {
+		case "ts":
+			t, err := time.Parse(time.RFC3339, val)
+			if err != nil {
+				return nil, fmt.Errorf("perflog: bad timestamp %q: %w", val, err)
+			}
+			e.Time = t
+		case "benchmark":
+			e.Benchmark = val
+		case "system":
+			e.System = val
+		case "partition":
+			e.Partition = val
+		case "environ":
+			e.Environ = val
+		case "spec":
+			e.Spec = val
+		case "job":
+			id, err := strconv.Atoi(val)
+			if err != nil {
+				return nil, fmt.Errorf("perflog: bad job id %q", val)
+			}
+			e.JobID = id
+		case "result":
+			e.Result = val
+		default:
+			if name, ok := strings.CutPrefix(key, "fom:"); ok {
+				numText, unit, _ := strings.Cut(val, " ")
+				v, err := strconv.ParseFloat(numText, 64)
+				if err != nil {
+					return nil, fmt.Errorf("perflog: bad FOM value %q for %s", val, name)
+				}
+				e.FOMs[name] = fom.Value{Name: name, Value: v, Unit: unit}
+			} else {
+				e.Extra[key] = val
+			}
+		}
+	}
+	if e.Benchmark == "" {
+		return nil, fmt.Errorf("perflog: line missing benchmark name")
+	}
+	return e, nil
+}
+
+// BenchmarkParseLine decodes a typical line (eight fixed fields, an
+// extra, two FOMs with units) with ParseLine and with the Split-based
+// reference.
+func BenchmarkParseLine(b *testing.B) {
+	line := sampleEntry().Line()
+	for _, leg := range []struct {
+		name  string
+		parse func(string) (*Entry, error)
+	}{{"optimized", ParseLine}, {"reference", parseLineReference}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := leg.parse(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func TestLineMatchesReference(t *testing.T) {

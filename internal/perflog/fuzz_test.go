@@ -1,6 +1,8 @@
 package perflog
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -11,7 +13,8 @@ import (
 // FuzzParseLine hardens the perflog reader: arbitrary lines must either
 // fail cleanly or yield an entry that round-trips through Line() — every
 // value comes back as parsed, whether or not it needed escaping, and the
-// canonical line is a fixed point.
+// canonical line is a fixed point. Every line also parses exactly as the
+// Split-based reference parses it: the same entry or the same error.
 func FuzzParseLine(f *testing.F) {
 	f.Add(sampleEntry().Line())
 	f.Add("benchmark=x")
@@ -33,8 +36,17 @@ func FuzzParseLine(f *testing.F) {
 		FOMs:  map[string]fom.Value{"y": {Name: "y", Value: 1, Unit: "a|b\\"}},
 		Extra: map[string]string{"k": "a\\b|c\nd\\", "plain": "v"},
 	}).Line())
+	f.Add("benchmark=x|")
+	f.Add("benchmark=x||system=s")
+	f.Add("|benchmark=x")
+	f.Add("benchmark=x|fom:y=NaN u|fom:z=nan")
+	f.Add("ts=bad|benchmark=x")
 	f.Fuzz(func(t *testing.T, line string) {
 		e, err := ParseLine(line)
+		want, werr := parseLineReference(line)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || !sameParse(e, want) {
+			t.Fatalf("ParseLine(%q) = %+v, %v; the reference gives %+v, %v", line, e, err, want, werr)
+		}
 		if err != nil {
 			return
 		}
@@ -56,4 +68,24 @@ func FuzzParseLine(f *testing.F) {
 			t.Fatalf("canonical line is not a fixed point:\n%s\n%s", want, got)
 		}
 	})
+}
+
+// sameParse is reflect.DeepEqual on two parsed entries, except that a
+// NaN figure of merit equals a NaN.
+func sameParse(a, b *Entry) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if len(a.FOMs) != len(b.FOMs) {
+		return false
+	}
+	for name, v := range a.FOMs {
+		w, ok := b.FOMs[name]
+		if !ok || v.Name != w.Name || v.Unit != w.Unit || v.Value != w.Value && !(math.IsNaN(v.Value) && math.IsNaN(w.Value)) {
+			return false
+		}
+	}
+	ac, bc := *a, *b
+	ac.FOMs, bc.FOMs = nil, nil
+	return reflect.DeepEqual(ac, bc)
 }

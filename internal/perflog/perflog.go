@@ -98,7 +98,9 @@ func ParseLine(line string) (*Entry, error) {
 	if strings.TrimSpace(line) == "" {
 		return nil, fmt.Errorf("perflog: empty line")
 	}
-	for _, field := range strings.Split(line, "|") {
+	for rest, more := line, true; more; {
+		var field string
+		field, rest, more = strings.Cut(rest, "|")
 		key, val, found := strings.Cut(field, "=")
 		if !found {
 			return nil, fmt.Errorf("perflog: malformed field %q", field)

@@ -1,10 +1,18 @@
 package perfstore
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/perflog"
 )
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 // Count gates: what a query reads and allocates, as numbers a noisy
 // neighbour cannot move. Wall time is benchload's to claim; these trip
@@ -55,5 +63,66 @@ func TestRegressionWindowCost(t *testing.T) {
 		if bounded[0] != bounded[1] || bounded[1] > 4*100 {
 			t.Errorf("%s: bounded baseline read %d rows on the small store, %d on the big one; want equal and at most 400", tier, bounded[0], bounded[1])
 		}
+	}
+}
+
+// TestTextBootCost: a text boot of a tree laid out like the end-to-end
+// benchmark's corpus — each system's three files interleaved in time —
+// makes a flat number of allocations per entry: at most six, and the
+// same to within 0.2 at 15k and 60k entries. Per-line strings, field
+// slices or posting-key strings would each break the bound.
+func TestTextBootCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	var perEntry [2]float64
+	for i, n := range []int{15_000, 60_000} {
+		root := genTree(t, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := Open(root)
+		err := s.Sync()
+		runtime.ReadMemStats(&after)
+		if err != nil || s.Len() != n {
+			t.Fatalf("%d entries: boot recovered %d, err %v", n, s.Len(), err)
+		}
+		perEntry[i] = float64(after.Mallocs-before.Mallocs) / float64(n)
+		t.Logf("%d entries: %.2f allocations per entry", n, perEntry[i])
+		if perEntry[i] > 6 {
+			t.Errorf("%d entries: %.2f allocations per entry, want at most 6", n, perEntry[i])
+		}
+	}
+	if d := math.Abs(perEntry[0] - perEntry[1]); d > 0.2 {
+		t.Errorf("allocations per entry moved by %.2f between 15k and 60k entries, want at most 0.2", d)
+	}
+}
+
+// TestCommitIngestAllocs: a 1-entry group commit into a warm shard makes
+// at most five allocations; indexing it under keys the shard already
+// holds allocates nothing.
+func TestCommitIngestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := Open(t.TempDir())
+	rng := rand.New(rand.NewSource(5))
+	warm := make([]*perflog.Entry, 1000)
+	for i := range warm {
+		warm[i] = windowEntry(rng, i)
+	}
+	c := perflog.Commit{Path: "commit.log", Entries: warm, Bytes: 1000}
+	if !s.AddBatch(c) {
+		t.Fatal("warm-up commit declined")
+	}
+	c.Entries, c.Offset, c.Bytes = warm[len(warm)-1:], c.Bytes, 100
+	allocs := testing.AllocsPerRun(500, func() {
+		if !s.AddBatch(c) {
+			t.Fatal("commit declined")
+		}
+		c.Offset += c.Bytes
+	})
+	t.Logf("%.1f allocations per 1-entry commit", allocs)
+	if allocs > 5 {
+		t.Errorf("a 1-entry commit made %.1f allocations, want at most 5", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package perfstore
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"slices"
@@ -81,12 +82,15 @@ type shard struct {
 	view
 	deadN   int
 	live    int
-	systems map[string]int // live entries per system (Systems/Stats)
+	systems map[string]int    // live entries per system (Systems/Stats)
+	keys    map[string]string // every posting key, interned
+	keyBuf  []byte            // scratch for rendering a posting key
 }
 
 func (sh *shard) init() {
 	sh.post = map[string][]int32{}
 	sh.systems = map[string]int{}
+	sh.keys = map[string]string{}
 }
 
 // reset empties the shard — the head clear after a Seal froze its
@@ -96,42 +100,94 @@ func (sh *shard) reset() {
 	sh.deadN = 0
 	sh.live = 0
 	sh.byTime = nil
-	sh.post = map[string][]int32{}
-	sh.systems = map[string]int{}
+	sh.init()
 }
 
-// addLocked indexes one entry. Callers hold sh.mu.
-func (sh *shard) addLocked(e *perflog.Entry, file string, seq uint64) {
-	idx := int32(len(sh.entries))
-	t := timeNanos(e.Time)
-	sh.entries = append(sh.entries, stored{entry: e, file: file, t: t, seq: seq})
-	sh.post[keySystem(e.System)] = append(sh.post[keySystem(e.System)], idx)
-	sh.post[keyBenchmark(e.Benchmark)] = append(sh.post[keyBenchmark(e.Benchmark)], idx)
-	if e.Result != "" {
-		sh.post[keyResult(e.Result)] = append(sh.post[keyResult(e.Result)], idx)
+// addLocked indexes a run of entries of one file, taking ingest
+// sequences seq, seq+1, ... in order. Callers hold sh.mu. The arena
+// grows once; a posting key the shard already holds allocates nothing;
+// the rows join the time order in one merge, and a run arriving in
+// order — the group-commit steady state — is a plain append.
+func (sh *shard) addLocked(es []*perflog.Entry, file string, seq uint64) {
+	base := int32(len(sh.entries))
+	sh.entries = slices.Grow(sh.entries, len(es))
+	for k, e := range es {
+		idx := base + int32(k)
+		sh.entries = append(sh.entries, stored{entry: e, file: file, t: timeNanos(e.Time), seq: seq + uint64(k)})
+		sys := sh.postLocked(idx, 's', e.System, "")
+		sh.systems[sys[2:]]++ // the interned key's copy: no chunk of the file stays reachable through it
+		sh.postLocked(idx, 'b', e.Benchmark, "")
+		if e.Result != "" {
+			sh.postLocked(idx, 'r', e.Result, "")
+		}
+		for name := range e.FOMs {
+			sh.postLocked(idx, 'f', name, "")
+		}
+		for k, v := range e.Extra {
+			sh.postLocked(idx, 'x', k, v)
+		}
 	}
-	for name := range e.FOMs {
-		sh.post[keyFOM(name)] = append(sh.post[keyFOM(name)], idx)
+	sh.live += len(es)
+	sh.mergeTimeLocked(base)
+}
+
+// postLocked appends idx to the posting list of the key that keySystem,
+// keyBenchmark, keyResult, keyFOM or keyExtra renders for kind and its
+// value(s), and returns the interned key. Callers hold sh.mu.
+func (sh *shard) postLocked(idx int32, kind byte, v, v2 string) string {
+	b := append(sh.keyBuf[:0], kind, 0)
+	b = append(b, v...)
+	if kind == 'x' {
+		b = append(append(b, 0), v2...)
 	}
-	for k, v := range e.Extra {
-		sh.post[keyExtra(k, v)] = append(sh.post[keyExtra(k, v)], idx)
+	sh.keyBuf = b
+	key, ok := sh.keys[string(b)]
+	if !ok {
+		key = string(b)
+		sh.keys[key] = key
 	}
-	// Insert into the time-ordered view. Perflogs are appended roughly
-	// chronologically, so the common case is an append at the end; an
-	// out-of-order timestamp pays one binary search plus a copy. The new
-	// entry carries the largest seq, so it sorts after existing
-	// equal-timestamp entries — (Time, seq) order by construction.
-	pos := len(sh.byTime)
-	if pos > 0 && sh.entries[sh.byTime[pos-1]].t > t {
-		pos = sort.Search(len(sh.byTime), func(i int) bool {
-			return sh.entries[sh.byTime[i]].t > t
-		})
+	sh.post[key] = append(sh.post[key], idx)
+	return key
+}
+
+// mergeTimeLocked adds the arena rows from base on to the time order.
+// Callers hold sh.mu.
+func (sh *shard) mergeTimeLocked(base int32) {
+	old := len(sh.byTime)
+	for i := base; i < int32(len(sh.entries)); i++ {
+		sh.byTime = append(sh.byTime, i)
 	}
-	sh.byTime = append(sh.byTime, 0)
-	copy(sh.byTime[pos+1:], sh.byTime[pos:])
-	sh.byTime[pos] = idx
-	sh.live++
-	sh.systems[e.System]++
+	cmpTime := func(a, b int32) int { return cmp.Compare(sh.entries[a].t, sh.entries[b].t) }
+	sorted := slices.IsSortedFunc(sh.byTime[old:], cmpTime)
+	if sorted && (old == 0 || cmpTime(sh.byTime[old-1], base) <= 0) {
+		return
+	}
+	// Seqs ascend with arena index, so a stable sort on time alone is
+	// (time, seq) order.
+	run := slices.Clone(sh.byTime[old:])
+	if !sorted {
+		slices.SortStableFunc(run, cmpTime)
+	}
+	// Merge from the back. Each run row goes after the existing rows up
+	// to and including its timestamp — they hold smaller seqs — found by
+	// a galloping search back from the last placed row, and the existing
+	// rows it passes move up as one block.
+	i, k := old, len(sh.byTime)
+	for j := len(run) - 1; j >= 0; j-- {
+		later := func(x int) bool { return cmpTime(sh.byTime[x], run[j]) > 0 }
+		hi, step := i, 1
+		for hi-step >= 0 && later(hi-step) {
+			hi -= step
+			step <<= 1
+		}
+		lo := max(hi-step+1, 0)
+		p := lo + sort.Search(hi-lo, func(x int) bool { return later(lo + x) })
+		k -= i - p
+		copy(sh.byTime[k:], sh.byTime[p:i])
+		i = p
+		k--
+		sh.byTime[k] = run[j]
+	}
 }
 
 // evictLocked tombstones every entry ingested from file and filters it
@@ -171,6 +227,7 @@ func (sh *shard) evictLocked(file string) int {
 		}
 		if len(kl) == 0 {
 			delete(sh.post, key)
+			delete(sh.keys, key)
 		} else {
 			sh.post[key] = kl
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -556,5 +557,142 @@ func TestShardForIsFNV1a(t *testing.T) {
 		if got, want := s.shardFor(system), &s.shards[h.Sum32()%shardCount]; got != want {
 			t.Errorf("shardFor(%q) moved", system)
 		}
+	}
+}
+
+// sameIndex fails unless every shard of got holds exactly what the same
+// shard of want holds: the arena (entry, file, time, seq, tombstone),
+// the time order, every posting list, and the live and per-system
+// counts.
+func sameIndex(t *testing.T, stage string, got, want *Store) {
+	t.Helper()
+	for i := range got.shards {
+		g, w := &got.shards[i], &want.shards[i]
+		switch {
+		case !slices.Equal(g.entries, w.entries):
+			t.Fatalf("%s: shard %d: arenas differ (%d rows, want %d)", stage, i, len(g.entries), len(w.entries))
+		case !slices.Equal(g.byTime, w.byTime):
+			t.Fatalf("%s: shard %d: time order differs\ngot  %v\nwant %v", stage, i, g.byTime, w.byTime)
+		case !reflect.DeepEqual(g.post, w.post):
+			t.Fatalf("%s: shard %d: posting lists differ", stage, i)
+		case g.live != w.live || g.deadN != w.deadN || !reflect.DeepEqual(g.systems, w.systems):
+			t.Fatalf("%s: shard %d: live %d dead %d systems %v, want %d %d %v", stage, i, g.live, g.deadN, g.systems, w.live, w.deadN, w.systems)
+		}
+	}
+}
+
+// TestAddBatchMatchesReference: indexing a batch in one pass per shard
+// run leaves every shard exactly as the per-entry reference insert
+// does, and every query answers alike, across in-order commits, the
+// end-to-end benchmark's time-interleaved files, timestamp ties within
+// and across batches, out-of-order rows within a batch, multi-system
+// batches, 1-entry commits, and eviction, compaction and re-adding.
+func TestAddBatchMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := Open("unused"), Open("unused")
+		byFile := map[string][]*perflog.Entry{}
+		add := func(file string, batch []*perflog.Entry) {
+			got.addBatch(batch, file)
+			want.addBatchRef(batch, file)
+			byFile[file] = append(byFile[file], batch...)
+		}
+		check := func(stage string) {
+			t.Helper()
+			stage = fmt.Sprintf("seed %d, %s", seed, stage)
+			sameIndex(t, stage, got, want)
+			for k := 0; k < 40; k++ {
+				q, window := refQuery(rng)
+				if g, w := got.Select(q), want.Select(q); !sameEntries(g, w) {
+					t.Fatalf("%s: Select %+v: %d entries, want %d", stage, q, len(g), len(w))
+				}
+				q.Agg = "mean"
+				g, gerr := got.Aggregate(q)
+				w, werr := want.Aggregate(q)
+				if (gerr == nil) != (werr == nil) {
+					t.Fatalf("%s: Aggregate %+v: error %v, want %v", stage, q, gerr, werr)
+				}
+				if len(g) != len(w) {
+					t.Fatalf("%s: Aggregate %+v: %d groups, want %d", stage, q, len(g), len(w))
+				}
+				for r := range g { // both indexes scan alike, so even Mean matches to the bit
+					if a, b := g[r], w[r]; a.Group != b.Group || a.Count != b.Count || a.Unstable != b.Unstable || a.Unit != b.Unit ||
+						!sameFloat(a.Min, b.Min) || !sameFloat(a.Max, b.Max) || !sameFloat(a.Mean, b.Mean) || !sameFloat(a.Last, b.Last) {
+						t.Fatalf("%s: Aggregate %+v: group %+v, want %+v", stage, q, a, b)
+					}
+				}
+				gr, gerr := got.Regressions(q, 0.1, window)
+				wr, werr := want.Regressions(q, 0.1, window)
+				if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(gr, wr) {
+					t.Fatalf("%s: Regressions %+v (window %d) diverged", stage, q, window)
+				}
+			}
+		}
+
+		// In-order commits of 1 to 40 entries, each batch spanning
+		// several systems (windowEntry goes round them).
+		i := 0
+		for i < 600 {
+			n := 1 + rng.Intn(40)
+			batch := make([]*perflog.Entry, 0, n)
+			for ; len(batch) < n; i++ {
+				batch = append(batch, windowEntry(rng, i))
+			}
+			add("inorder.log", batch)
+		}
+		check("in-order commits")
+
+		// Fifteen files, one batch each, interleaved in time with each
+		// other and tied with the in-order entries' timestamps.
+		var files [15][]*perflog.Entry
+		for j := 0; j < 1500; j++ {
+			files[j%15] = append(files[j%15], windowEntry(rng, j))
+		}
+		for f, ents := range files {
+			add(fmt.Sprintf("file%02d.log", f), ents)
+		}
+		check("interleaved files")
+
+		// Random timestamps from a small pool: ties and out-of-order rows
+		// inside one batch, across systems; one batch in four is a
+		// 1-entry commit.
+		for b := 0; b < 60; b++ {
+			n := 1 + rng.Intn(80)
+			if rng.Intn(4) == 0 {
+				n = 1
+			}
+			batch := make([]*perflog.Entry, n)
+			for j := range batch {
+				batch[j] = refEntry(rng, 10_000+b*100+j)
+			}
+			add(fmt.Sprintf("random%d.log", b%3), batch)
+		}
+		check("out-of-order batches")
+
+		// Evict most files (compaction runs once the dead outnumber the
+		// live), then add them back.
+		evicted := []string{"inorder.log", "random0.log", "random1.log", "file00.log", "file07.log"}
+		removed, dead := 0, 0
+		for _, f := range evicted {
+			removed += len(byFile[f])
+			for _, s := range []*Store{got, want} {
+				if err := s.evictFile(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := range got.shards {
+			dead += got.shards[i].deadN
+		}
+		if dead >= removed {
+			t.Fatalf("seed %d: no shard compacted: %d tombstones for %d evicted entries", seed, dead, removed)
+		}
+		check("evicted")
+		for _, f := range evicted {
+			ents := byFile[f]
+			byFile[f] = nil
+			add(f, ents)
+		}
+		check("re-added")
 	}
 }

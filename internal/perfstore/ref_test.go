@@ -1,13 +1,19 @@
 package perfstore
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/perflog"
 )
 
@@ -235,4 +241,113 @@ func checkAgainstRefs(t *testing.T, s *Store, q Query, window int) {
 	if wantR := s.regressionsRef(q, 0.1, window); !reflect.DeepEqual(gotR, wantR) {
 		t.Fatalf("Regressions (window %d) diverged\ngot  %+v\nwant %+v\nquery %+v", window, gotR, wantR, q)
 	}
+}
+
+// addLockedRef is the per-entry index insert the batch pass replaced,
+// kept as the reference addLocked must reproduce exactly: one key string
+// built per posting list, and a binary-search insert into byTime that
+// shifts every later row. Callers hold sh.mu.
+func (sh *shard) addLockedRef(e *perflog.Entry, file string, seq uint64) {
+	idx := int32(len(sh.entries))
+	t := timeNanos(e.Time)
+	sh.entries = append(sh.entries, stored{entry: e, file: file, t: t, seq: seq})
+	sh.post[keySystem(e.System)] = append(sh.post[keySystem(e.System)], idx)
+	sh.post[keyBenchmark(e.Benchmark)] = append(sh.post[keyBenchmark(e.Benchmark)], idx)
+	if e.Result != "" {
+		sh.post[keyResult(e.Result)] = append(sh.post[keyResult(e.Result)], idx)
+	}
+	for name := range e.FOMs {
+		sh.post[keyFOM(name)] = append(sh.post[keyFOM(name)], idx)
+	}
+	for k, v := range e.Extra {
+		sh.post[keyExtra(k, v)] = append(sh.post[keyExtra(k, v)], idx)
+	}
+	pos := len(sh.byTime)
+	if pos > 0 && sh.entries[sh.byTime[pos-1]].t > t {
+		pos = sort.Search(len(sh.byTime), func(i int) bool {
+			return sh.entries[sh.byTime[i]].t > t
+		})
+	}
+	sh.byTime = append(sh.byTime, 0)
+	copy(sh.byTime[pos+1:], sh.byTime[pos:])
+	sh.byTime[pos] = idx
+	sh.live++
+	sh.systems[e.System]++
+}
+
+// addBatchRef is addBatch over addLockedRef: one seq per entry, handed
+// out under the shard lock.
+func (s *Store) addBatchRef(entries []*perflog.Entry, file string) {
+	if len(entries) == 0 {
+		return
+	}
+	for i := 0; i < len(entries); {
+		sh := s.shardFor(entries[i].System)
+		sh.mu.Lock()
+		j := i
+		for j < len(entries) && s.shardFor(entries[j].System) == sh {
+			sh.addLockedRef(entries[j], file, s.seq.Add(1))
+			j++
+		}
+		sh.mu.Unlock()
+		i = j
+	}
+	s.gen.Add(1)
+}
+
+// readTailRef is readTail as a bufio line loop, one string per line: the
+// reference the chunked reader must match in entries, bytes consumed and
+// error text.
+func readTailRef(path string, from, to int64) fileTail {
+	t := fileTail{from: from}
+	read := func() error {
+		if err := faultinject.Fire("perfstore.sync"); err != nil {
+			return err
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		st, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		from := t.from
+		if to < 0 {
+			if to = st.Size(); to < from {
+				t.shrunk = true
+				from = 0
+			}
+		}
+		if to == from {
+			return nil
+		}
+		if _, err := f.Seek(from, io.SeekStart); err != nil {
+			return err
+		}
+		r := bufio.NewReaderSize(faultinject.Reader("perfstore.read", io.LimitReader(f, to-from)), 64*1024)
+		for {
+			line, err := r.ReadString('\n')
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			text := strings.TrimSpace(line)
+			if text != "" && !strings.HasPrefix(text, "#") {
+				e, perr := perflog.ParseLine(text)
+				if perr != nil {
+					return fmt.Errorf("%s @%d: %w", path, from+t.bytes, perr)
+				}
+				t.entries = append(t.entries, e)
+			}
+			t.bytes += int64(len(line))
+		}
+	}
+	if err := read(); err != nil {
+		t.err = fmt.Errorf("perfstore: %w", err)
+	}
+	return t
 }

@@ -15,13 +15,14 @@
 package perfstore
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -347,6 +348,11 @@ type fileTail struct {
 	err     error // what cut the read short; entries and bytes still cover the good prefix
 }
 
+// tailChunk bounds one read of a tail: a chunk's complete lines become
+// one string that the parsed entries' fields are substrings of. A chunk
+// never spans two files, so no other file's entries keep it alive.
+const tailChunk = 1 << 20
+
 // readTail reads the complete lines of path past offset from and, unless
 // to is negative, before offset to.
 func readTail(path string, from, to int64) fileTail {
@@ -383,26 +389,38 @@ func (t *fileTail) read(path string, to int64) error {
 	if _, err := f.Seek(from, io.SeekStart); err != nil {
 		return err
 	}
-	r := bufio.NewReaderSize(faultinject.Reader("perfstore.read", io.LimitReader(f, to-from)), 64*1024)
+	r := faultinject.Reader("perfstore.read", io.LimitReader(f, to-from))
+	buf := make([]byte, 0, min(to-from, tailChunk))
 	for {
-		line, err := r.ReadString('\n')
-		if err == io.EOF {
-			// Partial trailing line: a writer is mid-append. Leave the
-			// checkpoint before it so the next sync picks it up whole.
-			return nil
+		n, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		end := bytes.LastIndexByte(buf, '\n') + 1
+		for chunk := string(buf[:end]); chunk != ""; {
+			line, rest, _ := strings.Cut(chunk, "\n")
+			if text := strings.TrimSpace(line); text != "" && !strings.HasPrefix(text, "#") {
+				e, err := perflog.ParseLine(text)
+				if err != nil {
+					return fmt.Errorf("%s @%d: %w", path, from+t.bytes, err)
+				}
+				t.entries = append(t.entries, e)
+			}
+			t.bytes += int64(len(line)) + 1
+			chunk = rest
 		}
-		if err != nil {
+		switch err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			// Anything left is a partial trailing line: a writer is
+			// mid-append. Leave the checkpoint before it so the next sync
+			// picks it up whole.
+			return nil
+		default:
 			return err
 		}
-		text := strings.TrimSpace(line)
-		if text != "" && !strings.HasPrefix(text, "#") {
-			e, perr := perflog.ParseLine(text)
-			if perr != nil {
-				return fmt.Errorf("%s @%d: %w", path, from+t.bytes, perr)
-			}
-			t.entries = append(t.entries, e)
+		buf = buf[:copy(buf, buf[end:])]
+		if len(buf) == cap(buf) { // one line longer than the buffer
+			buf = slices.Grow(buf, len(buf))
 		}
-		t.bytes += int64(len(line))
 	}
 }
 
@@ -504,12 +522,15 @@ func (s *Store) addBatch(entries []*perflog.Entry, file string) {
 	}
 	for i := 0; i < len(entries); {
 		sh := s.shardFor(entries[i].System)
-		sh.mu.Lock()
-		j := i
+		j := i + 1
 		for j < len(entries) && s.shardFor(entries[j].System) == sh {
-			sh.addLocked(entries[j], file, s.seq.Add(1))
 			j++
 		}
+		sh.mu.Lock()
+		// Taking the run's seqs under the shard lock keeps them above
+		// every seq the shard already holds.
+		n := uint64(j - i)
+		sh.addLocked(entries[i:j], file, s.seq.Add(n)-n+1)
 		sh.mu.Unlock()
 		i = j
 	}

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/perflog"
 )
 
@@ -127,5 +129,89 @@ func TestSyncParseErrorKeepsGoodPrefix(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d: %+v holds %d entries, want %d", procs, q, got, want)
 			}
 		}
+	}
+}
+
+// TestReadTailMatchesLineReader: the chunked tail reader returns what
+// the bufio line loop it replaced returns — the same entries, bytes
+// consumed, and error text — for a line straddling a chunk boundary, a
+// line longer than a chunk, no trailing newline, blank, comment,
+// whitespace-padded and CRLF lines, a malformed line, a short read, a
+// rewritten (shrunk) file, and gap reads bounded before the file's end.
+func TestReadTailMatchesLineReader(t *testing.T) {
+	dir := t.TempDir()
+	var good strings.Builder
+	var starts []int64 // offsets of the lines that hold an entry
+	line := func(i int, extra map[string]string) {
+		starts = append(starts, int64(good.Len()))
+		e := entry("archer2", "hpcg", i, t0.Add(time.Duration(i)*time.Second), map[string]float64{"l0": float64(i)})
+		for k, v := range extra {
+			e.Extra[k] = v
+		}
+		good.WriteString(e.Line() + "\n")
+	}
+	good.WriteString("# a comment\n\n")
+	line(0, nil)
+	good.WriteString("   \t\n  # indented comment\r\n")
+	good.WriteString("  " + strings.TrimSuffix(entry("archer2", "hpcg", 1, t0, nil).Line(), "\n") + "  \r\n")
+	for i := 2; good.Len() < 3*tailChunk/2; i++ {
+		line(i, nil)
+	}
+	line(-1, map[string]string{"blob": strings.Repeat("x", tailChunk*3/2)})
+	for i := 0; i < 2000; i++ {
+		line(100_000+i, nil)
+	}
+	good.WriteString("ts=2023-07-07T10:02:11Z|benchmark=torn") // no trailing newline
+	content := good.String()
+	if content[tailChunk-1] == '\n' {
+		t.Fatal("no line straddles the first chunk boundary")
+	}
+	goodPath := filepath.Join(dir, "good.log")
+	if err := os.WriteFile(goodPath, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badAt := starts[40]
+	badPath := filepath.Join(dir, "bad.log")
+	if err := os.WriteFile(badPath, []byte(content[:badAt]+"this is not a perflog line\n"+content[badAt:]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	size, last := int64(len(content)), len(starts)-1
+	for _, c := range []struct {
+		name     string
+		path     string
+		from, to int64
+		faults   string
+	}{
+		{"whole file", goodPath, 0, -1, ""},
+		{"from a line past the first chunk", goodPath, starts[last-1500], -1, ""},
+		{"tail holding only the long line", goodPath, starts[last-2000], starts[last-1999], ""},
+		{"bounded gap", goodPath, starts[3], starts[last-10], ""},
+		{"bounded gap ending mid-line", goodPath, starts[3], starts[last-10] + 17, ""},
+		{"nothing past the checkpoint", goodPath, size, -1, ""},
+		{"rewritten file", goodPath, size + 100, -1, ""},
+		{"short read", goodPath, 0, -1, "perfstore.read:short:bytes=700000"},
+		{"short read of a gap", goodPath, starts[3], starts[last-10], "perfstore.read:short:bytes=5000"},
+		{"failed sync", goodPath, 0, -1, "perfstore.sync:error"},
+		{"malformed line", badPath, 0, -1, ""},
+		{"gap before the malformed line", badPath, 0, badAt, ""},
+		{"missing file", filepath.Join(dir, "missing.log"), 0, -1, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			read := func(fn func(string, int64, int64) fileTail) fileTail {
+				if c.faults != "" {
+					loadFaults(t, 1, c.faults)
+					defer faultinject.Reset()
+				}
+				return fn(c.path, c.from, c.to)
+			}
+			got, want := read(readTail), read(readTailRef)
+			if got.from != want.from || got.shrunk != want.shrunk || got.bytes != want.bytes || fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+				t.Fatalf("got from %d shrunk %v bytes %d err %v\nwant from %d shrunk %v bytes %d err %v",
+					got.from, got.shrunk, got.bytes, got.err, want.from, want.shrunk, want.bytes, want.err)
+			}
+			if !reflect.DeepEqual(got.entries, want.entries) {
+				t.Fatalf("%d entries, want %d (or they differ)", len(got.entries), len(want.entries))
+			}
+		})
 	}
 }

@@ -28,10 +28,35 @@ func benchTree(b *testing.B, n int) string {
 	return root
 }
 
+// genTree writes n entries in the end-to-end benchmark's layout
+// (bench/gen, windowEntry): entry i is stamped i seconds after t0 and
+// lands in the next of fifteen files, five systems × three benchmarks,
+// so each system's three files interleave in time.
+func genTree(tb testing.TB, n int) string {
+	tb.Helper()
+	root := tb.TempDir()
+	rng := rand.New(rand.NewSource(3))
+	var files [15][]*perflog.Entry
+	for i := 0; i < n; i++ {
+		files[i%15] = append(files[i%15], windowEntry(rng, i))
+	}
+	for _, ents := range files {
+		if len(ents) == 0 {
+			continue
+		}
+		if err := perflog.Append(root, ents[0].System, ents[0].Benchmark, ents...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return root
+}
+
 // BenchmarkStoreColdBoot measures what the tiered engine exists for:
 // daemon boot time over an already-ingested corpus. The text leg
-// re-parses every perflog byte; the sealed leg recovers the corpus
-// from segment headers and parses only the (empty) tail.
+// re-parses every perflog byte; the interleaved leg does so on a tree
+// whose files interleave in time, as the end-to-end benchmark's corpus
+// does; the sealed leg recovers the corpus from segment headers and
+// parses only the (empty) tail.
 func BenchmarkStoreColdBoot(b *testing.B) {
 	const n = 20_000
 	root := benchTree(b, n)
@@ -47,18 +72,22 @@ func BenchmarkStoreColdBoot(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	b.Run("text", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			st := Open(root)
-			if err := st.Sync(); err != nil {
-				b.Fatal(err)
-			}
-			if st.Len() != n {
-				b.Fatalf("boot recovered %d entries", st.Len())
+	textBoot := func(root string) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st := Open(root)
+				if err := st.Sync(); err != nil {
+					b.Fatal(err)
+				}
+				if st.Len() != n {
+					b.Fatalf("boot recovered %d entries", st.Len())
+				}
 			}
 		}
-	})
+	}
+	b.Run("text", textBoot(root))
+	b.Run("interleaved", textBoot(genTree(b, n)))
 	b.Run("sealed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -38,6 +38,11 @@
 //	    -d '{"metric":"benchd_queue_depth","kind":"threshold","op":"gt","value":48,"for":"30s"}'
 //	curl -s 'localhost:8080/v1/metrics/history?name=benchd_queue_depth&since=15m'
 //	curl -s localhost:8080/v1/profiles
+//
+// SIGINT or SIGTERM stops the daemon gracefully (Server.Shutdown, bounded
+// by --drain): queued runs drain, the perflog writer closes and, with
+// --data-dir, the head is sealed so the next boot parses no perflog
+// bytes.
 package main
 
 import (
@@ -59,13 +64,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run boots the daemon and serves until ctx ends, then shuts it down
+// gracefully (Server.Shutdown, bounded by --drain).
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("benchd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	perflogRoot := fs.String("perflog", "perflogs", "perflog root directory")
@@ -77,20 +87,16 @@ func run(args []string) error {
 	queueDepth := fs.Int("queue", 64, "maximum pending runs")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout")
 	drain := fs.Duration("drain", 2*time.Minute, "shutdown grace period for queued runs")
-	traceBuf := fs.Int("trace-buffer", 256, "finished run traces kept for /v1/traces")
 	enablePprof := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	logJSON := fs.Bool("log-json", false, "emit logs as JSON instead of text")
 	verbose := fs.Bool("v", false, "debug-level logging")
 	stageTimeout := fs.Duration("stage-timeout", 0, "per-stage pipeline budget for executed runs (0 = no limit)")
 	tick := fs.Duration("tick", time.Second, "recurring-schedule tick interval")
-	eventBuffer := fs.Int("event-buffer", 256, "per-/v1/watch-subscriber event ring size")
-	replayBuffer := fs.Int("replay-buffer", 1024, "Last-Event-ID replay ring size")
 	heartbeat := fs.Duration("heartbeat", 15*time.Second, "/v1/watch keepalive interval")
 	regressTol := fs.Float64("regress-tolerance", 0.10, "fractional drop flagged after scheduled runs")
 	regressWindow := fs.Int("regress-window", 5, "sliding baseline window for post-run regression detection (<0 disables)")
 	rsdGate := fs.Float64("rsd-gate", 0, "relative-stddev above which a repetition set is 'unstable' and excluded from baselines (0 = default 0.10, <0 disables)")
 	sampleInterval := fs.Duration("sample-interval", 10*time.Second, "self-observability metric sampling interval")
-	historyCap := fs.Int("history-capacity", 512, "retained points per metric series per resolution tier")
 	profileLimit := fs.Int("profile-limit", 16, "retained alert-triggered pprof artifacts")
 	profileCooldown := fs.Duration("profile-cooldown", time.Minute, "minimum gap between alert-triggered profile captures")
 	commitInterval := fs.Duration("commit-interval", 0, "perflog group-commit accumulation window (0 = commit when idle)")
@@ -142,7 +148,6 @@ func run(args []string) error {
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
 		RequestTimeout:  *timeout,
-		TraceBuffer:     *traceBuf,
 		EnablePprof:     *enablePprof,
 		Logger:          logger,
 		Retry:           policy,
@@ -151,15 +156,12 @@ func run(args []string) error {
 		CommitBytes:     *commitBytes,
 
 		TickInterval:        *tick,
-		EventBuffer:         *eventBuffer,
-		ReplayBuffer:        *replayBuffer,
 		HeartbeatInterval:   *heartbeat,
 		RegressionTolerance: *regressTol,
 		RegressionWindow:    *regressWindow,
 		RSDGate:             *rsdGate,
 
 		SampleInterval:  *sampleInterval,
-		HistoryCapacity: *historyCap,
 		ProfileLimit:    *profileLimit,
 		ProfileCooldown: *profileCooldown,
 	})
@@ -182,8 +184,6 @@ func run(args []string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Start(*addr) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		return err // listener failed before any signal

@@ -4,10 +4,11 @@
 // the build DAG hash changes, without any client request.
 //
 // The design follows the influxdb task scheduler (SNIPPETS.md Snippet
-// 3): a single tick loop with an injectable clock evaluates every
-// schedule's next-run time, and execution is delegated through a Start
-// callback — here, benchd's bounded worker pool — whose backpressure
-// the scheduler respects by backing off instead of queueing internally.
+// 3): one Tick with an injectable clock, which the host calls on its
+// own loop, evaluates every schedule's next-run time, and execution is
+// delegated through a Start callback — here, benchd's bounded worker
+// pool — whose backpressure the scheduler respects by backing off
+// instead of queueing internally.
 // Per-schedule state (last run, next run, consecutive failures,
 // in-flight) lives in the scheduler; overlap suppression guarantees a
 // schedule never has two in-flight runs no matter how slow the suite or
@@ -164,7 +165,8 @@ type Config struct {
 
 	// Now is the injectable clock (default time.Now).
 	Now func() time.Time
-	// TickInterval paces the tick loop (default 1s).
+	// TickInterval is how often the host calls Tick (default 1s); a pure
+	// build-change schedule re-checks its hash once per interval.
 	TickInterval time.Duration
 	// Jitter is the fraction of Every added uniformly at random to each
 	// next-run time, de-synchronising schedule herds (default 0.1,
@@ -217,7 +219,8 @@ func (c Config) withDefaults() Config {
 // times for deterministic tests.
 func NoJitter() float64 { return 0 }
 
-// Scheduler owns the registered schedules and the tick loop.
+// Scheduler owns the registered schedules. It starts no goroutine: its
+// host calls Tick every TickInterval.
 type Scheduler struct {
 	cfg Config
 
@@ -225,11 +228,6 @@ type Scheduler struct {
 	scheds map[string]*schedule
 	order  []string // registration order, for stable listings
 	nextID int
-
-	loopWG  sync.WaitGroup
-	stop    chan struct{}
-	started bool
-	stopped bool
 }
 
 // New builds a scheduler. Start must be non-nil; Hash may be nil if no
@@ -241,7 +239,6 @@ func New(cfg Config) (*Scheduler, error) {
 	return &Scheduler{
 		cfg:    cfg.withDefaults(),
 		scheds: map[string]*schedule{},
-		stop:   make(chan struct{}),
 	}, nil
 }
 
@@ -389,56 +386,8 @@ func (s *Scheduler) Counters() (schedules int, fires, suppressed uint64) {
 	return len(s.scheds), fires, suppressed
 }
 
-// Start launches the tick loop. It is a no-op after Stop or a second
-// Start.
-func (s *Scheduler) Start() {
-	s.mu.Lock()
-	if s.started || s.stopped {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	s.mu.Unlock()
-	s.loopWG.Add(1)
-	go func() {
-		defer s.loopWG.Done()
-		t := time.NewTicker(s.cfg.TickInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				s.Tick()
-			}
-		}
-	}()
-}
-
-// Running reports whether the tick loop is live.
-func (s *Scheduler) Running() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.started && !s.stopped
-}
-
-// Stop halts the tick loop and waits for an in-progress tick to finish.
-// Registered schedules stay queryable; in-flight runs complete through
-// the host's own drain. Idempotent.
-func (s *Scheduler) Stop() {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return
-	}
-	s.stopped = true
-	s.mu.Unlock()
-	close(s.stop)
-	s.loopWG.Wait()
-}
-
 // Tick evaluates every schedule once against the injectable clock. It
-// is called by the loop every TickInterval and directly by tests. The
+// is called by the host every TickInterval and directly by tests. The
 // "cbsched.tick" injection point models a wedged or crashed tick: the
 // whole pass is skipped and the next tick retries — schedules fire
 // late, never twice.

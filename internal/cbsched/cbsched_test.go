@@ -410,63 +410,6 @@ func TestTickFaultInjection(t *testing.T) {
 	}
 }
 
-// TestStartStop: the real loop fires a short-interval schedule without
-// manual ticks, and Stop halts it cleanly and idempotently.
-func TestStartStop(t *testing.T) {
-	var mu sync.Mutex
-	fired := 0
-	s, err := New(Config{
-		TickInterval: 5 * time.Millisecond,
-		Rand:         NoJitter,
-		Start: func(sp Spec) (string, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			fired++
-			return fmt.Sprintf("run-%03d", fired), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Add(Spec{Benchmark: "bs", System: "sys", Every: Duration(10 * time.Millisecond)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	s.Start() // idempotent
-	if !s.Running() {
-		t.Fatal("not running after Start")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := fired
-		mu.Unlock()
-		if n >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("schedule never fired from the tick loop")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	s.Complete(st.ID, "run-001", "", nil)
-	s.Stop()
-	s.Stop() // idempotent
-	if s.Running() {
-		t.Fatal("running after Stop")
-	}
-	mu.Lock()
-	n := fired
-	mu.Unlock()
-	time.Sleep(30 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if fired > n+1 {
-		t.Fatalf("kept firing after Stop: %d -> %d", n, fired)
-	}
-}
-
 func TestMetrics(t *testing.T) {
 	reg := telemetry.DefaultRegistry
 	firesBefore, _ := reg.Value("benchd_sched_fires_total", "interval")

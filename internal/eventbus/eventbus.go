@@ -180,7 +180,9 @@ func (b *Bus) Subscribe(types []string, buffer int) (*Subscriber, error) {
 // given types (nil = all), oldest first. gap reports that the ring no
 // longer reaches back to `after` — events between `after` and the
 // oldest retained ID were evicted, and the caller should tell its
-// consumer the stream has a hole rather than silently skipping it.
+// consumer the stream has a hole rather than silently skipping it. A
+// cursor past the newest ID comes from an earlier boot (IDs restart at
+// 1): that is a gap too, and every retained event is new to the caller.
 func (b *Bus) ReplaySince(after uint64, types []string) (events []Event, gap bool) {
 	var want map[string]struct{}
 	if len(types) > 0 {
@@ -191,6 +193,9 @@ func (b *Bus) ReplaySince(after uint64, types []string) (events []Event, gap boo
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if after > b.seq {
+		after, gap = 0, true
+	}
 	n := len(b.replay)
 	if n > 0 {
 		oldest := b.replay[b.start].ID

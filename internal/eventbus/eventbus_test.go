@@ -144,6 +144,28 @@ func TestReplaySince(t *testing.T) {
 	}
 }
 
+// TestReplaySinceCursorFromEarlierBoot: event ids restart at 1 each
+// boot, so a cursor past the newest id is from an earlier life. It is
+// a gap, and every retained event is replayed.
+func TestReplaySinceCursorFromEarlierBoot(t *testing.T) {
+	b := New(8)
+	defer b.Close()
+	for i := 0; i < 3; i++ {
+		publish(t, b, TypeRunFinished, nil)
+	}
+	evs, gap := b.ReplaySince(5, nil)
+	if !gap {
+		t.Fatal("a cursor past the newest id reported no gap")
+	}
+	if len(evs) != 3 || evs[0].ID != 1 || evs[2].ID != 3 {
+		t.Fatalf("replay = %+v, want ids 1..3", evs)
+	}
+	// On an empty bus it is a gap with nothing to replay.
+	if evs, gap := New(8).ReplaySince(2, nil); !gap || len(evs) != 0 {
+		t.Fatalf("empty bus: replay = %+v, gap = %v", evs, gap)
+	}
+}
+
 func TestCloseDrainsThenErrClosed(t *testing.T) {
 	b := New(8)
 	s, err := b.Subscribe(nil, 8)

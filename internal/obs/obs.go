@@ -1,14 +1,14 @@
 // Package obs is benchd's self-observability subsystem: the layer that
 // turns the point-in-time telemetry registry into history, alerts, and
 // evidence. A clock-injected sampler scrapes every registered metric
-// (plus Go runtime stats) on an interval into bounded multi-resolution
-// time-series rings; a declarative alert engine evaluates threshold,
-// rate-of-change, and absence rules with for-duration hysteresis on
-// each tick and publishes alert.fired / alert.resolved through the
-// event bus; firings trigger rate-limited pprof heap+goroutine
-// captures into a bounded ring; and the whole corpus persists under
-// the daemon's data dir with the atomic tmp+fsync+rename pattern so a
-// reboot serves pre-reboot history.
+// (plus Go runtime stats) into bounded multi-resolution time-series
+// rings each time its host calls Sample, once per Interval; a
+// declarative alert engine evaluates threshold, rate-of-change, and
+// absence rules with for-duration hysteresis on each tick and publishes
+// alert.fired / alert.resolved through the event bus; firings trigger
+// rate-limited pprof heap+goroutine captures into a bounded ring; and
+// the whole corpus persists under the daemon's data dir with the atomic
+// tmp+fsync+rename pattern so a reboot serves pre-reboot history.
 //
 // The paper's automation principle applied to the benchmarker itself:
 // a continuous-benchmarking daemon running unattended for weeks must
@@ -62,7 +62,8 @@ var (
 type Config struct {
 	// Registry is the metrics source (default telemetry.DefaultRegistry).
 	Registry *telemetry.Registry
-	// Interval paces the sampler (default 10s).
+	// Interval is how often the host calls Sample (default 10s); rate
+	// and absence rules and history steps are computed from it.
 	Interval time.Duration
 	// RawCapacity is per-tier retained points per series (default 512).
 	RawCapacity int
@@ -75,7 +76,7 @@ type Config struct {
 	// only; everything dies with the process).
 	DataDir string
 	// FlushEvery persists the history file every N samples in addition
-	// to the final flush on Stop (default 30; <0 disables periodic
+	// to the host's final Flush (default 30; <0 disables periodic
 	// flushes).
 	FlushEvery int
 	// ProfileLimit bounds retained pprof artifacts (default 16).
@@ -148,11 +149,6 @@ type Observer struct {
 	rules   []*armedRule
 	nextID  int
 	prof    *capturer
-
-	loopWG   sync.WaitGroup
-	loopStop chan struct{}
-	started  bool
-	stopped  bool
 }
 
 // New builds an Observer, restoring persisted history when DataDir is
@@ -161,9 +157,8 @@ type Observer struct {
 func New(cfg Config) (*Observer, error) {
 	cfg = cfg.withDefaults()
 	o := &Observer{
-		cfg:      cfg,
-		series:   map[string]*series{},
-		loopStop: make(chan struct{}),
+		cfg:    cfg,
+		series: map[string]*series{},
 	}
 	profDir := ""
 	if cfg.DataDir != "" {
@@ -182,51 +177,12 @@ func New(cfg Config) (*Observer, error) {
 	return o, nil
 }
 
-// Start launches the sampler loop. Idempotent.
-func (o *Observer) Start() {
+// Flush writes the history file now: benchd's final flush on shutdown.
+// A failed write keeps the previous file.
+func (o *Observer) Flush() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.started || o.stopped {
-		return
-	}
-	o.started = true
-	o.loopWG.Add(1)
-	go o.loop()
-}
-
-func (o *Observer) loop() {
-	defer o.loopWG.Done()
-	t := time.NewTicker(o.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-o.loopStop:
-			return
-		case <-t.C:
-			if err := o.Sample(o.cfg.Now()); err != nil {
-				o.cfg.Logger.Warn("sample tick skipped", "error", err.Error())
-			}
-		}
-	}
-}
-
-// Stop halts the sampler and flushes the history file. Idempotent; safe
-// before Start.
-func (o *Observer) Stop() {
-	o.mu.Lock()
-	if o.stopped {
-		o.mu.Unlock()
-		return
-	}
-	o.stopped = true
-	o.mu.Unlock()
-	close(o.loopStop)
-	o.loopWG.Wait()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if err := o.saveHistory(); err != nil {
-		o.cfg.Logger.Error("final history flush failed", "error", err.Error())
-	}
+	return o.saveHistory()
 }
 
 // Sample runs one tick: scrape the registry and runtime, append to

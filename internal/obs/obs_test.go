@@ -75,7 +75,7 @@ func TestSamplerScrapesRegistryAndRuntime(t *testing.T) {
 }
 
 // TestHistoryPersistsAcrossReboot is the acceptance-critical property:
-// sample, stop (flushing), build a new Observer over the same data dir,
+// sample, flush, build a new Observer over the same data dir,
 // and the pre-reboot points are served.
 func TestHistoryPersistsAcrossReboot(t *testing.T) {
 	dir := t.TempDir()
@@ -89,7 +89,9 @@ func TestHistoryPersistsAcrossReboot(t *testing.T) {
 		}
 		now = now.Add(time.Second)
 	}
-	o.Stop() // final flush
+	if err := o.Flush(); err != nil { // the daemon's final flush
+		t.Fatal(err)
+	}
 
 	o2, _ := testObserver(t, dir, nil)
 	pts, step, ok := o2.History("test_depth", time.Time{}, 0)
@@ -111,7 +113,6 @@ func TestHistoryPersistsAcrossReboot(t *testing.T) {
 	} else if samples != 20 || len(tiers["test_depth"][1]) != 5 {
 		t.Fatalf("persisted samples=%d tier1=%d, want 20/5", samples, len(tiers["test_depth"][1]))
 	}
-	o2.Stop()
 }
 
 func TestCorruptHistoryStartsFresh(t *testing.T) {

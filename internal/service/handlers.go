@@ -441,6 +441,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	queued := len(s.queue)
 	runs := len(s.runs)
+	ticking := !s.degraded && !s.closed // the tick loop runs until Shutdown
 	s.mu.Unlock()
 	status := "ok"
 	mode := "memory"
@@ -465,7 +466,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"workers":      s.cfg.Workers,
 		"perflog_root": s.store.Root(),
 		"scheduler": map[string]any{
-			"running":            s.sched.Running(),
+			"running":            ticking,
 			"schedules":          schedules,
 			"fires":              fires,
 			"overlap_suppressed": suppressed,

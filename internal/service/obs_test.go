@@ -313,8 +313,7 @@ func TestObsHistoryAndAlertsSurviveReboot(t *testing.T) {
 		t.Fatalf("first shutdown: %v", err)
 	}
 
-	srv2, ts2 := newObsServer(t, dataDir)
-	defer srv2.Obs().Stop()
+	_, ts2 := newObsServer(t, dataDir)
 	var hist struct {
 		Count int `json:"count"`
 	}
@@ -333,9 +332,10 @@ func TestObsHistoryAndAlertsSurviveReboot(t *testing.T) {
 	}
 }
 
-// TestShutdownResolvesFiringAlerts: satellite (b) — a firing alert is
-// published as resolved (reason shutdown) before the terminal
-// server.shutdown event, so no watcher's last view is a dangling fire.
+// TestShutdownResolvesFiringAlerts: an alert fired by the daemon's own
+// sampler loop is published as resolved (reason shutdown) before the
+// terminal server.shutdown event, so no watcher's last view is a
+// dangling fire.
 func TestShutdownResolvesFiringAlerts(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := New(Config{

@@ -312,7 +312,7 @@ func TestSchedulePersistence(t *testing.T) {
 	ts1.Close()
 
 	// Reboot on the same dirs.
-	srv2, ts2 := newSchedServer(t, perflogRoot, dataDir)
+	_, ts2 := newSchedServer(t, perflogRoot, dataDir)
 	var list struct {
 		Schedules []cbsched.Status `json:"schedules"`
 		Count     int              `json:"count"`
@@ -333,7 +333,7 @@ func TestSchedulePersistence(t *testing.T) {
 	if got := byID[b.ID]; got.Name != "on-change" || !got.OnBuildChange {
 		t.Errorf("restored b = %+v", got)
 	}
-	if srv2.Scheduler() == nil || !srv2.Scheduler().Running() {
+	if !schedulerRunning(t, ts2.URL) {
 		t.Error("scheduler not running after reboot")
 	}
 

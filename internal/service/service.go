@@ -88,12 +88,6 @@ type Config struct {
 	QueueDepth int
 	// RequestTimeout bounds each HTTP request (default 30s).
 	RequestTimeout time.Duration
-	// TraceBuffer bounds the in-memory ring of recent run traces served
-	// by /v1/traces (default 256).
-	TraceBuffer int
-	// QueryCacheSize bounds the generation-stamped LRU cache of
-	// aggregate and regression results (default 256 entries).
-	QueryCacheSize int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (opt-in:
 	// profiling endpoints expose internals and cost CPU when scraped).
 	EnablePprof bool
@@ -117,9 +111,6 @@ type Config struct {
 	// TickInterval paces the recurring-suite scheduler's tick loop
 	// (default 1s).
 	TickInterval time.Duration
-	// SchedJitter is the fraction of each schedule interval added as
-	// uniform jitter (default 0.1).
-	SchedJitter float64
 	// EventBuffer bounds each /v1/watch subscriber's event ring; a
 	// consumer further behind than this loses its oldest events
 	// (default 256).
@@ -144,9 +135,6 @@ type Config struct {
 	// SampleInterval paces the self-observability sampler that records
 	// metric history and evaluates alert rules (default 10s).
 	SampleInterval time.Duration
-	// HistoryCapacity is the per-tier retained points per metric series
-	// (default 512).
-	HistoryCapacity int
 	// HistoryFlushEvery persists the metric-history file every N samples
 	// (default 30; <0 disables periodic flushes — the final flush on
 	// shutdown still runs).
@@ -171,12 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.TraceBuffer <= 0 {
-		c.TraceBuffer = 256
-	}
-	if c.QueryCacheSize <= 0 {
-		c.QueryCacheSize = 256
 	}
 	if c.SealThreshold <= 0 {
 		c.SealThreshold = 4096
@@ -290,10 +272,15 @@ type Server struct {
 	closed  bool
 	started time.Time
 
-	wg        sync.WaitGroup
-	maintWG   sync.WaitGroup
-	maintStop chan struct{}
-	http      *http.Server
+	wg   sync.WaitGroup // workers: the drain waits for them
+	http *http.Server   // set by Start under mu
+
+	// loops stop the maintenance and tick loops (shutdown step 1);
+	// stopSampler stops the sampler loop (step 3).
+	loops        []func()
+	stopSampler  func()
+	shutdownOnce sync.Once
+	shutdownErr  error
 }
 
 // New assembles a server and ingests whatever the perflog tree already
@@ -341,24 +328,22 @@ func New(cfg Config) (*Server, error) {
 		runner.StageTimeout = cfg.StageTimeout
 	}
 	s := &Server{
-		cfg:       cfg,
-		store:     store,
-		runner:    runner,
-		tracer:    telemetry.NewTracer(cfg.TraceBuffer),
-		cache:     newQueryCache(cfg.QueryCacheSize),
-		bus:       eventbus.New(cfg.ReplayBuffer),
-		queue:     make(chan *Run, cfg.QueueDepth),
-		runs:      map[string]*Run{},
-		started:   time.Now(),
-		degraded:  degraded,
-		maintStop: make(chan struct{}),
+		cfg:      cfg,
+		store:    store,
+		runner:   runner,
+		tracer:   telemetry.NewTracer(256), // finished traces /v1/traces serves
+		cache:    newQueryCache(256),       // aggregate and regression results
+		bus:      eventbus.New(cfg.ReplayBuffer),
+		queue:    make(chan *Run, cfg.QueueDepth),
+		runs:     map[string]*Run{},
+		started:  time.Now(),
+		degraded: degraded,
 	}
 	sched, err := cbsched.New(cbsched.Config{
 		Start:        s.startScheduled,
 		Hash:         s.scheduleBuildHash,
 		Publish:      s.publish,
 		TickInterval: cfg.TickInterval,
-		Jitter:       cfg.SchedJitter,
 		Logger:       cfg.Logger,
 	})
 	if err != nil {
@@ -372,7 +357,6 @@ func New(cfg Config) (*Server, error) {
 	// exactly what an operator wants history and alerts on.
 	observer, err := obs.New(obs.Config{
 		Interval:        cfg.SampleInterval,
-		RawCapacity:     cfg.HistoryCapacity,
 		FlushEvery:      cfg.HistoryFlushEvery,
 		DataDir:         cfg.DataDir,
 		ProfileLimit:    cfg.ProfileLimit,
@@ -400,14 +384,7 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	s.maintWG.Add(1)
-	go s.maintain()
-	// A degraded (read-only) daemon keeps its registry queryable but
-	// does not tick: every firing would be refused by the store anyway.
-	if !degraded {
-		s.sched.Start()
-	}
-	s.obs.Start()
+	s.startLoops()
 	phases := []struct {
 		name string
 		d    time.Duration
@@ -473,40 +450,6 @@ func (s *Server) publishPolicy() retry.Policy {
 // segment manifest was unreadable.
 func (s *Server) Degraded() bool { return s.degraded }
 
-// maintain is the storage maintenance loop: each tick it ingests what
-// out-of-band appenders added to the perflog tree and, on a tiered
-// store, seals a grown head into a segment and compacts small segments,
-// keeping boot O(headers) and query fan-out bounded.
-func (s *Server) maintain() {
-	defer s.maintWG.Done()
-	t := time.NewTicker(s.cfg.MaintenanceInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.maintStop:
-			return
-		case <-t.C:
-			s.syncOutOfBand()
-			if s.cfg.DataDir == "" || s.degraded {
-				continue
-			}
-			if n, err := s.store.MaybeSeal(s.cfg.SealThreshold); err != nil {
-				s.cfg.Logger.Error("seal failed", "error", err.Error())
-			} else if n > 0 {
-				s.cfg.Logger.Info("head sealed", "entries", n)
-				s.publish(eventbus.TypeStoreSealed, map[string]string{
-					"entries": fmt.Sprint(n), "reason": "maintenance",
-				})
-			}
-			if ran, err := s.store.Compact(s.cfg.CompactSegments); err != nil {
-				s.cfg.Logger.Error("compaction failed", "error", err.Error())
-			} else if ran {
-				s.cfg.Logger.Info("segments compacted")
-			}
-		}
-	}
-}
-
 // Store exposes the underlying perfstore (the CLI-equivalent query
 // path).
 func (s *Server) Store() *perfstore.Store { return s.store }
@@ -518,18 +461,6 @@ func (s *Server) Runner() *core.Runner { return s.runner }
 // Writer exposes the shared group-commit perflog writer (tests flush
 // through it).
 func (s *Server) Writer() *perflog.Writer { return s.writer }
-
-// syncOutOfBand ingests perflog lines the daemon did not write, between
-// group commits, so it never reads a commit's bytes before the commit
-// has indexed them. A failure is logged and counted.
-func (s *Server) syncOutOfBand() {
-	var err error
-	s.writer.BetweenCommits(func() { err = s.store.Sync() })
-	if err != nil {
-		metricIngestErrors.With("sync").Inc()
-		s.cfg.Logger.Error("out-of-band sync failed", "error", err.Error())
-	}
-}
 
 // commitIngest runs on the writer's committer goroutine once per file
 // per durable commit, before the commit's appenders wake: the only way
@@ -834,107 +765,4 @@ func (s *Server) fail(ctx context.Context, span *telemetry.Span, run *Run, err e
 	if run.ScheduleID != "" {
 		s.sched.Complete(run.ScheduleID, run.ID, "", err)
 	}
-}
-
-// Start serves HTTP on addr until Shutdown. It blocks, returning
-// http.ErrServerClosed after a clean shutdown.
-func (s *Server) Start(addr string) error {
-	s.http = &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       s.cfg.RequestTimeout,
-		WriteTimeout:      2 * s.cfg.RequestTimeout,
-		IdleTimeout:       2 * time.Minute,
-	}
-	return s.http.ListenAndServe()
-}
-
-// Shutdown stops accepting work, waits for in-flight HTTP requests
-// (bounded by ctx) and for queued runs to drain, then returns. Pending
-// runs still execute: submitted work is never silently dropped. A
-// tiered store seals its remaining head on the way out, so the next
-// boot recovers entirely from segments and parses zero perflog bytes.
-//
-// Ordering matters around the bus: the scheduler stops first (no new
-// firings), queued runs drain (each still publishes its lifecycle
-// events), then a terminal server.shutdown event is published and the
-// bus closed. Watch handlers end their streams on that terminal event
-// (or on bus close), which is what lets http.Shutdown — running
-// concurrently, since it blocks on active SSE handlers — complete.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-		close(s.maintStop)
-	}
-	s.mu.Unlock()
-	s.sched.Stop()
-	httpDone := make(chan error, 1)
-	if s.http != nil {
-		go func() { httpDone <- s.http.Shutdown(ctx) }()
-	} else {
-		httpDone <- nil
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		s.maintWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Even on a deadline the writer closes: the accumulating batch is
-		// force-flushed (acked ⇒ durable holds for whatever made it in),
-		// appenders blocked on it are released now rather than after
-		// MaxDelay, and the cached descriptors don't leak. Appends racing
-		// the close fail with ErrWriterClosed — their runs were never
-		// acknowledged, so nothing durable is lost.
-		if err := s.writer.Close(); err != nil {
-			s.cfg.Logger.Error("perflog writer close failed", "error", err.Error())
-		}
-		// We still terminate streams: subscribers get the terminal event
-		// (or ErrClosed) instead of hanging. Firing alerts resolve first
-		// so no watcher's last view of an alert is a dangling fire.
-		s.obs.ResolveFiring(obs.ResolveShutdown)
-		s.obs.Stop()
-		s.publish(eventbus.TypeServerShutdown, nil)
-		s.bus.Close()
-		return ctx.Err()
-	}
-	// Workers are drained: flush and close the group-commit writer so
-	// every acknowledged entry (and any batch still accumulating) is on
-	// disk and in the store before the final seal snapshots ingest
-	// checkpoints into segment watermarks.
-	if err := s.writer.Close(); err != nil {
-		s.cfg.Logger.Error("perflog writer close failed", "error", err.Error())
-	}
-	// The sampler stops — flushing its final history snapshot — before
-	// the final seal, so the persisted history covers the daemon's whole
-	// life including the drain it just finished observing.
-	s.obs.Stop()
-	if s.cfg.DataDir != "" && !s.degraded {
-		if n, err := s.store.Seal(); err != nil {
-			// The perflog tree still holds everything unsealed; the next
-			// boot re-ingests the tail, so a failed final seal degrades
-			// boot time, not durability.
-			s.cfg.Logger.Error("final seal failed", "error", err.Error())
-		} else if n > 0 {
-			s.cfg.Logger.Info("head sealed on shutdown", "entries", n)
-			s.publish(eventbus.TypeStoreSealed, map[string]string{
-				"entries": fmt.Sprint(n), "reason": "shutdown",
-			})
-		}
-	}
-	// Still-firing alerts resolve (reason shutdown) before the terminal
-	// event, so a watcher replaying the stream sees every fire matched by
-	// a resolve — shutdown is not an outage that leaves alerts dangling.
-	if n := s.obs.ResolveFiring(obs.ResolveShutdown); n > 0 {
-		s.cfg.Logger.Info("firing alerts resolved by shutdown", "count", n)
-	}
-	s.publish(eventbus.TypeServerShutdown, nil)
-	s.bus.Close()
-	return <-httpDone
 }

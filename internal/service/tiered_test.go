@@ -209,6 +209,9 @@ func TestTieredDegradedReadOnly(t *testing.T) {
 	if h.Status != "degraded" || h.Storage.Mode != "degraded-readonly" {
 		t.Fatalf("healthz = %+v", h)
 	}
+	if schedulerRunning(t, ts.URL) {
+		t.Error("a degraded boot started the schedule tick loop")
+	}
 	// Reads still work: the store was rebuilt from the text tree.
 	if h.Entries != n {
 		t.Fatalf("degraded boot serves %d entries, want %d", h.Entries, n)

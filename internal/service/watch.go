@@ -144,11 +144,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if replayRequested {
 		replay, gap := s.bus.ReplaySince(lastID, types)
 		if gap {
-			// The ring no longer reaches back that far; tell the client
-			// its view has a hole instead of silently skipping it.
-			if err := comment("replay gap: events before this point were evicted"); err != nil {
+			// The ring no longer reaches back that far, or the cursor is
+			// from an earlier boot (ids restart at 1): tell the client its
+			// view has a hole instead of silently skipping it. Every
+			// retained event is then new to it, including live ones with
+			// ids at or below its old cursor.
+			if err := comment("replay gap: events before this point were evicted or belong to an earlier boot"); err != nil {
 				return
 			}
+			lastID = 0
 		}
 		for _, ev := range replay {
 			if err := writeEvent(ev, "replay"); err != nil {

@@ -291,6 +291,42 @@ func TestWatchReplayGap(t *testing.T) {
 	}
 }
 
+// TestWatchCursorFromEarlierBoot: event ids restart at 1 each boot. A
+// client resuming with a cursor from an earlier life gets the gap
+// comment and the whole ring, and then live events whose ids are at or
+// below its old cursor: none is skipped as already seen.
+func TestWatchCursorFromEarlierBoot(t *testing.T) {
+	srv, ts := newWatchServer(t, nil)
+	for i := 0; i < 3; i++ {
+		if _, err := srv.Bus().Publish(eventbus.TypeStoreSealed, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := srv.Bus().LastID()
+	wc := dialWatch(t, ts.URL, "?types=store.sealed", last+2)
+	select {
+	case c := <-wc.comments:
+		if !strings.Contains(c, "replay gap") {
+			t.Fatalf("comment = %q, want a replay-gap notice", c)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no replay-gap comment for a cursor from an earlier boot")
+	}
+	replay := wc.collect(t, eventbus.TypeStoreSealed, 3, 5*time.Second)
+	if replay[0].ID != last-2 || replay[2].ID != last {
+		t.Fatalf("replayed ids %d..%d, want %d..%d", replay[0].ID, replay[2].ID, last-2, last)
+	}
+	for i := uint64(1); i <= 2; i++ {
+		ev, err := srv.Bus().Publish(eventbus.TypeStoreSealed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live := wc.next(t, 5*time.Second); live.ID != ev.ID || live.ID != last+i {
+			t.Fatalf("live event id = %d, want %d", live.ID, last+i)
+		}
+	}
+}
+
 // TestWatchSlowClientDrop: a stalled subscriber overflows its bounded
 // ring (drop-oldest, metric incremented) and its connection is
 // reclaimed by the write deadline — while a healthy subscriber on the

@@ -1,15 +1,12 @@
 package service
 
 import (
-	"context"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/perflog"
 	"repro/internal/telemetry"
 )
 
@@ -91,115 +88,5 @@ func TestWritePathGroupCommitDedup(t *testing.T) {
 	}
 	if v := sampleValue(t, body, "benchd_ingest_batch_size_count"); v < 1 {
 		t.Errorf("benchd_ingest_batch_size_count = %g, want >= 1", v)
-	}
-}
-
-// TestShutdownFlushesWriter: graceful shutdown flushes the shared
-// writer before the final seal — an entry still accumulating under a
-// long commit window is committed and acknowledged, not dropped.
-func TestShutdownFlushesWriter(t *testing.T) {
-	dir := t.TempDir()
-	srv, err := New(Config{
-		PerflogRoot:    dir + "/perflogs",
-		InstallTree:    dir + "/install",
-		Workers:        1,
-		QueueDepth:     4,
-		RequestTimeout: 30 * time.Second,
-		CommitInterval: time.Hour, // nothing commits until flush/close
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := srv.Writer()
-	if w == nil {
-		t.Fatal("server has no shared writer")
-	}
-	acked := make(chan error, 1)
-	go func() {
-		e := &perflog.Entry{
-			Time: time.Now().UTC(), Benchmark: "babelstream-omp",
-			System: "archer2", Result: "pass",
-		}
-		acked <- w.Append("archer2", "babelstream-omp", e)
-	}()
-	for n, _ := w.Pending(); n == 0; n, _ = w.Pending() {
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown with a pending batch: %v", err)
-	}
-	if err := <-acked; err != nil {
-		t.Fatalf("pending append not flushed by shutdown: %v", err)
-	}
-	entries, err := perflog.ReadTree(dir + "/perflogs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("perflog tree holds %d entries after shutdown flush, want 1", len(entries))
-	}
-}
-
-// TestShutdownDeadlineClosesWriter: the ctx-deadline branch of Shutdown
-// must still close the shared writer — the accumulating batch is
-// force-flushed (acked entries are durable), appenders blocked on the
-// commit window are released immediately rather than after MaxDelay,
-// and the cached descriptors are freed. A worker blocked inside the
-// hour-long commit window keeps the drain from finishing, so an
-// already-canceled context deterministically takes the deadline path.
-func TestShutdownDeadlineClosesWriter(t *testing.T) {
-	dir := t.TempDir()
-	srv, err := New(Config{
-		PerflogRoot:    dir + "/perflogs",
-		InstallTree:    dir + "/install",
-		Workers:        1,
-		QueueDepth:     4,
-		RequestTimeout: 30 * time.Second,
-		CommitInterval: time.Hour, // workers block in Append until flush/close
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	if code := postJSON(t, ts.URL+"/v1/runs",
-		`{"benchmark":"babelstream-omp","system":"archer2"}`, nil); code != http.StatusAccepted {
-		t.Fatalf("submit status = %d", code)
-	}
-	w := srv.Writer()
-	deadline := time.Now().Add(30 * time.Second)
-	for n, _ := w.Pending(); n == 0; n, _ = w.Pending() {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never enqueued its entry into the writer")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // expired before Shutdown: the drain cannot win the select
-	if err := srv.Shutdown(ctx); err != context.Canceled {
-		t.Fatalf("deadline shutdown returned %v, want context.Canceled", err)
-	}
-	// The writer was closed on the way out: the blocked worker's entry
-	// got a real durability verdict and is on disk…
-	waitEntries := time.Now().Add(30 * time.Second)
-	for {
-		entries, err := perflog.ReadTree(dir + "/perflogs")
-		if err == nil && len(entries) == 1 {
-			break
-		}
-		if time.Now().After(waitEntries) {
-			t.Fatalf("perflog tree after deadline shutdown: entries=%d err=%v", len(entries), err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// …and new appends are refused rather than accumulating forever in a
-	// writer nobody will ever flush again.
-	if err := w.Append("archer2", "babelstream-omp", &perflog.Entry{
-		Time: time.Now().UTC(), Benchmark: "babelstream-omp",
-		System: "archer2", Result: "pass",
-	}); err != perflog.ErrWriterClosed {
-		t.Fatalf("append after deadline shutdown = %v, want ErrWriterClosed", err)
 	}
 }

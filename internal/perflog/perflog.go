@@ -218,7 +218,8 @@ func unescape(s string) string {
 // appenders (several benchctl processes, a benchd writer) never
 // interleave bytes mid-line, and they are fsynced before Append reports
 // success: perflogs are the only durable record of a run (Principle 6).
-// The descriptor is closed before Append returns.
+// The descriptor is closed before Append returns. Each entry's Time is
+// rounded in place to the UTC whole second its line records.
 //
 // The injection points are the Writer's: "perflog.open" and
 // "perflog.sync" fire before any byte is written, so an injected fault

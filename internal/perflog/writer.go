@@ -164,7 +164,9 @@ func NewWriter(root string, opt WriterOptions) *Writer {
 
 // Append renders the entries, enqueues them into the open commit batch,
 // and blocks until that batch is durable. A nil return means the lines
-// are fsynced; any commit error fails every append in the batch.
+// are fsynced; any commit error fails every append in the batch. Each
+// entry's Time is rounded in place to the UTC whole second its line
+// records.
 func (w *Writer) Append(system, benchmark string, entries ...*Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -333,10 +335,14 @@ func (w *Writer) commit(b *writeBatch) error {
 	return nil
 }
 
-// render renders entries as perflog lines, each ending in '\n'.
+// render renders entries as perflog lines, each ending in '\n'. It first
+// rounds each entry's Time in place to what its line records, UTC whole
+// seconds, so the entries a Commit hands on equal what ParseLine reads
+// back and a run is served with one timestamp however it is loaded.
 func render(entries []*Entry) []byte {
 	var buf []byte
 	for _, e := range entries {
+		e.Time = e.Time.UTC().Truncate(time.Second)
 		buf = append(buf, e.Line()...)
 		buf = append(buf, '\n')
 	}

@@ -1,8 +1,9 @@
 // The segment lifecycle: Seal freezes the head into a new immutable
 // segment, Compact merges accumulated small segments into one, and
 // evictSealed rewrites segments when a sealed-from perflog file is
-// truncated. All three advance the manifest atomically, so every
-// crash window resolves to either the old tier state or the new one.
+// truncated. All three change the tier through swap, which advances the
+// manifest atomically, so every crash window resolves to either the old
+// tier state or the new one.
 package perfstore
 
 import (
@@ -14,6 +15,62 @@ import (
 
 	"repro/internal/faultinject"
 )
+
+// tierSlot is one place in the sealed tier that swap lays out: a segment
+// kept as it is, or an arena to write as a new segment.
+type tierSlot struct {
+	keep *segment
+	ents []stored
+}
+
+// swap is the sealed tier's one state change. It writes each slot's
+// arena as a new segment in that slot's place, applies edit to a copy of
+// the manifest that names the slots in order, and makes that copy
+// durable. Only then does the tier change: the segment list is swapped,
+// the files of segments left out are removed and the generation moves.
+// On any failure every file it wrote is removed and the tier is as it
+// was. Callers hold the segment write lock.
+func (s *Store) swap(slots []tierSlot, edit func(next *manifest)) error {
+	next := s.seg.man.clone()
+	next.Generation++
+	next.Segments = next.Segments[:0]
+	if edit != nil {
+		edit(next)
+	}
+	list := make([]*segment, 0, len(slots))
+	for _, sl := range slots {
+		g := sl.keep
+		if g == nil {
+			next.NextSeg++
+			var err error
+			if g, err = writeSegmentFile(s.dataDir, next.NextSeg, sl.ents); err != nil {
+				s.removeFiles(list, s.seg.list)
+				return err
+			}
+		}
+		list = append(list, g)
+		next.Segments = append(next.Segments, g.info)
+	}
+	if err := saveManifest(s.dataDir, next); err != nil {
+		s.removeFiles(list, s.seg.list)
+		return err
+	}
+	old := s.seg.list
+	s.seg.man, s.seg.list = next, list
+	s.removeFiles(old, list)
+	s.gen.Add(1)
+	return nil
+}
+
+// removeFiles deletes the file of every segment in segs that keep does
+// not hold.
+func (s *Store) removeFiles(segs, keep []*segment) {
+	for _, g := range segs {
+		if !slices.Contains(keep, g) {
+			os.Remove(filepath.Join(s.dataDir, g.info.File))
+		}
+	}
+}
 
 // Seal freezes the entire mutable head into one new sealed segment and
 // advances the manifest's watermarks to the current ingest checkpoints,
@@ -43,11 +100,7 @@ func (s *Store) Seal() (int, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for j := range sh.entries {
-			st := sh.entries[j]
-			if st.dead {
-				continue
-			}
+		for _, st := range sh.entries {
 			st.file = s.relSource(st.file)
 			ents = append(ents, st)
 		}
@@ -60,47 +113,33 @@ func (s *Store) Seal() (int, error) {
 
 	s.seg.Lock()
 	defer s.seg.Unlock()
-	id := s.seg.man.NextSeg + 1
-	info, err := writeSegmentFile(s.dataDir, id, ents)
+	slots := make([]tierSlot, 0, len(s.seg.list)+1)
+	for _, g := range s.seg.list {
+		slots = append(slots, tierSlot{keep: g})
+	}
+	// The new segment starts resident: its arena is the head just
+	// snapshotted, so only a load after a restart goes through the codec.
+	err := s.swap(append(slots, tierSlot{ents: ents}), func(next *manifest) {
+		next.MaxSeq = max(next.MaxSeq, s.seq.Load())
+		for path, ck := range s.ck {
+			next.Watermarks[s.relSource(path)] = ck.offset
+		}
+	})
 	if err != nil {
 		return 0, err
 	}
-	next := s.seg.man.clone()
-	next.NextSeg = id
-	next.Generation++
-	if maxSeq := s.seq.Load(); maxSeq > next.MaxSeq {
-		next.MaxSeq = maxSeq
-	}
-	for path, ck := range s.ck {
-		next.Watermarks[s.relSource(path)] = ck.offset
-	}
-	next.Segments = append(next.Segments, info)
-	if err := saveManifest(s.dataDir, next); err != nil {
-		os.Remove(filepath.Join(s.dataDir, info.File))
-		return 0, err
-	}
-	s.seg.man = next
-	// The sealed arena is exactly the head we just snapshotted, so the
-	// new segment starts resident — same *perflog.Entry pointers, no
-	// decode — and only a post-restart load goes through the codec.
-	s.seg.list = append(s.seg.list, &segment{
-		dir:  s.dataDir,
-		info: info,
-		data: &view{entries: ents, post: buildPostings(ents)},
-	})
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.reset()
 		sh.mu.Unlock()
 	}
-	s.gen.Add(1)
 	metricSealsTotal.Inc()
 	metricSealSeconds.Observe(time.Since(start).Seconds())
 	return len(ents), nil
 }
 
-// MaybeSeal seals when the head has grown to at least threshold live
+// MaybeSeal seals when the head has grown to at least threshold
 // entries — the maintenance loop's idempotent form.
 func (s *Store) MaybeSeal(threshold int) (int, error) {
 	if s.dataDir == "" || threshold <= 0 {
@@ -110,7 +149,7 @@ func (s *Store) MaybeSeal(threshold int) (int, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		head += sh.live
+		head += len(sh.entries)
 		sh.mu.RUnlock()
 	}
 	if head < threshold {
@@ -150,30 +189,9 @@ func (s *Store) Compact(maxSegments int) (bool, error) {
 		ents = append(ents, d.entries...)
 	}
 	slices.SortFunc(ents, func(a, b stored) int { return cmpOrder(a.t, a.seq, b.t, b.seq) })
-	id := s.seg.man.NextSeg + 1
-	info, err := writeSegmentFile(s.dataDir, id, ents)
-	if err != nil {
+	if err := s.swap([]tierSlot{{ents: ents}}, nil); err != nil {
 		return false, err
 	}
-	next := s.seg.man.clone()
-	next.NextSeg = id
-	next.Generation++
-	next.Segments = []SegmentInfo{info}
-	if err := saveManifest(s.dataDir, next); err != nil {
-		os.Remove(filepath.Join(s.dataDir, info.File))
-		return false, err
-	}
-	old := s.seg.man.Segments
-	s.seg.man = next
-	s.seg.list = []*segment{{
-		dir:  s.dataDir,
-		info: info,
-		data: &view{entries: ents, post: buildPostings(ents)},
-	}}
-	for _, oi := range old {
-		os.Remove(filepath.Join(s.dataDir, oi.File))
-	}
-	s.gen.Add(1)
 	metricCompactionsTotal.Inc()
 	metricCompactSeconds.Observe(time.Since(start).Seconds())
 	return true, nil
@@ -181,77 +199,40 @@ func (s *Store) Compact(maxSegments int) (bool, error) {
 
 // evictSealed removes every sealed entry ingested from one perflog file
 // — the sealed tier's leg of truncation recovery. Each affected segment
-// is rewritten without the file's entries (or dropped outright if
-// nothing survives), the manifest forgets the file's watermark, and the
-// old segment files are deleted only after the new manifest is durable.
-// Callers hold ckMu. Returns entries removed.
-func (s *Store) evictSealed(path string) (int, error) {
+// is rewritten in its place without the file's entries (or dropped
+// outright if nothing survives), and the manifest forgets the file's
+// watermark. Callers hold ckMu.
+func (s *Store) evictSealed(path string) error {
 	if s.dataDir == "" {
-		return 0, nil
+		return nil
 	}
 	rel := s.relSource(path)
 	s.seg.Lock()
 	defer s.seg.Unlock()
-	touched := false
-	for _, g := range s.seg.list {
-		if slices.Contains(g.info.Sources, rel) {
-			touched = true
-			break
-		}
-	}
-	if _, ok := s.seg.man.Watermarks[rel]; !ok && !touched {
-		return 0, nil
-	}
-
-	next := s.seg.man.clone()
-	delete(next.Watermarks, rel)
-	removed := 0
-	var newList []*segment
-	var newInfos []SegmentInfo
-	var obsolete []string
+	_, touched := s.seg.man.Watermarks[rel]
+	slots := make([]tierSlot, 0, len(s.seg.list))
 	for _, g := range s.seg.list {
 		if !slices.Contains(g.info.Sources, rel) {
-			newList = append(newList, g)
-			newInfos = append(newInfos, g.info)
+			slots = append(slots, tierSlot{keep: g})
 			continue
 		}
+		touched = true
 		d, err := g.load()
 		if err != nil {
-			return 0, fmt.Errorf("perfstore: evict sealed: %w", err)
+			return fmt.Errorf("perfstore: evict sealed: %w", err)
 		}
 		kept := make([]stored, 0, len(d.entries))
 		for _, st := range d.entries {
-			if st.file == rel {
-				removed++
-				continue
+			if st.file != rel {
+				kept = append(kept, st)
 			}
-			kept = append(kept, st)
 		}
-		obsolete = append(obsolete, g.info.File)
-		if len(kept) == 0 {
-			continue
+		if len(kept) > 0 {
+			slots = append(slots, tierSlot{ents: kept})
 		}
-		next.NextSeg++
-		ni, err := writeSegmentFile(s.dataDir, next.NextSeg, kept)
-		if err != nil {
-			return 0, err
-		}
-		newList = append(newList, &segment{
-			dir:  s.dataDir,
-			info: ni,
-			data: &view{entries: kept, post: buildPostings(kept)},
-		})
-		newInfos = append(newInfos, ni)
 	}
-	next.Generation++
-	next.Segments = newInfos
-	if err := saveManifest(s.dataDir, next); err != nil {
-		return 0, err
+	if !touched {
+		return nil
 	}
-	s.seg.man = next
-	s.seg.list = newList
-	for _, name := range obsolete {
-		os.Remove(filepath.Join(s.dataDir, name))
-	}
-	return removed, nil
+	return s.swap(slots, func(next *manifest) { delete(next.Watermarks, rel) })
 }

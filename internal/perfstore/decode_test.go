@@ -55,14 +55,14 @@ func randArena(rng *rand.Rand, n int) []stored {
 }
 
 // TestSegmentDecodeMatchesReference: for random arenas the decoder must
-// give back the very entries that were encoded, and the posting lists it
-// buckets by dictionary id while decoding must be the ones buildPostings
-// derives from the decoded arena.
+// give back the very entries that were encoded, and the posting lists
+// the encoder and the decoder bucket by dictionary id must both be the
+// ones buildPostings derives from the arena.
 func TestSegmentDecodeMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ents := randArena(rng, rng.Intn(300))
-		hdr, data := encodeSegment(ents)
+		hdr, data, post := encodeSegment(ents)
 		d, err := decodeSegment(hdr, data)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -75,13 +75,17 @@ func TestSegmentDecodeMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(want.entry, got.entry) {
 				t.Fatalf("seed %d row %d:\nwant %#v\ngot  %#v", seed, i, want.entry, got.entry)
 			}
-			if want.t != got.t || want.seq != got.seq || want.file != got.file || got.dead {
-				t.Fatalf("seed %d row %d: slot (%d,%d,%q) -> (%d,%d,%q,dead=%v)",
-					seed, i, want.t, want.seq, want.file, got.t, got.seq, got.file, got.dead)
+			if want.t != got.t || want.seq != got.seq || want.file != got.file {
+				t.Fatalf("seed %d row %d: slot (%d,%d,%q) -> (%d,%d,%q)",
+					seed, i, want.t, want.seq, want.file, got.t, got.seq, got.file)
 			}
 		}
-		if want := buildPostings(d.entries); !reflect.DeepEqual(want, d.post) {
-			t.Fatalf("seed %d: postings diverge from buildPostings\nwant %v\ngot  %v", seed, want, d.post)
+		want := buildPostings(ents)
+		if !reflect.DeepEqual(want, d.post) {
+			t.Fatalf("seed %d: decoded postings diverge from buildPostings\nwant %v\ngot  %v", seed, want, d.post)
+		}
+		if !reflect.DeepEqual(want, post) {
+			t.Fatalf("seed %d: encoded postings diverge from buildPostings\nwant %v\ngot  %v", seed, want, post)
 		}
 	}
 }

@@ -26,8 +26,9 @@ import (
 //     everything first.
 //
 // Both are maintained incrementally under the shard lock on add and
-// evict; queries only ever take the read lock. Entries are immutable
-// once added, so index reads may hand out *perflog.Entry freely.
+// rebuilt with the arena on evict; queries only ever take the read
+// lock. Entries are immutable once added, so index reads may hand out
+// *perflog.Entry freely.
 
 // Posting-list keys. The kind byte namespaces the value so a system
 // named "pass" never collides with result=pass.
@@ -48,7 +49,6 @@ type stored struct {
 	file  string
 	t     int64
 	seq   uint64
-	dead  bool
 }
 
 // timeNanos is the ordering key for a timestamp. Outside UnixNano's
@@ -72,17 +72,15 @@ func timeNanos(tm time.Time) int64 {
 // identity. Everything a query reads goes through a view, so both tiers
 // run the one scan in query.go.
 type view struct {
-	entries []stored           // arena; a shard's is append-only, dead slots tombstoned
+	entries []stored           // arena; a shard's grows by appends and is rebuilt by eviction
 	post    map[string][]int32 // posting lists, ascending arena indices
-	byTime  []int32            // live arena indices, sorted by (Time, seq); non-nil whenever a shard holds anything
+	byTime  []int32            // arena indices, sorted by (Time, seq); non-nil whenever a shard holds anything
 }
 
 type shard struct {
 	mu sync.RWMutex
 	view
-	deadN   int
-	live    int
-	systems map[string]int    // live entries per system (Systems/Stats)
+	systems map[string]int    // entries per system (Stats)
 	keys    map[string]string // every posting key, interned
 	keyBuf  []byte            // scratch for rendering a posting key
 }
@@ -97,8 +95,6 @@ func (sh *shard) init() {
 // entries into a segment. Callers hold sh.mu.
 func (sh *shard) reset() {
 	sh.entries = nil
-	sh.deadN = 0
-	sh.live = 0
 	sh.byTime = nil
 	sh.init()
 }
@@ -112,8 +108,16 @@ func (sh *shard) addLocked(es []*perflog.Entry, file string, seq uint64) {
 	base := int32(len(sh.entries))
 	sh.entries = slices.Grow(sh.entries, len(es))
 	for k, e := range es {
-		idx := base + int32(k)
 		sh.entries = append(sh.entries, stored{entry: e, file: file, t: timeNanos(e.Time), seq: seq + uint64(k)})
+	}
+	sh.indexLocked(base)
+}
+
+// indexLocked posts the arena rows from base on and merges them into the
+// time order. Callers hold sh.mu.
+func (sh *shard) indexLocked(base int32) {
+	for idx := base; idx < int32(len(sh.entries)); idx++ {
+		e := sh.entries[idx].entry
 		sys := sh.postLocked(idx, 's', e.System, "")
 		sh.systems[sys[2:]]++ // the interned key's copy: no chunk of the file stays reachable through it
 		sh.postLocked(idx, 'b', e.Benchmark, "")
@@ -127,7 +131,6 @@ func (sh *shard) addLocked(es []*perflog.Entry, file string, seq uint64) {
 			sh.postLocked(idx, 'x', k, v)
 		}
 	}
-	sh.live += len(es)
 	sh.mergeTimeLocked(base)
 }
 
@@ -190,81 +193,25 @@ func (sh *shard) mergeTimeLocked(base int32) {
 	}
 }
 
-// evictLocked tombstones every entry ingested from file and filters it
-// out of the posting lists and the time view. Callers hold sh.mu.
+// evictLocked removes every entry ingested from file by rebuilding the
+// shard from the rows that stay, their seqs and arena order unchanged —
+// as sealed eviction rewrites a segment. Callers hold sh.mu.
 func (sh *shard) evictLocked(file string) int {
-	removed := 0
-	for i := range sh.entries {
-		st := &sh.entries[i]
-		if st.dead || st.file != file {
-			continue
-		}
-		st.dead = true
-		removed++
-		sys := st.entry.System
-		if sh.systems[sys]--; sh.systems[sys] == 0 {
-			delete(sh.systems, sys)
+	kept := sh.entries[:0]
+	for _, st := range sh.entries {
+		if st.file != file {
+			kept = append(kept, st)
 		}
 	}
+	removed := len(sh.entries) - len(kept)
 	if removed == 0 {
 		return 0
 	}
-	sh.live -= removed
-	sh.deadN += removed
-	kept := sh.byTime[:0]
-	for _, i := range sh.byTime {
-		if !sh.entries[i].dead {
-			kept = append(kept, i)
-		}
-	}
-	sh.byTime = kept
-	for key, list := range sh.post {
-		kl := list[:0]
-		for _, i := range list {
-			if !sh.entries[i].dead {
-				kl = append(kl, i)
-			}
-		}
-		if len(kl) == 0 {
-			delete(sh.post, key)
-			delete(sh.keys, key)
-		} else {
-			sh.post[key] = kl
-		}
-	}
-	// Tombstones accumulate across truncation/rewrite cycles; compact
-	// once the majority of the arena is dead so memory stays bounded by
-	// the live set.
-	if sh.deadN > len(sh.entries)/2 {
-		sh.compactLocked()
-	}
-	return removed
-}
-
-// compactLocked rewrites the arena without tombstones and remaps every
-// index structure. byTime and the posting lists hold only live indices,
-// so the remap is total for them.
-func (sh *shard) compactLocked() {
-	remap := make([]int32, len(sh.entries))
-	kept := sh.entries[:0]
-	for i := range sh.entries {
-		if sh.entries[i].dead {
-			remap[i] = -1
-			continue
-		}
-		remap[i] = int32(len(kept))
-		kept = append(kept, sh.entries[i])
-	}
+	clear(sh.entries[len(kept):]) // the evicted entries and their chunks can go
+	sh.reset()
 	sh.entries = kept
-	for j, i := range sh.byTime {
-		sh.byTime[j] = remap[i]
-	}
-	for _, list := range sh.post {
-		for j, i := range list {
-			list[j] = remap[i]
-		}
-	}
-	sh.deadN = 0
+	sh.indexLocked(0)
+	return removed
 }
 
 // hit is one matching entry with its ordering key — timestamp nanos
@@ -291,7 +238,7 @@ func cmpOrder(at int64, aseq uint64, bt int64, bseq uint64) int {
 func cmpHits(a, b hit) int       { return cmpOrder(a.t, a.seq, b.t, b.seq) }
 func cmpStored(a, b *stored) int { return cmpOrder(a.t, a.seq, b.t, b.seq) }
 
-// rows is the number of live rows.
+// rows is the number of rows.
 func (v *view) rows() int {
 	if v.byTime != nil {
 		return len(v.byTime)
@@ -299,7 +246,7 @@ func (v *view) rows() int {
 	return len(v.entries)
 }
 
-// row is the i-th live row in (time, seq) order.
+// row is the i-th row in (time, seq) order.
 func (v *view) row(i int) *stored {
 	if v.byTime != nil {
 		i = int(v.byTime[i])

@@ -401,7 +401,7 @@ func TestInterleavedAppendEvictSelect(t *testing.T) {
 				s.Select(Query{Limit: 5})
 				s.Aggregate(Query{FOM: "l0", GroupBy: []string{"system"}})
 				s.Regressions(Query{FOM: "l0"}, 0.1, 3)
-				s.Systems()
+				s.Stats()
 			}
 		}()
 	}
@@ -561,9 +561,8 @@ func TestShardForIsFNV1a(t *testing.T) {
 }
 
 // sameIndex fails unless every shard of got holds exactly what the same
-// shard of want holds: the arena (entry, file, time, seq, tombstone),
-// the time order, every posting list, and the live and per-system
-// counts.
+// shard of want holds: the arena (entry, file, time, seq), the time
+// order, every posting list, and the per-system counts.
 func sameIndex(t *testing.T, stage string, got, want *Store) {
 	t.Helper()
 	for i := range got.shards {
@@ -575,8 +574,8 @@ func sameIndex(t *testing.T, stage string, got, want *Store) {
 			t.Fatalf("%s: shard %d: time order differs\ngot  %v\nwant %v", stage, i, g.byTime, w.byTime)
 		case !reflect.DeepEqual(g.post, w.post):
 			t.Fatalf("%s: shard %d: posting lists differ", stage, i)
-		case g.live != w.live || g.deadN != w.deadN || !reflect.DeepEqual(g.systems, w.systems):
-			t.Fatalf("%s: shard %d: live %d dead %d systems %v, want %d %d %v", stage, i, g.live, g.deadN, g.systems, w.live, w.deadN, w.systems)
+		case !reflect.DeepEqual(g.systems, w.systems):
+			t.Fatalf("%s: shard %d: systems %v, want %v", stage, i, g.systems, w.systems)
 		}
 	}
 }
@@ -586,7 +585,7 @@ func sameIndex(t *testing.T, stage string, got, want *Store) {
 // does, and every query answers alike, across in-order commits, the
 // end-to-end benchmark's time-interleaved files, timestamp ties within
 // and across batches, out-of-order rows within a batch, multi-system
-// batches, 1-entry commits, and eviction, compaction and re-adding.
+// batches, 1-entry commits, and eviction and re-adding.
 func TestAddBatchMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -669,23 +668,33 @@ func TestAddBatchMatchesReference(t *testing.T) {
 		}
 		check("out-of-order batches")
 
-		// Evict most files (compaction runs once the dead outnumber the
-		// live), then add them back.
+		// Evict most files, then add them back.
 		evicted := []string{"inorder.log", "random0.log", "random1.log", "file00.log", "file07.log"}
-		removed, dead := 0, 0
 		for _, f := range evicted {
-			removed += len(byFile[f])
 			for _, s := range []*Store{got, want} {
 				if err := s.evictFile(f); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		for i := range got.shards {
-			dead += got.shards[i].deadN
+		// Every shard's arena holds only the rows still present.
+		present := 0
+		for f, ents := range byFile {
+			if !slices.Contains(evicted, f) {
+				present += len(ents)
+			}
 		}
-		if dead >= removed {
-			t.Fatalf("seed %d: no shard compacted: %d tombstones for %d evicted entries", seed, dead, removed)
+		rows := 0
+		for i := range got.shards {
+			for _, st := range got.shards[i].entries {
+				if slices.Contains(evicted, st.file) {
+					t.Fatalf("seed %d: shard %d still holds a row of evicted %s", seed, i, st.file)
+				}
+			}
+			rows += len(got.shards[i].entries)
+		}
+		if rows != present {
+			t.Fatalf("seed %d: arenas hold %d rows, %d are present", seed, rows, present)
 		}
 		check("evicted")
 		for _, f := range evicted {

@@ -36,7 +36,7 @@ func (s *Store) selectScan(q Query) []*perflog.Entry {
 	m := q.compile()
 	var hits []hit
 	scan := func(st *stored) {
-		if !st.dead && !(m.hasSince && st.t < m.sinceNano) && m.matchEntry(st.entry) {
+		if !(m.hasSince && st.t < m.sinceNano) && m.matchEntry(st.entry) {
 			hits = append(hits, st.hit())
 		}
 	}
@@ -271,7 +271,6 @@ func (sh *shard) addLockedRef(e *perflog.Entry, file string, seq uint64) {
 	sh.byTime = append(sh.byTime, 0)
 	copy(sh.byTime[pos+1:], sh.byTime[pos:])
 	sh.byTime[pos] = idx
-	sh.live++
 	sh.systems[e.System]++
 }
 
@@ -293,6 +292,30 @@ func (s *Store) addBatchRef(entries []*perflog.Entry, file string) {
 		i = j
 	}
 	s.gen.Add(1)
+}
+
+// buildPostings indexes an immutable (t, seq)-sorted arena with the
+// same posting-list keys the head shards maintain incrementally, one
+// key string per posting: the reference the postings encodeSegment and
+// decodeSegment bucket by dictionary id are tested against.
+func buildPostings(entries []stored) map[string][]int32 {
+	post := map[string][]int32{}
+	for i := range entries {
+		idx := int32(i)
+		e := entries[i].entry
+		post[keySystem(e.System)] = append(post[keySystem(e.System)], idx)
+		post[keyBenchmark(e.Benchmark)] = append(post[keyBenchmark(e.Benchmark)], idx)
+		if e.Result != "" {
+			post[keyResult(e.Result)] = append(post[keyResult(e.Result)], idx)
+		}
+		for name := range e.FOMs {
+			post[keyFOM(name)] = append(post[keyFOM(name)], idx)
+		}
+		for k, v := range e.Extra {
+			post[keyExtra(k, v)] = append(post[keyExtra(k, v)], idx)
+		}
+	}
+	return post
 }
 
 // readTailRef is readTail as a bufio line loop, one string per line: the

@@ -130,30 +130,6 @@ type SegmentInfo struct {
 	Systems []string `json:"systems,omitempty"`
 }
 
-// buildPostings indexes an immutable (t, seq)-sorted arena with the
-// same posting-list keys the head shards maintain incrementally. It
-// serves arenas assembled in memory (seal, compact, sealed eviction) and
-// is the reference decodeSegment's own bucketing is tested against.
-func buildPostings(entries []stored) map[string][]int32 {
-	post := map[string][]int32{}
-	for i := range entries {
-		idx := int32(i)
-		e := entries[i].entry
-		post[keySystem(e.System)] = append(post[keySystem(e.System)], idx)
-		post[keyBenchmark(e.Benchmark)] = append(post[keyBenchmark(e.Benchmark)], idx)
-		if e.Result != "" {
-			post[keyResult(e.Result)] = append(post[keyResult(e.Result)], idx)
-		}
-		for name := range e.FOMs {
-			post[keyFOM(name)] = append(post[keyFOM(name)], idx)
-		}
-		for k, v := range e.Extra {
-			post[keyExtra(k, v)] = append(post[keyExtra(k, v)], idx)
-		}
-	}
-	return post
-}
-
 // dictBuilder interns strings into a per-segment dictionary.
 type dictBuilder struct {
 	ids  map[string]uint64
@@ -171,9 +147,11 @@ func (d *dictBuilder) id(s string) uint64 {
 }
 
 // encodeSegment renders a (t, seq)-sorted arena into header + data
-// block bytes.
-func encodeSegment(entries []stored) (segHeader, []byte) {
+// block bytes, and buckets the arena's posting lists by dictionary id as
+// it hands the ids out — the lists a decode of the block yields.
+func encodeSegment(entries []stored) (segHeader, []byte, map[string][]int32) {
 	dict := &dictBuilder{ids: map[string]uint64{}}
+	pb := newPostingBuilder(0, len(entries))
 	var cols []byte
 	put := func(v uint64) { cols = binary.AppendUvarint(cols, v) }
 	puts := func(v int64) { cols = binary.AppendVarint(cols, v) }
@@ -199,25 +177,37 @@ func encodeSegment(entries []stored) (segHeader, []byte) {
 		put(uint64(e.Time.Nanosecond()))
 		put(st.seq - hdr.MinSeq)
 		put(dict.id(st.file))
-		put(dict.id(e.System))
-		put(dict.id(e.Benchmark))
+		sys, bench := dict.id(e.System), dict.id(e.Benchmark)
+		put(sys)
+		put(bench)
+		pb.postSystem(sys)
+		pb.postBenchmark(bench)
 		put(dict.id(e.Partition))
 		put(dict.id(e.Environ))
 		put(dict.id(e.Spec))
-		put(dict.id(e.Result))
+		res := dict.id(e.Result)
+		put(res)
+		if e.Result != "" {
+			pb.postResult(res)
+		}
 		puts(int64(e.JobID))
 		put(uint64(len(e.FOMs)))
 		for _, name := range sortedFOMNames(e.FOMs) {
 			v := e.FOMs[name]
-			put(dict.id(name))
+			id := dict.id(name)
+			put(id)
 			put(dict.id(v.Unit))
 			cols = binary.LittleEndian.AppendUint64(cols, math.Float64bits(v.Value))
+			pb.postFOM(id)
 		}
 		put(uint64(len(e.Extra)))
 		for _, k := range sortedExtraKeys(e.Extra) {
-			put(dict.id(k))
-			put(dict.id(e.Extra[k]))
+			kid, vid := dict.id(k), dict.id(e.Extra[k])
+			put(kid)
+			put(vid)
+			pb.postExtra(kid, vid)
 		}
+		pb.endRow()
 	}
 
 	data := binary.AppendUvarint(nil, uint64(len(dict.strs)))
@@ -228,7 +218,7 @@ func encodeSegment(entries []stored) (segHeader, []byte) {
 	data = append(data, cols...)
 	hdr.DataLen = uint64(len(data))
 	hdr.DataCRC = crc32.Checksum(data, segCRC)
-	return hdr, data
+	return hdr, data, pb.finish(dict.strs)
 }
 
 func sortedFOMNames(m map[string]fom.Value) []string {
@@ -329,16 +319,15 @@ func (r *byteReader) bytes(n uint64) ([]byte, error) {
 }
 
 // postingBuilder buckets row indices by dictionary id while a segment
-// decodes, so the load path never concatenates or hashes a posting key
-// per row: a posting is one table or integer-map probe, each key string
-// is built once per distinct id, and every list is carved out of one
-// shared slab. finish yields exactly what buildPostings computes from
-// the decoded arena.
+// encodes or decodes, so neither path concatenates or hashes a posting
+// key per row: a posting is one table or integer-map probe, each key
+// string is built once per distinct id, and every list is carved out of
+// one shared slab. finish yields exactly what the per-row key build in
+// ref_test.go computes from the arena.
 type postingBuilder struct {
-	dict []string
 	// system, benchmark, result and FOM-name postings are keyed by one
-	// dictionary id: dense id → bucket+1 tables. Extras are keyed by a
-	// (key id, value id) pair.
+	// dictionary id: dense id → bucket+1 tables, grown as the encoder
+	// hands out ids. Extras are keyed by a (key id, value id) pair.
 	system, benchmark, result, fom []int32
 	extra                          map[[2]uint64]int32
 	buckets                        []postingBucket
@@ -355,15 +344,14 @@ type postingBucket struct {
 	n    int32
 }
 
-func newPostingBuilder(dict []string, rows int) *postingBuilder {
-	n := len(dict)
-	tables := make([]int32, 4*n)
+// newPostingBuilder sizes the id tables for a dictionary of ids strings.
+func newPostingBuilder(ids, rows int) *postingBuilder {
+	tables := make([]int32, 4*ids)
 	return &postingBuilder{
-		dict:      dict,
-		system:    tables[:n],
-		benchmark: tables[n : 2*n],
-		result:    tables[2*n : 3*n],
-		fom:       tables[3*n:],
+		system:    tables[:ids:ids],
+		benchmark: tables[ids : 2*ids : 2*ids],
+		result:    tables[2*ids : 3*ids : 3*ids],
+		fom:       tables[3*ids:],
 		extra:     map[[2]uint64]int32{},
 		rowEnd:    make([]int32, 0, rows),
 	}
@@ -380,10 +368,19 @@ func (pb *postingBuilder) post(slot *int32, kind byte, a, b uint64) {
 	pb.refs = append(pb.refs, *slot-1)
 }
 
-func (pb *postingBuilder) postSystem(id uint64)    { pb.post(&pb.system[id], 's', id, 0) }
-func (pb *postingBuilder) postBenchmark(id uint64) { pb.post(&pb.benchmark[id], 'b', id, 0) }
-func (pb *postingBuilder) postResult(id uint64)    { pb.post(&pb.result[id], 'r', id, 0) }
-func (pb *postingBuilder) postFOM(id uint64)       { pb.post(&pb.fom[id], 'f', id, 0) }
+// idSlot is table's slot for id, growing the table to an id the encoder
+// just handed out.
+func idSlot(table *[]int32, id uint64) *int32 {
+	for uint64(len(*table)) <= id {
+		*table = append(*table, 0)
+	}
+	return &(*table)[id]
+}
+
+func (pb *postingBuilder) postSystem(id uint64)    { pb.post(idSlot(&pb.system, id), 's', id, 0) }
+func (pb *postingBuilder) postBenchmark(id uint64) { pb.post(idSlot(&pb.benchmark, id), 'b', id, 0) }
+func (pb *postingBuilder) postResult(id uint64)    { pb.post(idSlot(&pb.result, id), 'r', id, 0) }
+func (pb *postingBuilder) postFOM(id uint64)       { pb.post(idSlot(&pb.fom, id), 'f', id, 0) }
 
 func (pb *postingBuilder) postExtra(k, v uint64) {
 	slot := pb.extra[[2]uint64{k, v}]
@@ -394,19 +391,20 @@ func (pb *postingBuilder) postExtra(k, v uint64) {
 	}
 }
 
-// key renders a bucket's posting key, once per bucket.
-func (pb *postingBuilder) key(bk postingBucket) string {
+// bucketKey renders a bucket's posting key from the dictionary, once per
+// bucket.
+func bucketKey(dict []string, bk postingBucket) string {
 	switch bk.kind {
 	case 's':
-		return keySystem(pb.dict[bk.a])
+		return keySystem(dict[bk.a])
 	case 'b':
-		return keyBenchmark(pb.dict[bk.a])
+		return keyBenchmark(dict[bk.a])
 	case 'r':
-		return keyResult(pb.dict[bk.a])
+		return keyResult(dict[bk.a])
 	case 'f':
-		return keyFOM(pb.dict[bk.a])
+		return keyFOM(dict[bk.a])
 	}
-	return keyExtra(pb.dict[bk.a], pb.dict[bk.b])
+	return keyExtra(dict[bk.a], dict[bk.b])
 }
 
 func (pb *postingBuilder) endRow() { pb.rowEnd = append(pb.rowEnd, int32(len(pb.refs))) }
@@ -415,7 +413,7 @@ func (pb *postingBuilder) endRow() { pb.rowEnd = append(pb.rowEnd, int32(len(pb.
 // each, since rows were posted in order) and names them. A dictionary
 // that repeats a string under two ids — the encoder never writes one —
 // gives two buckets one key; their lists merge in row order.
-func (pb *postingBuilder) finish() map[string][]int32 {
+func (pb *postingBuilder) finish(dict []string) map[string][]int32 {
 	next := make([]int32, len(pb.buckets))
 	off := int32(0)
 	for b := range pb.buckets {
@@ -433,7 +431,7 @@ func (pb *postingBuilder) finish() map[string][]int32 {
 	}
 	post := make(map[string][]int32, len(pb.buckets))
 	for b, bk := range pb.buckets {
-		key, list := pb.key(bk), slab[next[b]-bk.n:next[b]:next[b]]
+		key, list := bucketKey(dict, bk), slab[next[b]-bk.n:next[b]:next[b]]
 		if prev, dup := post[key]; dup {
 			list = mergePostings(prev, list)
 		}
@@ -527,7 +525,7 @@ func decodeSegment(h segHeader, data []byte) (*view, error) {
 
 	slab := make([]perflog.Entry, h.Count)
 	d := &view{entries: make([]stored, h.Count)}
-	pb := newPostingBuilder(dict, h.Count)
+	pb := newPostingBuilder(len(dict), h.Count)
 	var ids []uint64 // the row's FOM-name ids, then its extra (key, value) id pairs
 	prevSec := int64(0)
 	prevT := int64(math.MinInt64)
@@ -663,7 +661,7 @@ func decodeSegment(h segHeader, data []byte) (*view, error) {
 	if r.pos != len(data) {
 		return nil, fmt.Errorf("%d trailing bytes after last row", len(data)-r.pos)
 	}
-	d.post = pb.finish()
+	d.post = pb.finish(dict)
 	return d, nil
 }
 
@@ -674,15 +672,17 @@ func segFileName(id uint64) string { return fmt.Sprintf("seg-%08d.seg", id) }
 // header and the body as two chunks: a crash mid-seal leaves at worst an
 // orphan .tmp the next Open sweeps away — never a half-written live
 // segment. The "perfstore.segwrite" injection point models that crash:
-// it fires before any byte of the segment is written.
-func writeSegmentFile(dir string, id uint64, entries []stored) (SegmentInfo, error) {
-	hdr, data := encodeSegment(entries)
+// it fires before any byte of the segment is written. The segment comes
+// back resident: its arena is entries itself, same *perflog.Entry
+// pointers, with the postings the encoder built.
+func writeSegmentFile(dir string, id uint64, entries []stored) (*segment, error) {
+	hdr, data, post := encodeSegment(entries)
 	name := segFileName(id)
 	if err := faultinject.Fire("perfstore.segwrite"); err != nil {
-		return SegmentInfo{}, fmt.Errorf("perfstore: seal %s: %w", name, err)
+		return nil, fmt.Errorf("perfstore: seal %s: %w", name, err)
 	}
 	if err := atomicfile.Write(filepath.Join(dir, name), marshalHeader(hdr), data); err != nil {
-		return SegmentInfo{}, fmt.Errorf("perfstore: seal: %w", err)
+		return nil, fmt.Errorf("perfstore: seal: %w", err)
 	}
 
 	info := SegmentInfo{
@@ -708,7 +708,7 @@ func writeSegmentFile(dir string, id uint64, entries []stored) (SegmentInfo, err
 		info.Systems = append(info.Systems, sys)
 	}
 	sort.Strings(info.Systems)
-	return info, nil
+	return &segment{dir: dir, info: info, data: &view{entries: entries, post: post}}, nil
 }
 
 // readSegmentHeader reads and validates only the fixed-size header —

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func sortedStored(seed int64, n int) []stored {
 func TestSegmentRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 500} {
 		ents := sortedStored(int64(n)+1, n)
-		hdr, data := encodeSegment(ents)
+		hdr, data, _ := encodeSegment(ents)
 		if hdr.Count != n {
 			t.Fatalf("n=%d: header count %d", n, hdr.Count)
 		}
@@ -55,9 +56,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 			}
 		}
 		// The rebuilt posting lists must match a from-scratch build.
-		rebuilt := buildPostings(d.entries)
-		if len(rebuilt) != len(d.post) {
-			t.Fatalf("n=%d: posting key count %d vs %d", n, len(rebuilt), len(d.post))
+		if rebuilt := buildPostings(d.entries); !reflect.DeepEqual(rebuilt, d.post) {
+			t.Fatalf("n=%d: decoded postings diverge from buildPostings", n)
 		}
 	}
 }
@@ -102,7 +102,7 @@ func TestSegmentTimeExtremes(t *testing.T) {
 	slices.SortFunc(ents, func(a, b stored) int {
 		return cmpHits(hit{a.entry, a.t, a.seq}, hit{b.entry, b.t, b.seq})
 	})
-	hdr, data := encodeSegment(ents)
+	hdr, data, _ := encodeSegment(ents)
 	d, err := decodeSegment(hdr, data)
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +122,11 @@ func TestSegmentTimeExtremes(t *testing.T) {
 func TestSegmentWriteRead(t *testing.T) {
 	dir := t.TempDir()
 	ents := sortedStored(3, 100)
-	info, err := writeSegmentFile(dir, 1, ents)
+	written, err := writeSegmentFile(dir, 1, ents)
 	if err != nil {
 		t.Fatal(err)
 	}
+	info := written.info
 	if info.Count != 100 || info.File != "seg-00000001.seg" {
 		t.Fatalf("info = %+v", info)
 	}
@@ -157,7 +158,7 @@ func TestSegmentWriteRead(t *testing.T) {
 // wrong arena — the CRC catches every single-byte flip).
 func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 	ents := sortedStored(7, 40)
-	hdr, data := encodeSegment(ents)
+	hdr, data, _ := encodeSegment(ents)
 	for i := 0; i < len(data); i += 7 {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x5a
@@ -173,11 +174,12 @@ func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 // FuzzSegmentDecode hammers the decoder with arbitrary headers and data
 // blocks: it must never panic and never accept bytes whose CRC holds
 // but whose structure is inconsistent without an error. Valid inputs
-// (from the encoder) must round-trip.
+// (from the encoder) must round-trip, and the postings the encoder
+// builds for a decoded arena must be the decoder's and buildPostings'.
 func FuzzSegmentDecode(f *testing.F) {
 	for _, n := range []int{0, 1, 25} {
 		ents := sortedStored(int64(n)+11, n)
-		hdr, data := encodeSegment(ents)
+		hdr, data, _ := encodeSegment(ents)
 		f.Add(marshalHeader(hdr), data)
 	}
 	f.Add([]byte("PSG1 garbage header padding here to 64 bytes....................."), []byte("junk"))
@@ -201,7 +203,7 @@ func FuzzSegmentDecode(f *testing.F) {
 			}
 		}
 		// And re-encoding a decoded arena must be stable (canonical form).
-		hdr2, data2 := encodeSegment(d.entries)
+		hdr2, data2, post2 := encodeSegment(d.entries)
 		d2, err := decodeSegment(hdr2, data2)
 		if err != nil {
 			t.Fatalf("re-encode of decoded arena does not decode: %v", err)
@@ -213,6 +215,12 @@ func FuzzSegmentDecode(f *testing.F) {
 			if d.entries[i].entry.Line() != d2.entries[i].entry.Line() {
 				t.Fatalf("re-encode changed row %d", i)
 			}
+		}
+		if !reflect.DeepEqual(post2, d.post) {
+			t.Fatalf("encoder postings diverge from the decoder's\nenc %v\ndec %v", post2, d.post)
+		}
+		if want := buildPostings(d.entries); !reflect.DeepEqual(post2, want) {
+			t.Fatalf("encoder postings diverge from buildPostings\nenc %v\nref %v", post2, want)
 		}
 	})
 }
@@ -231,10 +239,11 @@ func (g *segment) loaded() bool {
 func TestSegmentZoneMapPrunes(t *testing.T) {
 	dir := t.TempDir()
 	ents := sortedStored(5, 50)
-	info, err := writeSegmentFile(dir, 1, ents)
+	written, err := writeSegmentFile(dir, 1, ents)
 	if err != nil {
 		t.Fatal(err)
 	}
+	info := written.info
 	g := &segment{dir: dir, info: info}
 	s := Open("unused")
 	s.seg.list = []*segment{g}

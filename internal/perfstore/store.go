@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -302,7 +301,10 @@ func (s *Store) Sync() error {
 	defer readers.Wait()
 	for i, path := range paths {
 		<-ready[i]
-		if err := s.commitTail(path, tails[i]); err != nil {
+		s.ckMu.Lock()
+		err := s.advance(path, &tails[i], -1)
+		s.ckMu.Unlock()
+		if err != nil {
 			failed.Store(true)
 			return err
 		}
@@ -321,25 +323,32 @@ func (s *Store) Sync() error {
 // writer mid-append, so the checkpoint stays before the torn line and
 // the next sync re-reads it whole.
 func (s *Store) SyncFile(path string) error {
-	return s.commitTail(path, readTail(path, s.checkpointOffset(path), -1))
+	s.ckMu.Lock()
+	defer s.ckMu.Unlock()
+	return s.advance(path, nil, -1)
 }
 
-// checkpointOffset returns how far into path the store has ingested,
-// creating the file's checkpoint on first sight.
+// checkpointOffset returns how far into path the store has ingested.
 func (s *Store) checkpointOffset(path string) int64 {
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
+	return s.checkpoint(path).offset
+}
+
+// checkpoint returns path's checkpoint, creating it on first sight.
+// Callers hold ckMu.
+func (s *Store) checkpoint(path string) *checkpoint {
 	ck := s.ck[path]
 	if ck == nil {
 		ck = &checkpoint{}
 		s.ck[path] = ck
 	}
-	return ck.offset
+	return ck
 }
 
 // fileTail is what one perflog file holds past a checkpoint: its
 // complete lines, parsed. Reading one touches no store state; it enters
-// the store through commitTail.
+// the store through advance.
 type fileTail struct {
 	from    int64 // checkpoint offset the read started at
 	shrunk  bool  // the file is shorter than from: it was rewritten, and the tail is the whole file
@@ -424,20 +433,22 @@ func (t *fileTail) read(path string, to int64) error {
 	}
 }
 
-// commitTail indexes a tail and advances the file's checkpoint over it,
-// serialized on ckMu: two syncs of one file never double-ingest a byte
-// range. Entries the checkpoint comes to cover are indexed even when
-// the file is bad past them.
-func (s *Store) commitTail(path string, t fileTail) error {
-	s.ckMu.Lock()
-	defer s.ckMu.Unlock()
-	ck := s.ck[path]
-	if ck.offset != t.from {
-		// Another ingester (a group commit, another sync) moved the
-		// checkpoint while this tail was being read, so it no longer
-		// starts where the store ends. Read again from there; holding the
-		// lock keeps the checkpoint still this time.
-		t = readTail(path, ck.offset, -1)
+// advance is the one way a checkpoint moves. It indexes the complete
+// lines of path from the checkpoint up to offset to (the end of the file
+// when to is negative), moves the checkpoint past them and counts the
+// read. ahead is a tail read before ckMu was taken; it is read again when
+// it is nil or another ingester moved the checkpoint since. A file
+// shorter than its checkpoint was rewritten: its entries are evicted from
+// both tiers and it is read from the start. Entries the checkpoint comes
+// to cover are indexed and counted even when the file is bad past them,
+// and what cut the read short is returned. Callers hold ckMu, so no byte
+// range is ever indexed twice.
+func (s *Store) advance(path string, ahead *fileTail, to int64) error {
+	ck := s.checkpoint(path)
+	t := ahead
+	if t == nil || t.from != ck.offset {
+		read := readTail(path, ck.offset, to)
+		t = &read
 	}
 	if t.shrunk {
 		if err := s.evictFile(path); err != nil {
@@ -447,59 +458,38 @@ func (s *Store) commitTail(path string, t fileTail) error {
 	}
 	s.addBatch(t.entries, path)
 	ck.offset += t.bytes
-	if t.err != nil {
-		return t.err
-	}
 	s.bumpStats(1, t.bytes, len(t.entries))
-	return nil
+	return t.err
 }
-
-// AddBatch ingests one durable group commit from a perflog.Writer
-// without reading the file: the entries come parsed, with their exact
-// byte extent. When the file's checkpoint sits at the commit's start —
-// the steady state with the Writer as the file's only appender — the
-// batch is indexed in one shard pass and the checkpoint moves past it
-// (entries added, zero bytes parsed). Otherwise unknown bytes precede
-// the commit and AddBatch declines, reporting false and changing
-// nothing.
-func (s *Store) AddBatch(c perflog.Commit) bool { return s.ingestCommit(c, false) == nil }
-
-// IngestCommit is AddBatch that parses instead of declining: lines an
-// out-of-band writer appended between the checkpoint and the commit are
-// read first, up to the commit's start and never past it, and indexed
-// before the commit's own entries, leaving the checkpoint at the
-// commit's end. A gap it cannot read whole keeps its good prefix
-// indexed, leaves the commit to the next Sync, and is returned.
-func (s *Store) IngestCommit(c perflog.Commit) error { return s.ingestCommit(c, true) }
 
 const gapReads = 3 // reads of a gap that keeps coming back short
 
-func (s *Store) ingestCommit(c perflog.Commit, parseGap bool) error {
+// IngestCommit ingests one durable group commit from a perflog.Writer.
+// The entries come parsed, with their exact byte extent: when the file's
+// checkpoint sits at the commit's start — the steady state with the
+// Writer as the file's only appender — they are indexed in one shard
+// pass and the checkpoint moves past them, zero bytes parsed. Lines an
+// out-of-band writer appended between the checkpoint and the commit are
+// read first, up to the commit's start and never past it, and indexed
+// before the commit's own entries. A gap it cannot read whole keeps its
+// good prefix indexed, leaves the commit to the next Sync, and is
+// returned; a commit that starts behind the checkpoint changes nothing
+// and is refused.
+func (s *Store) IngestCommit(c perflog.Commit) error {
 	if len(c.Entries) == 0 {
 		return nil
 	}
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
-	ck := s.ck[c.Path]
-	if ck == nil {
-		ck = &checkpoint{}
-		s.ck[c.Path] = ck
-	}
-	var gap []*perflog.Entry
-	var parsed int64
-	var err error
-	reads := 0
-	if parseGap && ck.offset < c.Offset {
+	ck := s.checkpoint(c.Path)
+	if ck.offset < c.Offset {
 		metricCommitGaps.Inc()
 	}
-	for ; parseGap && reads < gapReads && ck.offset+parsed < c.Offset; reads++ {
-		t := readTail(c.Path, ck.offset+parsed, c.Offset)
-		gap, parsed, err = append(gap, t.entries...), parsed+t.bytes, t.err
+	var err error
+	for reads := 0; reads < gapReads && ck.offset < c.Offset; reads++ {
+		err = s.advance(c.Path, nil, c.Offset)
 	}
-	s.addBatch(gap, c.Path)
-	ck.offset += parsed
 	if ck.offset != c.Offset {
-		s.bumpStats(reads, parsed, len(gap))
 		if err == nil {
 			err = fmt.Errorf("perfstore: %s: commit starts at %d, store is at %d", c.Path, c.Offset, ck.offset)
 		}
@@ -507,9 +497,12 @@ func (s *Store) ingestCommit(c perflog.Commit, parseGap bool) error {
 	}
 	s.addBatch(c.Entries, c.Path)
 	ck.offset += c.Bytes
-	s.bumpStats(reads, parsed, len(gap)+len(c.Entries))
+	s.bumpStats(0, 0, len(c.Entries))
 	return nil
 }
+
+// AddBatch is IngestCommit reporting success.
+func (s *Store) AddBatch(c perflog.Commit) bool { return s.IngestCommit(c) == nil }
 
 // addBatch indexes entries under one shard-lock pass per contiguous
 // shard run and bumps the generation once for the whole batch — one
@@ -538,9 +531,8 @@ func (s *Store) addBatch(entries []*perflog.Entry, file string) {
 }
 
 // evictFile removes every entry ingested from one file (truncation
-// recovery) from both tiers: the shard indexes are repaired in place,
-// and any sealed segments holding the file's entries are rewritten
-// without them. Callers hold ckMu.
+// recovery) from both tiers: each shard is rebuilt without them, and any
+// sealed segments holding them are rewritten. Callers hold ckMu.
 func (s *Store) evictFile(path string) error {
 	removed := 0
 	for i := range s.shards {
@@ -549,14 +541,10 @@ func (s *Store) evictFile(path string) error {
 		removed += sh.evictLocked(path)
 		sh.mu.Unlock()
 	}
-	sealed, err := s.evictSealed(path)
-	if err != nil {
-		return err
-	}
-	if removed+sealed > 0 {
+	if removed > 0 {
 		s.gen.Add(1)
 	}
-	return nil
+	return s.evictSealed(path)
 }
 
 func (s *Store) bumpStats(files int, bytes int64, added int) {
@@ -587,7 +575,7 @@ func (s *Store) Stats() Stats {
 		for sys := range sh.systems {
 			systems[sys] = true
 		}
-		out.HeadEntries += sh.live
+		out.HeadEntries += len(sh.entries)
 		sh.mu.RUnlock()
 	}
 	s.seg.RLock()
@@ -622,29 +610,3 @@ func (s *Store) PublishMetrics() {
 
 // Len returns the number of indexed entries across both tiers.
 func (s *Store) Len() int { return s.Stats().Entries }
-
-// Systems lists the indexed system names across both tiers, sorted.
-func (s *Store) Systems() []string {
-	seen := map[string]bool{}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for sys := range sh.systems {
-			seen[sys] = true
-		}
-		sh.mu.RUnlock()
-	}
-	s.seg.RLock()
-	for _, g := range s.seg.list {
-		for _, sys := range g.info.Systems {
-			seen[sys] = true
-		}
-	}
-	s.seg.RUnlock()
-	out := make([]string, 0, len(seen))
-	for sys := range seen {
-		out = append(out, sys)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -132,6 +132,33 @@ func TestSyncParseErrorKeepsGoodPrefix(t *testing.T) {
 	}
 }
 
+// TestFailedReadCountsIndexedPrefix: a sync that stops at a malformed
+// line counts the good prefix it indexed and moved the checkpoint over
+// — in Stats and so in /healthz and the ingest metrics.
+func TestFailedReadCountsIndexedPrefix(t *testing.T) {
+	root := t.TempDir()
+	good := []*perflog.Entry{
+		entry("archer2", "hpgmg-fv", 1, t0, map[string]float64{"l0": 95}),
+		entry("archer2", "hpgmg-fv", 2, t0.Add(time.Hour), map[string]float64{"l0": 94}),
+	}
+	text := good[0].Line() + "\n" + good[1].Line() + "\n"
+	path := filepath.Join(root, "archer2", "hpgmg-fv.log")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(text+"this is not a perflog line\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := Open(root)
+	if err := s.Sync(); err == nil {
+		t.Fatal("sync over a malformed line succeeded")
+	}
+	st := s.Stats()
+	if s.Len() != 2 || st.EntriesAdded != 2 || st.BytesParsed != int64(len(text)) || st.FilesScanned != 1 {
+		t.Fatalf("Len %d, stats %+v: want 2 entries added, %d bytes parsed, 1 file scanned", s.Len(), st, len(text))
+	}
+}
+
 // TestReadTailMatchesLineReader: the chunked tail reader returns what
 // the bufio line loop it replaced returns — the same entries, bytes
 // consumed, and error text — for a line straddling a chunk boundary, a

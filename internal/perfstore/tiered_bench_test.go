@@ -192,7 +192,7 @@ func BenchmarkStoreSealedAggregate(b *testing.B) {
 // 50k is the per-row garbage a cold sealed boot pays.
 func BenchmarkSegmentDecode(b *testing.B) {
 	const n = 50_000
-	hdr, data := encodeSegment(sortedStored(21, n))
+	hdr, data, _ := encodeSegment(sortedStored(21, n))
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()

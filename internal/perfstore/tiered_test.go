@@ -128,8 +128,8 @@ func TestTieredSealAndQuery(t *testing.T) {
 			t.Fatalf("query %+v: sealed Select diverged from reference scan", q)
 		}
 	}
-	if got := s.Systems(); len(got) != 2 || got[0] != "archer2" || got[1] != "csd3" {
-		t.Fatalf("systems after seal: %v", got)
+	if st := s.Stats(); st.Systems != 2 || len(s.Select(Query{System: "archer2"})) == 0 || len(s.Select(Query{System: "csd3"})) == 0 {
+		t.Fatalf("systems after seal: %d", st.Systems)
 	}
 	// Sealing an empty head is a no-op, not a new segment.
 	if n, err := s.Seal(); err != nil || n != 0 {
@@ -371,6 +371,96 @@ func TestTieredCrashMidCompaction(t *testing.T) {
 			faultinject.Reset()
 			if s.Len() != 6 {
 				t.Fatalf("failed compaction changed Len to %d", s.Len())
+			}
+			crashRecoveryCheck(t, root, dataDir)
+		})
+	}
+}
+
+// TestSwapFailureLeavesTierUnchanged: a manifest swap that fails during
+// Seal, Compact or sealed eviction removes every segment file it wrote
+// and leaves the manifest, the segment list, Stats and the data
+// directory as they were; once the fault clears, the same call goes
+// through.
+func TestSwapFailureLeavesTierUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(s *Store) error
+	}{
+		{"seal", func(s *Store) error { _, err := s.Seal(); return err }},
+		{"compact", func(s *Store) error { _, err := s.Compact(2); return err }},
+		{"evict", func(s *Store) error {
+			// Rewrite archer2's file shorter: both segments hold its rows.
+			path := filepath.Join(s.root, "archer2", "hpgmg-fv.log")
+			e := entry("archer2", "hpgmg-fv", 500, t0.Add(60*time.Hour), map[string]float64{"l0": 42})
+			if err := os.WriteFile(path, []byte(e.Line()+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return s.SyncFile(path)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root, dataDir := seedTree(t), t.TempDir()
+			s, err := OpenTiered(root, dataDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			// Two segments, both holding archer2 rows, and a csd3 row in
+			// the head.
+			for i, sys := range []string{"archer2", "csd3"} {
+				if _, err := s.Seal(); err != nil {
+					t.Fatal(err)
+				}
+				e := entry(sys, "hpgmg-fv", 300+i, t0.Add(time.Duration(40+i)*time.Hour), map[string]float64{"l0": 70})
+				if err := appendAndSync(s, sys, "hpgmg-fv", e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snapshot := func() (string, []*segment, Stats, []string) {
+				man, err := os.ReadFile(filepath.Join(dataDir, manifestName))
+				if err != nil {
+					t.Fatal(err)
+				}
+				des, err := os.ReadDir(dataDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var files []string
+				for _, de := range des {
+					files = append(files, de.Name())
+				}
+				s.seg.RLock()
+				defer s.seg.RUnlock()
+				return string(man), slices.Clone(s.seg.list), s.Stats(), files
+			}
+			man, list, st, files := snapshot()
+			if st.SealedSegments != 2 || st.HeadEntries != 1 {
+				t.Fatalf("set-up: %+v, want 2 segments and 1 head entry", st)
+			}
+			loadFaults(t, 1, "perfstore.manifest:error:times=1")
+			if err := tc.op(s); err == nil {
+				t.Fatal("a failed manifest swap reported success")
+			}
+			man2, list2, st2, files2 := snapshot()
+			switch {
+			case man2 != man:
+				t.Errorf("manifest changed:\n%s\nwas\n%s", man2, man)
+			case !slices.Equal(list2, list):
+				t.Errorf("segment list changed")
+			case st2 != st:
+				t.Errorf("stats %+v, were %+v", st2, st)
+			case !slices.Equal(files2, files):
+				t.Errorf("data dir holds %v, held %v", files2, files)
+			}
+			faultinject.Reset()
+			if err := tc.op(s); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, st3, _ := snapshot(); st3.ManifestGeneration != st.ManifestGeneration+1 {
+				t.Fatalf("retried swap left generation %d, want %d", st3.ManifestGeneration, st.ManifestGeneration+1)
 			}
 			crashRecoveryCheck(t, root, dataDir)
 		})
@@ -683,7 +773,6 @@ func TestTieredConcurrent(t *testing.T) {
 				s.Select(Query{System: "archer2", FOM: "l0"})
 				s.Select(Query{Limit: 5})
 				s.Aggregate(Query{FOM: "l0", GroupBy: []string{"system"}})
-				s.Systems()
 				s.Stats()
 			}
 		}()

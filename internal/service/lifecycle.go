@@ -49,12 +49,11 @@ func (s *Server) startLoops() {
 // maintain is one pass of the storage maintenance loop: it ingests what
 // out-of-band appenders added to the perflog tree and, on a tiered
 // store, seals a grown head into a segment and compacts small segments,
-// keeping boot O(headers) and query fan-out bounded.
+// keeping boot O(headers) and query fan-out bounded. Sealing and
+// compaction do nothing on a memory-only store, which is what a
+// degraded boot opens.
 func (s *Server) maintain() {
 	s.syncOutOfBand()
-	if s.cfg.DataDir == "" || s.degraded {
-		return
-	}
 	n, err := s.store.MaybeSeal(s.cfg.SealThreshold)
 	s.sealed("maintenance", n, err)
 	if ran, err := s.store.Compact(s.cfg.CompactSegments); err != nil {
@@ -122,8 +121,9 @@ func (s *Server) Start(addr string) error {
 //  2. drain the workers, bounded by ctx: every accepted run executes;
 //  3. stop the sampler and flush its history;
 //  4. close the writer, committing any batch still accumulating;
-//  5. seal the head, only if the drain finished and the store is tiered
-//     and not degraded, so the next boot parses zero perflog bytes;
+//  5. seal the head, only if the drain finished, so the next boot parses
+//     zero perflog bytes (Seal does nothing on a memory-only store,
+//     which is what a degraded boot opens);
 //  6. resolve firing alerts (reason shutdown);
 //  7. publish server.shutdown, which ends every /v1/watch stream;
 //  8. close the bus;
@@ -171,7 +171,7 @@ func (s *Server) shutdown(ctx context.Context) error {
 	if err := s.writer.Close(); err != nil {
 		s.cfg.Logger.Error("perflog writer close failed", "error", err.Error())
 	}
-	if drainErr == nil && s.cfg.DataDir != "" && !s.degraded {
+	if drainErr == nil {
 		n, err := s.store.Seal()
 		s.sealed("shutdown", n, err)
 	}

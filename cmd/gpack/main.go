@@ -145,8 +145,8 @@ func cmdList() error {
 	return nil
 }
 
-// cmdEnv exports a builtin system configuration in the YAML format
-// env.LoadFile reads back — for sharing and adapting to new systems.
+// cmdEnv prints a builtin system configuration as YAML, for sharing and
+// adapting to new systems.
 func cmdEnv(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("env takes exactly one system name")

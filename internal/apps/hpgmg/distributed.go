@@ -183,16 +183,6 @@ func RunDistributed(k, ranks, maxCycles int, tol float64) (*DistResult, error) {
 	return res, err
 }
 
-// RunDistributedSolution is RunDistributed but also returns the assembled
-// global solution vector, for verification against the serial solver.
-func RunDistributedSolution(k, ranks, maxCycles int, tol float64) (*DistResult, []float64, error) {
-	res, slabs, err := runDistributed(k, ranks, maxCycles, tol)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, gatherSolution(slabs), nil
-}
-
 func runDistributed(k, ranks, maxCycles int, tol float64) (*DistResult, []*mgSlab, error) {
 	if k < 2 || k > 9 {
 		return nil, nil, fmt.Errorf("hpgmg: level exponent k=%d out of range [2,9]", k)
@@ -350,15 +340,4 @@ func dotLocal(v []float64) float64 {
 		sum += x * x
 	}
 	return sum
-}
-
-// gatherSolution assembles the global solution from the slabs.
-func gatherSolution(slabs []*mgSlab) []float64 {
-	n := slabs[0].n
-	out := make([]float64, n*n*n)
-	p := n * n
-	for _, s := range slabs {
-		copy(out[s.z0*p:], s.u)
-	}
-	return out
 }

@@ -116,3 +116,24 @@ func TestDistributedValidation(t *testing.T) {
 		t.Error("8 ranks on 15 planes accepted (needs >= 2 planes each)")
 	}
 }
+
+// RunDistributedSolution is RunDistributed but also returns the assembled
+// global solution vector, for verification against the serial solver.
+func RunDistributedSolution(k, ranks, maxCycles int, tol float64) (*DistResult, []float64, error) {
+	res, slabs, err := runDistributed(k, ranks, maxCycles, tol)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, gatherSolution(slabs), nil
+}
+
+// gatherSolution assembles the global solution from the slabs.
+func gatherSolution(slabs []*mgSlab) []float64 {
+	n := slabs[0].n
+	out := make([]float64, n*n*n)
+	p := n * n
+	for _, s := range slabs {
+		copy(out[s.z0*p:], s.u)
+	}
+	return out
+}

@@ -76,9 +76,6 @@ func (s *Solver) Fine() *level { return s.levels[0] }
 // N returns the finest-level interior dimension.
 func (s *Solver) N() int { return s.levels[0].n }
 
-// DOFs returns the finest-level unknown count.
-func (s *Solver) DOFs() int { return s.levels[0].dofs() }
-
 // parRange runs body over [0,n) slabs in parallel.
 func (s *Solver) parRange(n int, body func(lo, hi int)) {
 	w := s.Workers

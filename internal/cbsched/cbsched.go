@@ -215,10 +215,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// NoJitter is a Config.Rand that always draws zero, pinning next-run
-// times for deterministic tests.
-func NoJitter() float64 { return 0 }
-
 // Scheduler owns the registered schedules. It starts no goroutine: its
 // host calls Tick every TickInterval.
 type Scheduler struct {

@@ -434,3 +434,7 @@ func TestMetrics(t *testing.T) {
 	}
 	_ = st
 }
+
+// NoJitter is a Config.Rand that always draws zero, pinning next-run
+// times for deterministic tests.
+func NoJitter() float64 { return 0 }

@@ -65,9 +65,6 @@ type Result struct {
 	Steps []string
 }
 
-// Trace returns the provenance trace as one line per decision.
-func (r *Result) Trace() []string { return r.Steps }
-
 type resolver struct {
 	opts    Options
 	steps   []string

@@ -165,19 +165,11 @@ func (r *Runner) RunContext(ctx context.Context, b Benchmark, opts Options) (rep
 	// 2. Concretize the build spec against the system environment
 	// (Principle 4: the build is fully determined by spec + system
 	// config, both of which are recorded).
-	specText := b.BuildSpec()
-	if opts.Spec != "" {
-		specText = opts.Spec
-	}
 	cfg := r.Envs.ForSystem(sys.Name)
 	var conc *concretize.Result
 	if err := stage("concretize", true, func(context.Context) error {
-		abstract, perr := spec.Parse(specText)
-		if perr != nil {
-			return perr
-		}
 		var cerr error
-		conc, cerr = concretize.Concretize(abstract, cfg.ConcretizeOptions(r.Repo, string(part.Processor.Arch)))
+		conc, cerr = r.concretizeOn(b, opts, sys, part)
 		return cerr
 	}); err != nil {
 		return nil, err
@@ -549,20 +541,7 @@ func (r *Runner) Preflight(b Benchmark, opts Options) error {
 	if opts.System == "" {
 		return fmt.Errorf("core: no target system")
 	}
-	sys, part, err := r.Estate.Resolve(opts.System)
-	if err != nil {
-		return err
-	}
-	specText := b.BuildSpec()
-	if opts.Spec != "" {
-		specText = opts.Spec
-	}
-	abstract, err := spec.Parse(specText)
-	if err != nil {
-		return err
-	}
-	cfg := r.Envs.ForSystem(sys.Name)
-	conc, err := concretize.Concretize(abstract, cfg.ConcretizeOptions(r.Repo, string(part.Processor.Arch)))
+	conc, err := r.Concretize(b, opts)
 	if err != nil {
 		return err
 	}
@@ -570,6 +549,32 @@ func (r *Runner) Preflight(b Benchmark, opts Options) error {
 		return nil
 	}
 	return buildsys.Validate(r.InstallTree, conc.Spec)
+}
+
+// Concretize resolves opts.System and concretizes the run's build spec
+// (b's, or opts.Spec) against that system's environment, building
+// nothing: the DAG a run of b with opts would install right now.
+func (r *Runner) Concretize(b Benchmark, opts Options) (*concretize.Result, error) {
+	sys, part, err := r.Estate.Resolve(opts.System)
+	if err != nil {
+		return nil, err
+	}
+	return r.concretizeOn(b, opts, sys, part)
+}
+
+// concretizeOn is Concretize on an already resolved system; a run
+// traces the two halves as its resolve and concretize stages.
+func (r *Runner) concretizeOn(b Benchmark, opts Options, sys *platform.System, part *platform.Partition) (*concretize.Result, error) {
+	specText := b.BuildSpec()
+	if opts.Spec != "" {
+		specText = opts.Spec
+	}
+	abstract, err := spec.Parse(specText)
+	if err != nil {
+		return nil, err
+	}
+	cfg := r.Envs.ForSystem(sys.Name)
+	return concretize.Concretize(abstract, cfg.ConcretizeOptions(r.Repo, string(part.Processor.Arch)))
 }
 
 // RunMany runs the benchmark across several systems, returning one

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
 )
 
 // WriteCSV writes the frame as CSV with a header row. NaN cells are
@@ -46,68 +45,4 @@ func (f *Frame) SaveCSV(path string) error {
 	}
 	defer file.Close()
 	return f.WriteCSV(file)
-}
-
-// ReadCSV loads a frame from CSV. A column becomes float when every
-// non-empty cell parses as a number (including "NaN"); otherwise it is a
-// string column. Empty cells in float columns become NaN.
-func ReadCSV(r io.Reader) (*Frame, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("dataframe: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("dataframe: empty CSV")
-	}
-	header := records[0]
-	rows := records[1:]
-	out := New()
-	for col, name := range header {
-		numeric := true
-		any := false
-		for _, row := range rows {
-			cell := row[col]
-			if cell == "" {
-				continue
-			}
-			any = true
-			if _, err := strconv.ParseFloat(cell, 64); err != nil {
-				numeric = false
-				break
-			}
-		}
-		if numeric && any {
-			vals := make([]float64, len(rows))
-			for i, row := range rows {
-				if row[col] == "" {
-					vals[i] = math.NaN()
-					continue
-				}
-				vals[i], _ = strconv.ParseFloat(row[col], 64)
-			}
-			if err := out.AddFloatColumn(name, vals); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		vals := make([]string, len(rows))
-		for i, row := range rows {
-			vals[i] = row[col]
-		}
-		if err := out.AddStringColumn(name, vals); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// LoadCSV reads a frame from a file.
-func LoadCSV(path string) (*Frame, error) {
-	file, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataframe: %w", err)
-	}
-	defer file.Close()
-	return ReadCSV(file)
 }

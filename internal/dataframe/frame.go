@@ -67,13 +67,6 @@ func (c *Column) Str(i int) string {
 	return formatFloat(v)
 }
 
-// Floats returns a copy of the float data.
-func (c *Column) Floats() []float64 {
-	out := make([]float64, len(c.floats))
-	copy(out, c.floats)
-	return out
-}
-
 func formatFloat(v float64) string {
 	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.6f", v), "0"), ".")
 }
@@ -124,9 +117,6 @@ func (f *Frame) NumRows() int {
 	return f.cols[0].Len()
 }
 
-// NumCols returns the column count.
-func (f *Frame) NumCols() int { return len(f.cols) }
-
 // Columns lists column names in insertion order.
 func (f *Frame) Columns() []string {
 	out := make([]string, len(f.cols))
@@ -149,15 +139,6 @@ func (f *Frame) Col(name string) (*Column, error) {
 		return nil, fmt.Errorf("dataframe: no column %q (have %v)", name, f.Columns())
 	}
 	return f.cols[i], nil
-}
-
-// MustCol is Col for known-present columns.
-func (f *Frame) MustCol(name string) *Column {
-	c, err := f.Col(name)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // Float returns cell (row, col) of a float column.

@@ -109,18 +109,6 @@ func (f *Frame) Sort(col string, ascending bool) (*Frame, error) {
 	return f.selectRows(rows), nil
 }
 
-// Head returns the first n rows (or all, if fewer).
-func (f *Frame) Head(n int) *Frame {
-	if n > f.NumRows() {
-		n = f.NumRows()
-	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	return f.selectRows(rows)
-}
-
 // Select returns a frame with only the named columns, in that order.
 func (f *Frame) Select(cols ...string) (*Frame, error) {
 	out := New()
@@ -135,125 +123,8 @@ func (f *Frame) Select(cols ...string) (*Frame, error) {
 	return out, nil
 }
 
-// Concat stacks frames vertically. The result's columns are the union of
-// all inputs' columns (in first-seen order); cells absent from an input
-// are NaN (float) or "" (string). Kind conflicts are an error. This is
-// the cross-platform assimilation step: one frame per system's perflog,
-// concatenated for analysis (paper §2.4).
-func Concat(frames ...*Frame) (*Frame, error) {
-	type meta struct {
-		kind Kind
-		pos  int
-	}
-	info := map[string]meta{}
-	var order []string
-	total := 0
-	for _, f := range frames {
-		total += f.NumRows()
-		for _, c := range f.cols {
-			if m, ok := info[c.Name]; ok {
-				if m.kind != c.kind {
-					return nil, fmt.Errorf("dataframe: column %q is %s in one frame and %s in another", c.Name, m.kind, c.kind)
-				}
-				continue
-			}
-			info[c.Name] = meta{kind: c.kind, pos: len(order)}
-			order = append(order, c.Name)
-		}
-	}
-	out := New()
-	for _, name := range order {
-		m := info[name]
-		nc := &Column{Name: name, kind: m.kind}
-		if m.kind == Float {
-			nc.floats = make([]float64, 0, total)
-		} else {
-			nc.strings = make([]string, 0, total)
-		}
-		for _, f := range frames {
-			n := f.NumRows()
-			src, err := f.Col(name)
-			if err != nil {
-				// Missing in this frame: fill.
-				if m.kind == Float {
-					for i := 0; i < n; i++ {
-						nc.floats = append(nc.floats, math.NaN())
-					}
-				} else {
-					for i := 0; i < n; i++ {
-						nc.strings = append(nc.strings, "")
-					}
-				}
-				continue
-			}
-			if m.kind == Float {
-				nc.floats = append(nc.floats, src.floats...)
-			} else {
-				nc.strings = append(nc.strings, src.strings...)
-			}
-		}
-		out.index[name] = len(out.cols)
-		out.cols = append(out.cols, nc)
-	}
-	return out, nil
-}
-
 // Agg is a group-by aggregation function over float values.
 type Agg func([]float64) float64
-
-// AggMean averages, skipping NaN.
-func AggMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if !math.IsNaN(x) {
-			sum += x
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
-
-// AggMax takes the max, skipping NaN.
-func AggMax(xs []float64) float64 {
-	best := math.NaN()
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		if math.IsNaN(best) || x > best {
-			best = x
-		}
-	}
-	return best
-}
-
-// AggMin takes the min, skipping NaN.
-func AggMin(xs []float64) float64 {
-	best := math.NaN()
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		if math.IsNaN(best) || x < best {
-			best = x
-		}
-	}
-	return best
-}
-
-// AggCount counts non-NaN values.
-func AggCount(xs []float64) float64 {
-	n := 0
-	for _, x := range xs {
-		if !math.IsNaN(x) {
-			n++
-		}
-	}
-	return float64(n)
-}
 
 // GroupBy groups rows by the values of the named string columns and
 // aggregates the named float column, producing one row per group with the
@@ -365,20 +236,4 @@ func (f *Frame) Pivot(rowCol, colCol, valueCol string) (*PivotTable, error) {
 		pt.Cells[ri[rows[r]]][ci[cols[r]]] = vc.Float(r)
 	}
 	return pt, nil
-}
-
-// Cell looks up a pivot cell by labels.
-func (pt *PivotTable) Cell(row, col string) (float64, bool) {
-	for i, r := range pt.RowLabels {
-		if r != row {
-			continue
-		}
-		for j, c := range pt.ColLabels {
-			if c == col {
-				v := pt.Cells[i][j]
-				return v, !math.IsNaN(v)
-			}
-		}
-	}
-	return math.NaN(), false
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/concretize"
 	"repro/internal/repo"
 	"repro/internal/spec"
-	"repro/internal/yamlite"
 )
 
 // SystemConfig is the software environment of one system.
@@ -58,14 +57,6 @@ func (c *SystemConfig) ConcretizeOptions(r *repo.Repository, targetArch string) 
 		Providers:  c.Providers,
 		TargetArch: targetArch,
 	}
-}
-
-// DefaultCompiler returns the system default compiler.
-func (c *SystemConfig) DefaultCompiler() (spec.Compiler, error) {
-	if len(c.Compilers) == 0 {
-		return spec.Compiler{}, fmt.Errorf("env: system %q configures no compilers", c.System)
-	}
-	return c.Compilers[0], nil
 }
 
 // Registry maps system names to their configurations.
@@ -127,146 +118,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// --- Config file loading --------------------------------------------------
-
-// LoadFile reads a system configuration from a YAML file of the form:
-//
-//	system: archer2
-//	account: z19
-//	qos: standard
-//	compilers:
-//	  - gcc@11.2.0
-//	  - gcc@10.3.0
-//	externals:
-//	  - spec: cray-mpich@8.1.23
-//	    path: /opt/cray/pe/mpich/8.1.23
-//	providers:
-//	  mpi: cray-mpich
-//	env:
-//	  OMP_PLACES: cores
-func LoadFile(path string) (*SystemConfig, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("env: %w", err)
-	}
-	return Parse(string(data))
-}
-
-// Parse decodes a system configuration document (see LoadFile).
-func Parse(text string) (*SystemConfig, error) {
-	doc, err := yamlite.Parse(text)
-	if err != nil {
-		return nil, fmt.Errorf("env: %w", err)
-	}
-	m, err := yamlite.Map(doc)
-	if err != nil {
-		return nil, fmt.Errorf("env: top level must be a mapping: %w", err)
-	}
-	c := &SystemConfig{Providers: map[string]string{}, EnvVars: map[string]string{}}
-	for _, key := range yamlite.Keys(m) {
-		v := m[key]
-		switch key {
-		case "system":
-			c.System, err = yamlite.Str(v)
-		case "account":
-			c.Account, err = yamlite.Str(v)
-		case "qos":
-			c.QOS, err = yamlite.Str(v)
-		case "compilers":
-			err = parseCompilers(c, v)
-		case "externals":
-			err = parseExternals(c, v)
-		case "providers":
-			err = parseStringMap(v, c.Providers)
-		case "env":
-			err = parseStringMap(v, c.EnvVars)
-		default:
-			return nil, fmt.Errorf("env: unknown key %q", key)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("env: key %q: %w", key, err)
-		}
-	}
-	if c.System == "" {
-		return nil, fmt.Errorf("env: config missing 'system' name")
-	}
-	return c, nil
-}
-
-func parseCompilers(c *SystemConfig, v yamlite.Value) error {
-	seq, err := yamlite.Seq(v)
-	if err != nil {
-		return err
-	}
-	for _, item := range seq {
-		text, err := yamlite.Str(item)
-		if err != nil {
-			return err
-		}
-		comp, err := parseCompilerSpec(text)
-		if err != nil {
-			return err
-		}
-		c.Compilers = append(c.Compilers, comp)
-	}
-	return nil
-}
-
-// parseCompilerSpec reads "gcc@11.2.0" into an exact compiler.
-func parseCompilerSpec(text string) (spec.Compiler, error) {
-	name, ver, found := strings.Cut(text, "@")
-	if !found || name == "" || ver == "" {
-		return spec.Compiler{}, fmt.Errorf("compiler %q must be name@version", text)
-	}
-	return spec.Compiler{Name: name, Version: spec.ExactVersion(spec.Version(ver))}, nil
-}
-
-func parseExternals(c *SystemConfig, v yamlite.Value) error {
-	seq, err := yamlite.Seq(v)
-	if err != nil {
-		return err
-	}
-	for _, item := range seq {
-		m, err := yamlite.Map(item)
-		if err != nil {
-			return err
-		}
-		specText, err := yamlite.Str(m["spec"])
-		if err != nil {
-			return fmt.Errorf("external needs a 'spec': %w", err)
-		}
-		path, err := yamlite.Str(m["path"])
-		if err != nil {
-			return fmt.Errorf("external needs a 'path': %w", err)
-		}
-		s, err := spec.Parse(specText)
-		if err != nil {
-			return err
-		}
-		if !s.Version.IsExact() {
-			return fmt.Errorf("external %q must pin an exact version", specText)
-		}
-		s.Concrete = true
-		c.Externals = append(c.Externals, concretize.External{Spec: s, Path: path})
-	}
-	return nil
-}
-
-func parseStringMap(v yamlite.Value, into map[string]string) error {
-	m, err := yamlite.Map(v)
-	if err != nil {
-		return err
-	}
-	for _, k := range yamlite.Keys(m) {
-		s, err := yamlite.Str(m[k])
-		if err != nil {
-			return err
-		}
-		into[k] = s
-	}
-	return nil
-}
-
 // --- Environment capture ---------------------------------------------------
 
 // Capture is a snapshot of the execution environment taken around a
@@ -310,27 +161,8 @@ func CaptureEnvironment() Capture {
 	return cap
 }
 
-// Summary renders the capture as stable key: value lines.
-func (c Capture) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "timestamp: %s\n", c.Timestamp.Format(time.RFC3339))
-	fmt.Fprintf(&b, "hostname: %s\n", c.Hostname)
-	fmt.Fprintf(&b, "go: %s\n", c.GoVersion)
-	fmt.Fprintf(&b, "os/arch: %s/%s\n", c.OS, c.Arch)
-	fmt.Fprintf(&b, "ncpu: %d\n", c.NumCPU)
-	keys := make([]string, 0, len(c.EnvVars))
-	for k := range c.EnvVars {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "env %s=%s\n", k, c.EnvVars[k])
-	}
-	return b.String()
-}
-
-// YAML renders the configuration in the format LoadFile/Parse read, so
-// system configurations can be exported, shared, and versioned — the
+// YAML renders the configuration as a YAML document, so system
+// configurations can be exported, shared, and versioned — the
 // "shareable configuration files capturing nuance on different systems"
 // of Principle 4.
 func (c *SystemConfig) YAML() string {

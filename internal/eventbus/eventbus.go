@@ -335,33 +335,12 @@ func (s *Subscriber) Next(ctx context.Context) (Event, error) {
 	}
 }
 
-// TryNext pops the next buffered event without blocking.
-func (s *Subscriber) TryNext() (Event, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Event{}, false
-	}
-	ev := s.buf[s.head]
-	s.buf[s.head] = Event{}
-	s.head = (s.head + 1) % len(s.buf)
-	s.n--
-	return ev, true
-}
-
 // Dropped returns how many events this subscriber lost to ring
 // overflow.
 func (s *Subscriber) Dropped() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// Buffered returns how many events are waiting in the ring.
-func (s *Subscriber) Buffered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
 }
 
 // Close unregisters the subscriber. Pending events are discarded and a

@@ -382,3 +382,24 @@ func TestMetricsPublished(t *testing.T) {
 		t.Errorf("dropped_total delta = %v, want 1", got-droppedBefore)
 	}
 }
+
+// TryNext pops the next buffered event without blocking.
+func (s *Subscriber) TryNext() (Event, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n == 0 {
+		return Event{}, false
+	}
+	ev := s.buf[s.head]
+	s.buf[s.head] = Event{}
+	s.head = (s.head + 1) % len(s.buf)
+	s.n--
+	return ev, true
+}
+
+// Buffered returns how many events are waiting in the ring.
+func (s *Subscriber) Buffered() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
+}

@@ -177,9 +177,6 @@ func (r *Registry) Load(seed int64, rules []Rule) error {
 	return nil
 }
 
-// Reset disarms the registry and clears its schedule.
-func (r *Registry) Reset() { r.Load(0, nil) }
-
 // Armed reports whether any rule is loaded.
 func (r *Registry) Armed() bool { return r.armed.Load() }
 
@@ -313,8 +310,9 @@ func Reader(pt string, rd io.Reader) io.Reader { return Default.Reader(pt, rd) }
 // Load replaces the Default registry's schedule.
 func Load(seed int64, rules []Rule) error { return Default.Load(seed, rules) }
 
-// Reset disarms the Default registry.
-func Reset() { Default.Reset() }
+// Reset disarms the Default registry and clears its schedule (loading
+// no rules cannot fail).
+func Reset() { Default.Load(0, nil) }
 
 // Armed reports whether the Default registry has a schedule loaded.
 func Armed() bool { return Default.Armed() }

@@ -257,9 +257,9 @@ func TestPointsListing(t *testing.T) {
 	if got := fmt.Sprint(r.Points()); got != "[a b]" {
 		t.Fatalf("Points() = %v", got)
 	}
-	r.Reset()
+	r.Load(0, nil)
 	if r.Armed() || len(r.Points()) != 0 {
-		t.Fatal("Reset did not disarm")
+		t.Fatal("loading no rules did not disarm")
 	}
 }
 

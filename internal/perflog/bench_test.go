@@ -43,6 +43,15 @@ func lineReference(e *Entry) string {
 	return strings.Join(parts, "|")
 }
 
+// escape is the reference escaper lineReference renders with: '|' and
+// newlines cannot appear raw inside values.
+func escape(s string) string {
+	s = strings.ReplaceAll(s, "\\", `\\`)
+	s = strings.ReplaceAll(s, "|", `\p`)
+	s = strings.ReplaceAll(s, "\n", `\n`)
+	return s
+}
+
 // parseLineReference is ParseLine as it was before it walked fields
 // with strings.Cut: one strings.Split slice per line. FuzzParseLine
 // holds ParseLine to it, entry for entry and error text for error text.

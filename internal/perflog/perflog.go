@@ -150,18 +150,9 @@ func ParseLine(line string) (*Entry, error) {
 	return e, nil
 }
 
-// escape keeps the line format unambiguous: '|' and newlines cannot
-// appear raw inside values.
-func escape(s string) string {
-	s = strings.ReplaceAll(s, "\\", `\\`)
-	s = strings.ReplaceAll(s, "|", `\p`)
-	s = strings.ReplaceAll(s, "\n", `\n`)
-	return s
-}
-
-// writeEscaped is escape writing into a builder: the common clean value
-// is copied in one WriteString, and each original byte maps to its
-// escape sequence independently, so the output matches escape exactly.
+// writeEscaped keeps the line format unambiguous: backslashes, '|' and
+// newlines cannot appear raw inside values, so each is written as its
+// escape sequence. The common clean value is copied in one WriteString.
 func writeEscaped(b *strings.Builder, s string) {
 	if !strings.ContainsAny(s, "\\|\n") {
 		b.WriteString(s)

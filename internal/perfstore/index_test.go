@@ -191,7 +191,7 @@ func TestRegressionsIndexMatchesScan(t *testing.T) {
 		sort.Strings(keys)
 		var want []Report
 		for _, key := range keys {
-			r, ok := EvalSeries(series[key], 0.1, 5)
+			r, ok := evalSeries(series[key], 0.1, 5)
 			if !ok {
 				continue
 			}

@@ -319,8 +319,8 @@ func buildPostings(entries []stored) map[string][]int32 {
 }
 
 // readTailRef is readTail as a bufio line loop, one string per line: the
-// reference the chunked reader must match in entries, bytes consumed and
-// error text.
+// reference the chunked reader must match in entries, quarantined lines,
+// bytes consumed and error text.
 func readTailRef(path string, from, to int64) fileTail {
 	t := fileTail{from: from}
 	read := func() error {
@@ -362,9 +362,10 @@ func readTailRef(path string, from, to int64) fileTail {
 			if text != "" && !strings.HasPrefix(text, "#") {
 				e, perr := perflog.ParseLine(text)
 				if perr != nil {
-					return fmt.Errorf("%s @%d: %w", path, from+t.bytes, perr)
+					t.bad = append(t.bad, BadLine{File: path, Offset: from + t.bytes, Length: len(line), Error: perr.Error()})
+				} else {
+					t.entries = append(t.entries, e)
 				}
-				t.entries = append(t.entries, e)
 			}
 			t.bytes += int64(len(line))
 		}
@@ -373,4 +374,14 @@ func readTailRef(path string, from, to int64) fileTail {
 		t.err = fmt.Errorf("perfstore: %w", err)
 	}
 	return t
+}
+
+// evalSeries applies the regression rule to a plain value series: stat-
+// less points with the variance gate off, the pre-repetition rule.
+func evalSeries(vals []float64, tolerance float64, window int) (Report, bool) {
+	points := make([]SeriesPoint, len(vals))
+	for i, v := range vals {
+		points[i] = SeriesPoint{Value: v}
+	}
+	return EvalSeriesPoints(points, tolerance, window, 0)
 }

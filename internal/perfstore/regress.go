@@ -62,19 +62,6 @@ type Report struct {
 	LatestRSD float64 `json:"latest_rsd,omitempty"`
 }
 
-// EvalSeries applies the fixed-tolerance regression rule to a plain
-// value series — the pre-repetition rule, kept as the exact fallback for
-// series without repetition statistics (and for callers like
-// postprocess.CheckRegressions that predate the protocol). It is
-// EvalSeriesPoints over stat-less points with the variance gate off.
-func EvalSeries(vals []float64, tolerance float64, window int) (Report, bool) {
-	points := make([]SeriesPoint, len(vals))
-	for i, v := range vals {
-		points[i] = SeriesPoint{Value: v}
-	}
-	return EvalSeriesPoints(points, tolerance, window, 0)
-}
-
 // pointInterval is a point's confidence interval: its bootstrap CI when
 // it carries repetition stats with n >= 2, else the degenerate interval
 // at its value.

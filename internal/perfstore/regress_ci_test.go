@@ -181,7 +181,7 @@ func TestEvalSeriesBackCompat(t *testing.T) {
 		for _, window := range []int{0, 2, 3} {
 			for _, tol := range []float64{0.02, 0.10} {
 				want, wantOK := oldEvalSeries(vals, tol, window)
-				got, gotOK := EvalSeries(vals, tol, window)
+				got, gotOK := evalSeries(vals, tol, window)
 				if gotOK != wantOK {
 					t.Fatalf("%v tol=%v w=%d: ok=%v want %v", vals, tol, window, gotOK, wantOK)
 				}

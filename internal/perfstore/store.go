@@ -49,6 +49,9 @@ var (
 	metricCommitGaps = telemetry.DefaultRegistry.Counter(
 		"perfstore_commit_gaps_total",
 		"Group commits preceded by out-of-band lines, parsed before the commit was indexed.").With()
+	metricBadLines = telemetry.DefaultRegistry.Counter(
+		"perfstore_bad_lines_total",
+		"Complete perflog lines that did not parse, skipped and quarantined by ingest.").With()
 	// Query-path metrics: which plans the legs of each Select, Aggregate
 	// and Regressions took (a query whose legs split counts once under
 	// each), and how many rows those legs read. The linear reference scan
@@ -77,6 +80,21 @@ type checkpoint struct {
 	offset int64 // bytes consumed through the last complete line
 }
 
+// BadLine is one complete perflog line that did not parse. Ingest skips
+// it and moves the checkpoint past it, so it costs that line and nothing
+// after it.
+type BadLine struct {
+	File   string `json:"file"`
+	Offset int64  `json:"offset"`
+	Length int    `json:"length"`
+	Error  string `json:"error"`
+}
+
+// quarantineKeep bounds the bad lines a store remembers: the newest
+// ones, enough to find a corrupt file; the total is counted without
+// bound.
+const quarantineKeep = 16
+
 // Stats counts ingest work and reports the storage-tier shape; the
 // checkpoint tests assert a no-op re-sync parses zero bytes, the boot
 // tests assert a sealed store restarts with BytesParsed == 0.
@@ -92,6 +110,10 @@ type Stats struct {
 	SealedSegments      int
 	ManifestGeneration  uint64
 	SegmentLoadFailures int
+	// BadLines counts the lines ingest has quarantined; Quarantined holds
+	// the newest of them, oldest first.
+	BadLines    int
+	Quarantined []BadLine
 }
 
 // rsdGate resolves the store's effective variance-gate threshold.
@@ -153,6 +175,11 @@ type Store struct {
 		sync.Mutex
 		n    int
 		last string
+	}
+	bad struct {
+		sync.Mutex
+		n      int
+		recent []BadLine
 	}
 }
 
@@ -253,8 +280,9 @@ func (s *Store) shardFor(system string) *shard {
 // commits them in walk order as they become ready. Ingest sequences are
 // handed out at commit, so the (time, seq) order of the store — and
 // every query answer — is the serial walk's, whatever GOMAXPROCS is. The
-// first file to fail stops the sync, its good prefix indexed, later
-// files untouched.
+// first file whose read fails stops the sync, what it read indexed,
+// later files untouched; a line that does not parse is quarantined and
+// fails nothing.
 func (s *Store) Sync() error {
 	var paths []string
 	var from []int64 // each path's checkpoint when the walk saw it
@@ -347,14 +375,15 @@ func (s *Store) checkpoint(path string) *checkpoint {
 }
 
 // fileTail is what one perflog file holds past a checkpoint: its
-// complete lines, parsed. Reading one touches no store state; it enters
-// the store through advance.
+// complete lines, parsed, and the ones that did not parse. Reading one
+// touches no store state; it enters the store through advance.
 type fileTail struct {
 	from    int64 // checkpoint offset the read started at
 	shrunk  bool  // the file is shorter than from: it was rewritten, and the tail is the whole file
 	entries []*perflog.Entry
-	bytes   int64 // consumed through the last complete, well-formed line
-	err     error // what cut the read short; entries and bytes still cover the good prefix
+	bad     []BadLine
+	bytes   int64 // consumed through the last complete line
+	err     error // what cut the read short; entries and bytes still cover what was read
 }
 
 // tailChunk bounds one read of a tail: a chunk's complete lines become
@@ -407,11 +436,11 @@ func (t *fileTail) read(path string, to int64) error {
 		for chunk := string(buf[:end]); chunk != ""; {
 			line, rest, _ := strings.Cut(chunk, "\n")
 			if text := strings.TrimSpace(line); text != "" && !strings.HasPrefix(text, "#") {
-				e, err := perflog.ParseLine(text)
-				if err != nil {
-					return fmt.Errorf("%s @%d: %w", path, from+t.bytes, err)
+				if e, err := perflog.ParseLine(text); err != nil {
+					t.bad = append(t.bad, BadLine{File: path, Offset: from + t.bytes, Length: len(line) + 1, Error: err.Error()})
+				} else {
+					t.entries = append(t.entries, e)
 				}
-				t.entries = append(t.entries, e)
 			}
 			t.bytes += int64(len(line)) + 1
 			chunk = rest
@@ -436,13 +465,14 @@ func (t *fileTail) read(path string, to int64) error {
 // advance is the one way a checkpoint moves. It indexes the complete
 // lines of path from the checkpoint up to offset to (the end of the file
 // when to is negative), moves the checkpoint past them and counts the
-// read. ahead is a tail read before ckMu was taken; it is read again when
-// it is nil or another ingester moved the checkpoint since. A file
-// shorter than its checkpoint was rewritten: its entries are evicted from
-// both tiers and it is read from the start. Entries the checkpoint comes
-// to cover are indexed and counted even when the file is bad past them,
-// and what cut the read short is returned. Callers hold ckMu, so no byte
-// range is ever indexed twice.
+// read, quarantining the lines that did not parse. ahead is a tail read
+// before ckMu was taken; it is read again when it is nil or another
+// ingester moved the checkpoint since. A file shorter than its checkpoint
+// was rewritten: its entries are evicted from both tiers and it is read
+// from the start. Entries the checkpoint comes to cover are indexed and
+// counted even when a read error cut the tail short, and that error is
+// returned. Callers hold ckMu, so no byte range is ever indexed or
+// quarantined twice.
 func (s *Store) advance(path string, ahead *fileTail, to int64) error {
 	ck := s.checkpoint(path)
 	t := ahead
@@ -457,9 +487,26 @@ func (s *Store) advance(path string, ahead *fileTail, to int64) error {
 		ck.offset = 0
 	}
 	s.addBatch(t.entries, path)
+	s.quarantine(t.bad)
 	ck.offset += t.bytes
 	s.bumpStats(1, t.bytes, len(t.entries))
 	return t.err
+}
+
+// quarantine records lines ingest skipped, keeping the newest
+// quarantineKeep.
+func (s *Store) quarantine(bad []BadLine) {
+	if len(bad) == 0 {
+		return
+	}
+	metricBadLines.Add(float64(len(bad)))
+	s.bad.Lock()
+	defer s.bad.Unlock()
+	s.bad.n += len(bad)
+	s.bad.recent = append(s.bad.recent, bad...)
+	if drop := len(s.bad.recent) - quarantineKeep; drop > 0 {
+		s.bad.recent = append(s.bad.recent[:0], s.bad.recent[drop:]...)
+	}
 }
 
 const gapReads = 3 // reads of a gap that keeps coming back short
@@ -593,6 +640,10 @@ func (s *Store) Stats() Stats {
 	s.loadFail.Lock()
 	out.SegmentLoadFailures = s.loadFail.n
 	s.loadFail.Unlock()
+	s.bad.Lock()
+	out.BadLines = s.bad.n
+	out.Quarantined = append([]BadLine{}, s.bad.recent...)
+	s.bad.Unlock()
 	return out
 }
 

@@ -332,18 +332,18 @@ func TestRegressionsSlidingWindow(t *testing.T) {
 }
 
 func TestEvalSeriesShortAndNaN(t *testing.T) {
-	if _, ok := EvalSeries([]float64{1}, 0.1, 0); ok {
+	if _, ok := evalSeries([]float64{1}, 0.1, 0); ok {
 		t.Error("single value judged")
 	}
-	if r, ok := EvalSeries([]float64{100, 100, 90}, 0.05, 0); !ok || !r.Flagged {
+	if r, ok := evalSeries([]float64{100, 100, 90}, 0.05, 0); !ok || !r.Flagged {
 		t.Errorf("drop not flagged: %+v", r)
 	}
 	// NaN values (failed runs in a frame) are ignored, not propagated.
 	nan := math.NaN()
-	if r, ok := EvalSeries([]float64{100, nan, 100, nan, 90}, 0.05, 0); !ok || !r.Flagged || r.Baseline != 100 {
+	if r, ok := evalSeries([]float64{100, nan, 100, nan, 90}, 0.05, 0); !ok || !r.Flagged || r.Baseline != 100 {
 		t.Errorf("NaN handling: %+v", r)
 	}
-	if _, ok := EvalSeries([]float64{nan, nan, 100}, 0.05, 0); ok {
+	if _, ok := evalSeries([]float64{nan, nan, 100}, 0.05, 0); ok {
 		t.Error("series of one real value judged")
 	}
 }

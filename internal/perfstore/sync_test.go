@@ -81,15 +81,16 @@ func TestSyncOrderIndependentOfParallelism(t *testing.T) {
 	if !slices.Equal(lines8, want) {
 		t.Fatalf("GOMAXPROCS=8 order is not the serial walk's (%d vs %d entries)", len(lines8), len(want))
 	}
-	if a, b := s1.Stats(), s8.Stats(); a.BytesParsed != b.BytesParsed || a.BytesParsed == 0 || a != b {
+	if a, b := s1.Stats(), s8.Stats(); a.BytesParsed != b.BytesParsed || a.BytesParsed == 0 || !reflect.DeepEqual(a, b) {
 		t.Fatalf("stats diverge: %+v vs %+v", a, b)
 	}
 }
 
-// TestSyncParseErrorKeepsGoodPrefix: a malformed line stops the sync at
-// that file — its good prefix indexed, its checkpoint left just before
-// the bad line, earlier files whole, later files untouched — however
-// many files were being parsed at once.
+// TestSyncParseErrorKeepsGoodPrefix: a malformed line costs that line
+// alone. The sync indexes the good lines on both sides of it, moves the
+// checkpoint to the end of the file, quarantines the line with its
+// offset and length, and fails nothing — however many files were being
+// parsed at once.
 func TestSyncParseErrorKeepsGoodPrefix(t *testing.T) {
 	root := tiedTree(t)
 	bad := filepath.Join(root, "cosma8", "hpcg.log")
@@ -99,30 +100,38 @@ func TestSyncParseErrorKeepsGoodPrefix(t *testing.T) {
 	}
 	lines := strings.SplitAfter(string(raw), "\n")
 	const good = 7
+	const junk = "this is not a perflog line\n"
 	prefix := strings.Join(lines[:good], "")
-	mangled := prefix + "this is not a perflog line\n" + strings.Join(lines[good:], "")
+	mangled := prefix + junk + strings.Join(lines[good:], "")
 	if err := os.WriteFile(bad, []byte(mangled), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, 8} {
+		badBefore := metricBadLines.Value()
 		s, _, err := syncAt(t, root, procs)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("hpcg.log @%d", len(prefix))) {
-			t.Fatalf("GOMAXPROCS=%d: sync error = %v, want a parse error at offset %d", procs, err, len(prefix))
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: sync error = %v, want the bad line quarantined", procs, err)
 		}
-		if got := s.ck[bad].offset; got != int64(len(prefix)) {
-			t.Fatalf("GOMAXPROCS=%d: checkpoint at %d, want %d (just before the bad line)", procs, got, len(prefix))
+		if got := s.ck[bad].offset; got != int64(len(mangled)) {
+			t.Fatalf("GOMAXPROCS=%d: checkpoint at %d, want %d (the end of the file)", procs, got, len(mangled))
 		}
-		// archer2's three files and cosma8/babelstream-omp precede the
-		// bad file in walk order.
+		st := s.Stats()
+		want := BadLine{File: bad, Offset: int64(len(prefix)), Length: len(junk), Error: `perflog: malformed field "this is not a perflog line"`}
+		if st.BadLines != 1 || len(st.Quarantined) != 1 || st.Quarantined[0] != want {
+			t.Fatalf("GOMAXPROCS=%d: quarantine %d %+v, want one %+v", procs, st.BadLines, st.Quarantined, want)
+		}
+		if got := metricBadLines.Value() - badBefore; got != 1 {
+			t.Errorf("GOMAXPROCS=%d: perfstore_bad_lines_total moved by %g, want 1", procs, got)
+		}
 		for _, c := range []struct {
 			system, benchmark string
 			want              int
 		}{
 			{"archer2", "", 120},
 			{"cosma8", "babelstream-omp", 40},
-			{"cosma8", "hpcg", good},
-			{"cosma8", "hpgmg-fv", 0},
-			{"csd3", "", 0},
+			{"cosma8", "hpcg", 40},
+			{"cosma8", "hpgmg-fv", 40},
+			{"csd3", "", 120},
 		} {
 			q, want := Query{System: c.system, Benchmark: c.benchmark}, c.want
 			if got := len(s.Select(q)); got != want {
@@ -132,30 +141,38 @@ func TestSyncParseErrorKeepsGoodPrefix(t *testing.T) {
 	}
 }
 
-// TestFailedReadCountsIndexedPrefix: a sync that stops at a malformed
-// line counts the good prefix it indexed and moved the checkpoint over
-// — in Stats and so in /healthz and the ingest metrics.
+// TestFailedReadCountsIndexedPrefix: a read the perfstore.read fault
+// cuts short indexes the whole lines before the cut, counts them in
+// Stats (and so in /healthz and the ingest metrics), and leaves the
+// checkpoint before the torn line for the next sync to read whole.
 func TestFailedReadCountsIndexedPrefix(t *testing.T) {
 	root := t.TempDir()
-	good := []*perflog.Entry{
-		entry("archer2", "hpgmg-fv", 1, t0, map[string]float64{"l0": 95}),
-		entry("archer2", "hpgmg-fv", 2, t0.Add(time.Hour), map[string]float64{"l0": 94}),
+	var text string
+	for i := 0; i < 3; i++ {
+		text += entry("archer2", "hpgmg-fv", i+1, t0.Add(time.Duration(i)*time.Hour), map[string]float64{"l0": 95}).Line() + "\n"
 	}
-	text := good[0].Line() + "\n" + good[1].Line() + "\n"
+	prefix := len(strings.SplitAfter(text, "\n")[0]) * 2 // two whole lines
 	path := filepath.Join(root, "archer2", "hpgmg-fv.log")
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, []byte(text+"this is not a perflog line\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := Open(root)
-	if err := s.Sync(); err == nil {
-		t.Fatal("sync over a malformed line succeeded")
+	loadFaults(t, 1, fmt.Sprintf("perfstore.read:short:bytes=%d:times=1", prefix+5))
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	st := s.Stats()
-	if s.Len() != 2 || st.EntriesAdded != 2 || st.BytesParsed != int64(len(text)) || st.FilesScanned != 1 {
-		t.Fatalf("Len %d, stats %+v: want 2 entries added, %d bytes parsed, 1 file scanned", s.Len(), st, len(text))
+	if s.Len() != 2 || st.EntriesAdded != 2 || st.BytesParsed != int64(prefix) || st.FilesScanned != 1 {
+		t.Fatalf("Len %d, stats %+v: want 2 entries added, %d bytes parsed, 1 file scanned", s.Len(), st, prefix)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); s.Len() != 3 || st.BytesParsed != int64(len(text)) || st.BadLines != 0 {
+		t.Fatalf("after the next sync: Len %d, stats %+v: want 3 entries, %d bytes, nothing quarantined", s.Len(), st, len(text))
 	}
 }
 
@@ -221,6 +238,7 @@ func TestReadTailMatchesLineReader(t *testing.T) {
 		{"failed sync", goodPath, 0, -1, "perfstore.sync:error"},
 		{"malformed line", badPath, 0, -1, ""},
 		{"gap before the malformed line", badPath, 0, badAt, ""},
+		{"gap across the malformed line", badPath, 0, starts[45] + 27, ""},
 		{"missing file", filepath.Join(dir, "missing.log"), 0, -1, ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -238,6 +256,9 @@ func TestReadTailMatchesLineReader(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.entries, want.entries) {
 				t.Fatalf("%d entries, want %d (or they differ)", len(got.entries), len(want.entries))
+			}
+			if !reflect.DeepEqual(got.bad, want.bad) {
+				t.Fatalf("quarantined %+v, want %+v", got.bad, want.bad)
 			}
 		})
 	}

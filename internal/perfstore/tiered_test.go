@@ -450,7 +450,7 @@ func TestSwapFailureLeavesTierUnchanged(t *testing.T) {
 				t.Errorf("manifest changed:\n%s\nwas\n%s", man2, man)
 			case !slices.Equal(list2, list):
 				t.Errorf("segment list changed")
-			case st2 != st:
+			case !reflect.DeepEqual(st2, st):
 				t.Errorf("stats %+v, were %+v", st2, st)
 			case !slices.Equal(files2, files):
 				t.Errorf("data dir holds %v, held %v", files2, files)

@@ -51,13 +51,6 @@ func calibrateHost() {
 	})
 }
 
-// HostProcessor returns the calibrated description of this machine,
-// measuring its memory bandwidth on the first call.
-func HostProcessor() *Processor {
-	calibrateHost()
-	return hostProc
-}
-
 // HostCalibrated reports whether the host bandwidth calibration has run
 // in this process.
 func HostCalibrated() bool { return hostCalibrated.Load() }

@@ -27,3 +27,10 @@ func TestLocalCalibratesOnResolve(t *testing.T) {
 		t.Fatalf("local processor %+v is not the calibrated host", part.Processor)
 	}
 }
+
+// HostProcessor returns the calibrated description of this machine,
+// measuring its memory bandwidth on the first call.
+func HostProcessor() *Processor {
+	calibrateHost()
+	return hostProc
+}

@@ -103,9 +103,6 @@ type Partition struct {
 	Environs []string
 }
 
-// Device returns the partition's device kind.
-func (p *Partition) Device() DeviceKind { return p.Processor.Kind }
-
 // System is one HPC machine with one or more partitions.
 type System struct {
 	Name       string

@@ -103,7 +103,7 @@ func TestResolvePartitionSyntax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if volta.Device() != GPU {
+	if volta.Processor.Kind != GPU {
 		t.Error("volta partition should be a GPU")
 	}
 	// Single-partition systems need no partition name.

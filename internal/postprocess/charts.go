@@ -3,11 +3,9 @@ package postprocess
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/dataframe"
-	"repro/internal/perfstore"
 )
 
 // BarChart renders the configured plot as a text bar chart: one bar per
@@ -196,72 +194,4 @@ func Heatmap(pt *dataframe.PivotTable, title string) string {
 		sb.WriteString("\n")
 	}
 	return sb.String()
-}
-
-// RegressionReport flags per-group performance regressions in a
-// time-series of FOM values — the cross-system performance regression
-// testing the paper's conclusion calls "a fundamental necessity".
-type RegressionReport struct {
-	Group    string
-	Baseline float64 // mean of earlier runs
-	Latest   float64
-	Change   float64 // fractional change, negative = regression
-	Flagged  bool
-}
-
-// CheckRegressions groups the frame by the key columns, orders each group
-// by timestamp, and compares the latest value of valueCol against the
-// mean of the earlier ones; groups whose latest value dropped by more
-// than tolerance are flagged.
-func CheckRegressions(f *dataframe.Frame, keyCols []string, valueCol string, tolerance float64) ([]RegressionReport, error) {
-	vc, err := f.Col(valueCol)
-	if err != nil {
-		return nil, err
-	}
-	if !f.Has("timestamp") {
-		return nil, fmt.Errorf("postprocess: frame has no timestamp column")
-	}
-	ordered, err := f.Sort("timestamp", true)
-	if err != nil {
-		return nil, err
-	}
-	vc, _ = ordered.Col(valueCol)
-	groups := map[string][]float64{}
-	var order []string
-	for r := 0; r < ordered.NumRows(); r++ {
-		var parts []string
-		for _, k := range keyCols {
-			s, err := ordered.Str(k, r)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, s)
-		}
-		key := strings.Join(parts, "/")
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		v := vc.Float(r)
-		if !math.IsNaN(v) {
-			groups[key] = append(groups[key], v)
-		}
-	}
-	sort.Strings(order)
-	var out []RegressionReport
-	for _, key := range order {
-		// The tolerance rule lives in perfstore so the CLI and the
-		// benchd daemon flag regressions identically.
-		r, ok := perfstore.EvalSeries(groups[key], tolerance, 0)
-		if !ok {
-			continue
-		}
-		out = append(out, RegressionReport{
-			Group:    key,
-			Baseline: r.Baseline,
-			Latest:   r.Latest,
-			Change:   r.Change,
-			Flagged:  r.Flagged,
-		})
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 // Package postprocess turns perflogs into analysis artifacts: DataFrames,
-// filtered series, bar charts (text and SVG), the Figure 2 style heatmap,
-// and time-series regression checks. It is the framework's Principle 6
+// filtered series, bar charts (text and SVG) and the Figure 2 style
+// heatmap; time-series regression checks live in perfstore, which the
+// CLI and the daemon share. It is the framework's Principle 6
 // layer — "assimilate and post-process the data in a programmable manner
 // so as to make extraction and presentation of Figures of Merit
 // transparent and error-free" — driven by the same YAML-style plot

@@ -226,49 +226,6 @@ func TestHeatmap(t *testing.T) {
 	}
 }
 
-func TestCheckRegressions(t *testing.T) {
-	t0 := time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC)
-	var entries []*perflog.Entry
-	// archer2: stable at ~95 then regresses to 60.
-	for i, v := range []float64{95, 96, 94, 60} {
-		entries = append(entries, entry("archer2", i+1, t0.Add(time.Duration(i)*time.Hour), map[string]float64{"l0": v}))
-	}
-	// csd3: stable.
-	for i, v := range []float64{126, 125, 127} {
-		entries = append(entries, entry("csd3", 10+i, t0.Add(time.Duration(i)*time.Hour), map[string]float64{"l0": v}))
-	}
-	f, _ := ToFrame(entries)
-	reports, err := CheckRegressions(f, []string{"system"}, "l0", 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byGroup := map[string]RegressionReport{}
-	for _, r := range reports {
-		byGroup[r.Group] = r
-	}
-	if !byGroup["archer2"].Flagged {
-		t.Errorf("archer2 regression not flagged: %+v", byGroup["archer2"])
-	}
-	if byGroup["csd3"].Flagged {
-		t.Errorf("csd3 incorrectly flagged: %+v", byGroup["csd3"])
-	}
-	if byGroup["archer2"].Change > -0.3 {
-		t.Errorf("archer2 change = %g", byGroup["archer2"].Change)
-	}
-}
-
-func TestCheckRegressionsErrors(t *testing.T) {
-	f := dataframe.New()
-	_ = f.AddFloatColumn("x", []float64{1})
-	if _, err := CheckRegressions(f, []string{"system"}, "x", 0.1); err == nil {
-		t.Error("frame without timestamp accepted")
-	}
-	f2, _ := ToFrame(table4Entries())
-	if _, err := CheckRegressions(f2, []string{"system"}, "nope", 0.1); err == nil {
-		t.Error("missing value column accepted")
-	}
-}
-
 func TestLoadFrameFromTree(t *testing.T) {
 	root := t.TempDir()
 	for _, e := range table4Entries() {

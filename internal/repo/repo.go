@@ -234,20 +234,6 @@ func (r *Repository) IsVirtual(name string) bool {
 	return len(r.Providers(name)) > 0
 }
 
-// Merge overlays other on top of r, returning a new repository in which
-// other's recipes shadow r's. This mirrors keeping "a local repository of
-// recipes for packages not generally relevant for upstream" (paper §2.2).
-func (r *Repository) Merge(other *Repository) *Repository {
-	out := NewRepository(r.Name + "+" + other.Name)
-	for n, p := range r.packages {
-		out.packages[n] = p
-	}
-	for n, p := range other.packages {
-		out.packages[n] = p
-	}
-	return out
-}
-
 func contains(xs []string, x string) bool {
 	for _, v := range xs {
 		if v == x {

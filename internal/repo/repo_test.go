@@ -160,25 +160,6 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
-func TestMergeShadows(t *testing.T) {
-	base := NewRepository("base")
-	base.MustAdd(&Package{Name: "p", Versions: vs("1.0"), Description: "old"})
-	local := NewRepository("local")
-	local.MustAdd(&Package{Name: "p", Versions: vs("2.0"), Description: "new"})
-	local.MustAdd(&Package{Name: "q", Versions: vs("1.0")})
-	merged := base.Merge(local)
-	p, err := merged.Get("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Description != "new" {
-		t.Error("local recipe must shadow base recipe")
-	}
-	if !merged.Has("q") {
-		t.Error("merged repo missing local-only recipe")
-	}
-}
-
 func TestGetUnknown(t *testing.T) {
 	if _, err := Builtin().Get("definitely-not-real"); err == nil {
 		t.Error("expected error for unknown package")

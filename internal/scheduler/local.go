@@ -87,15 +87,6 @@ func (l *Local) Poll(id int) (*Info, error) {
 // Submit returns.
 func (l *Local) Wait(id int) (*Info, error) { return l.Poll(id) }
 
-// Cancel implements Scheduler; local jobs cannot be cancelled after the
-// fact.
-func (l *Local) Cancel(id int) error {
-	if _, ok := l.jobs[id]; !ok {
-		return fmt.Errorf("scheduler: no job %d", id)
-	}
-	return fmt.Errorf("scheduler: local jobs run synchronously and cannot be cancelled")
-}
-
 // Script implements Scheduler: a plain shell script.
 func (l *Local) Script(job *Job) string {
 	j := *job

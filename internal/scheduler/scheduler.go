@@ -62,7 +62,6 @@ const (
 	Running
 	Completed
 	Failed
-	Cancelled
 	TimedOut
 )
 
@@ -76,8 +75,6 @@ func (s State) String() string {
 		return "COMPLETED"
 	case Failed:
 		return "FAILED"
-	case Cancelled:
-		return "CANCELLED"
 	case TimedOut:
 		return "TIMEOUT"
 	default:
@@ -144,8 +141,6 @@ type Scheduler interface {
 	Poll(id int) (*Info, error)
 	// Wait advances the scheduler until the job reaches a terminal state.
 	Wait(id int) (*Info, error)
-	// Cancel terminates a pending or running job.
-	Cancel(id int) error
 	// Script renders the batch script that expresses the job in the
 	// scheduler's submission language, for audit (Principle 5).
 	Script(job *Job) string

@@ -198,32 +198,6 @@ func TestSimTimeout(t *testing.T) {
 	}
 }
 
-func TestSimCancel(t *testing.T) {
-	s, _ := NewSim("pbs", 1, 16, fixedExec(time.Hour))
-	a, _ := s.Submit(&Job{Name: "a", NumTasks: 1})
-	b, _ := s.Submit(&Job{Name: "b", NumTasks: 1})
-	// b is queued; cancel it.
-	if err := s.Cancel(b); err != nil {
-		t.Fatal(err)
-	}
-	if info, _ := s.Poll(b); info.State != Cancelled {
-		t.Errorf("b state = %s", info.State)
-	}
-	// a is running; cancel frees its node.
-	if err := s.Cancel(a); err != nil {
-		t.Fatal(err)
-	}
-	if s.FreeNodes() != 1 {
-		t.Errorf("free nodes = %d after cancelling everything", s.FreeNodes())
-	}
-	if err := s.Cancel(a); err == nil {
-		t.Error("double cancel accepted")
-	}
-	if err := s.Cancel(999); err == nil {
-		t.Error("cancel of unknown job accepted")
-	}
-}
-
 func TestSlurmScript(t *testing.T) {
 	s, _ := NewSim("slurm", 8, 128, fixedExec(time.Second))
 	// The paper's ARCHER2 HPGMG job: 8 tasks, 2 per node, 8 cpus each,
@@ -338,9 +312,6 @@ func TestLocalScheduler(t *testing.T) {
 	if info.Runtime() != 2 {
 		t.Errorf("runtime = %g", info.Runtime())
 	}
-	if err := l.Cancel(id); err == nil {
-		t.Error("local cancel should fail")
-	}
 	if _, err := l.Poll(999); err == nil {
 		t.Error("unknown job accepted")
 	}
@@ -360,7 +331,7 @@ func TestLocalFailurePropagates(t *testing.T) {
 func TestStateStrings(t *testing.T) {
 	want := map[State]string{
 		Pending: "PENDING", Running: "RUNNING", Completed: "COMPLETED",
-		Failed: "FAILED", Cancelled: "CANCELLED", TimedOut: "TIMEOUT",
+		Failed: "FAILED", TimedOut: "TIMEOUT",
 	}
 	for s, str := range want {
 		if s.String() != str {

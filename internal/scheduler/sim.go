@@ -87,12 +87,6 @@ func NewSim(dialectName string, totalNodes, coresPerNode int, exec Executor) (*S
 // Name implements Scheduler.
 func (s *Sim) Name() string { return s.d.name() }
 
-// FreeNodes reports how many nodes are currently unallocated.
-func (s *Sim) FreeNodes() int { return s.nfree }
-
-// Clock reports the current virtual time in seconds.
-func (s *Sim) Clock() float64 { return s.clock }
-
 // Submit implements Scheduler. The "scheduler.submit" injection point
 // models the batch controller rejecting transiently.
 func (s *Sim) Submit(job *Job) (int, error) {
@@ -143,51 +137,6 @@ func (s *Sim) Wait(id int) (*Info, error) {
 		}
 	}
 	return s.Poll(id)
-}
-
-// Drain advances the simulation until every submitted job is terminal.
-func (s *Sim) Drain() error {
-	for {
-		busy := false
-		for _, info := range s.jobs {
-			if !info.State.Terminal() {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			return nil
-		}
-		if !s.step() {
-			return fmt.Errorf("scheduler: deadlock with %d running, %d queued", len(s.running), len(s.queue))
-		}
-	}
-}
-
-// Cancel implements Scheduler.
-func (s *Sim) Cancel(id int) error {
-	info, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("scheduler: no job %d", id)
-	}
-	switch info.State {
-	case Pending:
-		for i, qid := range s.queue {
-			if qid == id {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-	case Running:
-		s.releaseNodes(id)
-		delete(s.running, id)
-		delete(s.timedOut, id)
-	default:
-		return fmt.Errorf("scheduler: job %d already %s", id, info.State)
-	}
-	info.State = Cancelled
-	info.EndTime = s.clock
-	return nil
 }
 
 // Script implements Scheduler.

@@ -101,31 +101,6 @@ func (s *refSim) Drain() error {
 	}
 }
 
-func (s *refSim) Cancel(id int) error {
-	info, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("no job %d", id)
-	}
-	switch info.State {
-	case Pending:
-		for i, qid := range s.queue {
-			if qid == id {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-	case Running:
-		s.releaseNodes(info)
-		delete(s.running, id)
-		delete(s.timedOut, id)
-	default:
-		return fmt.Errorf("job %d already %s", id, info.State)
-	}
-	info.State = Cancelled
-	info.EndTime = s.clock
-	return nil
-}
-
 func (s *refSim) step() bool {
 	if len(s.running) == 0 {
 		return s.schedule()
@@ -262,8 +237,8 @@ func (s *refSim) releaseNodes(info *Info) {
 
 // TestSimMatchesReference replays seeded random job streams — sizes from
 // one node to the whole pool, random durations and time limits (time-outs
-// included), failures, cancels of pending and running jobs, backfill on
-// and off, both dialects, pools of 1 to 2 000 nodes — through the
+// included), failures, backfill on and off, both dialects, pools of 1
+// to 2 000 nodes — through the
 // simulator and the reference. After every operation both must return
 // the same thing, every job must look the same in both, and the range
 // pool must be well formed.
@@ -295,7 +270,7 @@ func TestSimMatchesReference(t *testing.T) {
 			var what string
 			var got, want *Info
 			var gerr, werr error
-			switch k := r.Intn(20); {
+			switch k := r.Intn(16); {
 			case k < 11:
 				job := randomJob(r, op, pool, cores)
 				res := Result{Duration: time.Duration(r.Intn(150)) * time.Second, Stderr: "stderr of " + job.Name}
@@ -319,10 +294,6 @@ func TestSimMatchesReference(t *testing.T) {
 				what = fmt.Sprintf("wait %d", id)
 				got, gerr = s.Wait(id)
 				want, werr = ref.Wait(id)
-			case k < 19 && len(ids) > 0:
-				id := ids[r.Intn(len(ids))]
-				what = fmt.Sprintf("cancel %d", id)
-				gerr, werr = s.Cancel(id), ref.Cancel(id)
 			default:
 				what = "drain"
 				gerr, werr = s.Drain(), ref.Drain()
@@ -415,4 +386,29 @@ func sameInfo(a, b *Info) bool {
 	x, y := *a, *b
 	x.Job, y.Job = nil, nil
 	return reflect.DeepEqual(x, y) && a.Job.Name == b.Job.Name
+}
+
+// FreeNodes reports how many nodes are currently unallocated.
+func (s *Sim) FreeNodes() int { return s.nfree }
+
+// Clock reports the current virtual time in seconds.
+func (s *Sim) Clock() float64 { return s.clock }
+
+// Drain advances the simulation until every submitted job is terminal.
+func (s *Sim) Drain() error {
+	for {
+		busy := false
+		for _, info := range s.jobs {
+			if !info.State.Terminal() {
+				busy = true
+				break
+			}
+		}
+		if !busy {
+			return nil
+		}
+		if !s.step() {
+			return fmt.Errorf("scheduler: deadlock with %d running, %d queued", len(s.running), len(s.queue))
+		}
+	}
 }

@@ -18,7 +18,7 @@ func TestBootDoesNotCalibrateHost(t *testing.T) {
 	if !before && platform.HostCalibrated() {
 		t.Fatal("service.New calibrated the host: the triad sweep is back on the boot path")
 	}
-	_, part, err := srv.Runner().Estate.Resolve("local")
+	_, part, err := srv.runner.Estate.Resolve("local")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestAggregateCacheEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown(context.Background())
-	if err := srv.Writer().Append("archer2", "hpgmg-fv", cacheEntryFor("archer2", "hpgmg-fv", 1, 95.0)); err != nil {
+	if err := srv.writer.Append("archer2", "hpgmg-fv", cacheEntryFor("archer2", "hpgmg-fv", 1, 95.0)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -111,7 +111,7 @@ func TestAggregateCacheEndToEnd(t *testing.T) {
 		t.Fatalf("second identical query missed the cache (hits %v -> %v)", h0, hits())
 	}
 	// A store write must invalidate: the next query sees the new entry.
-	if err := srv.Writer().Append("archer2", "hpgmg-fv", cacheEntryFor("archer2", "hpgmg-fv", 2, 94.0)); err != nil {
+	if err := srv.writer.Append("archer2", "hpgmg-fv", cacheEntryFor("archer2", "hpgmg-fv", 2, 94.0)); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(); got != 2 {

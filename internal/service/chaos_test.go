@@ -129,7 +129,7 @@ func chaosSoak(t *testing.T, dataDir string) {
 	// exercising both outcomes: most injected faults are absorbed by a
 	// retry, and a few exhaust their attempts and surface as typed
 	// failures.
-	srv.Runner().Retry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+	srv.runner.Retry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -390,7 +390,7 @@ func chaosSoak(t *testing.T, dataDir string) {
 				d := *e
 				d.JobID += 1000
 				d.Extra = map[string]string{"source": "daemon-writer"}
-				switch werr := srv.Writer().Append(d.System, d.Benchmark, &d); {
+				switch werr := srv.writer.Append(d.System, d.Benchmark, &d); {
 				case werr == nil:
 					writerLanded++
 				case !faultinject.Is(werr):

@@ -481,6 +481,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"sealed_segments":       stats.SealedSegments,
 			"manifest_generation":   stats.ManifestGeneration,
 			"segment_load_failures": stats.SegmentLoadFailures,
+			"bad_lines":             stats.BadLines,
+			"quarantined":           stats.Quarantined,
 		},
 		"observability": map[string]any{
 			"series":            ostats.Series,

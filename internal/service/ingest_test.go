@@ -124,39 +124,149 @@ func TestMaintenanceSyncFaultKeepsQueriesAnswering(t *testing.T) {
 }
 
 // TestMalformedOutOfBandLineKeepsQueriesAnswering: a line the parser
-// refuses, appended out of band, stops the sync at that line. The good
-// line before it is indexed, every query keeps answering 200, and each
-// maintenance tick logs and counts the error. (Skipping or
-// quarantining the line is a separate change.)
+// refuses, appended out of band, costs that line alone. The maintenance
+// sync quarantines it, logs and counts it once, indexes the good line
+// before it and the lines after it, and every query keeps answering 200.
 func TestMalformedOutOfBandLineKeepsQueriesAnswering(t *testing.T) {
 	var logs lockedBuffer
 	srv, ts := newIngestServer(t, Config{MaintenanceInterval: 5 * time.Millisecond}, &logs)
-	before, _ := telemetry.DefaultRegistry.Value("benchd_ingest_errors_total", "sync")
+	before, _ := telemetry.DefaultRegistry.Value("perfstore_bad_lines_total")
 	good := oobEntry(map[string]fom.Value{"l0": {Name: "l0", Value: 1, Unit: "s"}})
 	if err := perflog.Append(srv.Store().Root(), "archer2", "bs", good); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(filepath.Join(srv.Store().Root(), "archer2", "bs.log"), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
+	appendRaw(t, filepath.Join(srv.Store().Root(), "archer2", "bs.log"), "this is not a perflog line\n")
+	after := oobEntry(map[string]fom.Value{"l0": {Name: "l0", Value: 2, Unit: "s"}})
+	after.Time = after.Time.Add(time.Hour)
+	if err := perflog.Append(srv.Store().Root(), "archer2", "bs", after); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("this is not a perflog line\n"); err != nil {
-		t.Fatal(err)
+	eventually(t, "the lines after the bad one", func() bool {
+		return queryCount(t, ts.URL+"/v1/query?benchmark=bs") == 2
+	})
+	if v, _ := telemetry.DefaultRegistry.Value("perfstore_bad_lines_total"); v != before+1 {
+		t.Errorf("perfstore_bad_lines_total moved by %g, want 1", v-before)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	eventually(t, "the quarantine log line", func() bool {
+		return strings.Contains(logs.String(), "perflog line quarantined")
+	})
+	if n := strings.Count(logs.String(), "perflog line quarantined"); n != 1 {
+		t.Errorf("quarantine logged %d times, want once:\n%s", n, logs.String())
 	}
-	eventually(t, "two failed maintenance syncs", counterMoved("benchd_ingest_errors_total", before+1, "sync"))
-	if !strings.Contains(logs.String(), "out-of-band sync failed") {
-		t.Errorf("failed maintenance sync not logged:\n%s", logs.String())
-	}
-	if n := queryCount(t, ts.URL+"/v1/query?benchmark=bs"); n != 1 {
-		t.Errorf("entries before the bad line = %d, want 1", n)
+	if strings.Contains(logs.String(), "out-of-band sync failed") {
+		t.Errorf("a bad line failed the sync:\n%s", logs.String())
 	}
 	if n := queryCount(t, ts.URL+"/v1/query?fom=l0&agg=mean"); n != 1 {
 		t.Errorf("aggregate groups = %d, want 1", n)
 	}
 	queryCount(t, ts.URL+"/v1/regressions?fom=l0")
+}
+
+// TestBadLineCostsOneLineNotLaterAckedRuns: after a bad line lands out
+// of band, every run acked through the writer is served once its append
+// returns — the commit's gap read quarantines the line and moves past
+// it — so acked ⇒ queryable holds for the whole file.
+func TestBadLineCostsOneLineNotLaterAckedRuns(t *testing.T) {
+	var logs lockedBuffer
+	srv, ts := newIngestServer(t, Config{MaintenanceInterval: time.Hour}, &logs)
+	ack := func(i int) {
+		e := oobEntry(map[string]fom.Value{"l0": {Name: "l0", Value: float64(i), Unit: "s"}})
+		e.Time = e.Time.Add(time.Duration(i) * time.Minute)
+		if err := srv.writer.Append("archer2", "bs", e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ack(0)
+	appendRaw(t, filepath.Join(srv.Store().Root(), "archer2", "bs.log"), "this is not a perflog line\n")
+	for i := 1; i <= 3; i++ {
+		ack(i)
+	}
+	if n := queryCount(t, ts.URL+"/v1/query?benchmark=bs"); n != 4 {
+		t.Fatalf("/v1/query serves %d acked entries, want 4", n)
+	}
+	if st := srv.Store().Stats(); st.BadLines != 1 {
+		t.Errorf("quarantined %d lines, want 1", st.BadLines)
+	}
+}
+
+// TestBadLineDoesNotFailBoot: a tree holding a line the parser refuses
+// boots. Every other line is served and /healthz lists the quarantined
+// line with its file, offset and length.
+func TestBadLineDoesNotFailBoot(t *testing.T) {
+	dir := t.TempDir()
+	root := filepath.Join(dir, "perflogs")
+	first := oobEntry(map[string]fom.Value{"l0": {Name: "l0", Value: 1, Unit: "s"}})
+	if err := perflog.Append(root, "archer2", "bs", first); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(root, "archer2", "bs.log")
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const junk = "this is not a perflog line\n"
+	appendRaw(t, path, junk)
+	for i := 1; i <= 3; i++ {
+		e := oobEntry(map[string]fom.Value{"l0": {Name: "l0", Value: float64(i), Unit: "s"}})
+		e.Time = e.Time.Add(time.Duration(i) * time.Minute)
+		if err := perflog.Append(root, "archer2", "bs", e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var logs lockedBuffer
+	srv, err := New(Config{PerflogRoot: root, InstallTree: filepath.Join(dir, "install"), Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatalf("boot over a tree with one bad line: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	if n := queryCount(t, ts.URL+"/v1/query?benchmark=bs"); n != 4 {
+		t.Errorf("served %d entries, want 4", n)
+	}
+	var health struct {
+		Storage struct {
+			BadLines    int `json:"bad_lines"`
+			Quarantined []struct {
+				File   string `json:"file"`
+				Offset int64  `json:"offset"`
+				Length int    `json:"length"`
+				Error  string `json:"error"`
+			} `json:"quarantined"`
+		} `json:"storage"`
+	}
+	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK {
+		t.Fatalf("/healthz status = %d", code)
+	}
+	q := health.Storage.Quarantined
+	if health.Storage.BadLines != 1 || len(q) != 1 || q[0].File != path || q[0].Offset != info.Size() || q[0].Length != len(junk) || q[0].Error == "" {
+		t.Fatalf("storage quarantine = %d %+v, want one line at %s@%d, %d bytes", health.Storage.BadLines, q, path, info.Size(), len(junk))
+	}
+	if !strings.Contains(logs.String(), "perflog line quarantined") {
+		t.Errorf("boot did not log the quarantined line:\n%s", logs.String())
+	}
+}
+
+// appendRaw appends text to a perflog file the way an out-of-band
+// writer would, bypassing perflog's renderer.
+func appendRaw(t *testing.T, path, text string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(text); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCleanCommitsParseNothing is the count gate for the write path:

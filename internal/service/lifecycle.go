@@ -73,6 +73,22 @@ func (s *Server) syncOutOfBand() {
 		metricIngestErrors.With("sync").Inc()
 		s.cfg.Logger.Error("out-of-band sync failed", "error", err.Error())
 	}
+	s.logQuarantined()
+}
+
+// logQuarantined logs each perflog line the store quarantined since the
+// last call (boot, a maintenance sync or a commit's gap read), as far as
+// the store still remembers them.
+func (s *Server) logQuarantined() {
+	st := s.store.Stats()
+	logged := s.badLogged.Load()
+	if int64(st.BadLines) <= logged || !s.badLogged.CompareAndSwap(logged, int64(st.BadLines)) {
+		return // nothing new, or a concurrent call won; the next call logs the rest
+	}
+	fresh := st.BadLines - int(logged)
+	for _, b := range st.Quarantined[max(0, len(st.Quarantined)-fresh):] {
+		s.cfg.Logger.Warn("perflog line quarantined", "file", b.File, "offset", b.Offset, "length", b.Length, "error", b.Error)
+	}
 }
 
 // sealed logs a seal's outcome and announces a non-empty one as

@@ -55,18 +55,18 @@ func testShutdownSequence(t *testing.T, drained bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Obs().AddRule(obs.Rule{
+	if _, err := srv.obs.AddRule(obs.Rule{
 		Metric: "benchd_queue_depth", Kind: obs.KindThreshold, Op: obs.OpGT, Value: -1,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Obs().Sample(time.Now()); err != nil { // the rule fires
+	if err := srv.obs.Sample(time.Now()); err != nil { // the rule fires
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	w := srv.Writer()
+	w := srv.writer
 	acked := make(chan error, 1)
 	if drained {
 		// The workers are idle, so the drain finishes; the append

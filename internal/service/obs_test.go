@@ -246,7 +246,7 @@ func TestObsAlertValidationAndNotFound(t *testing.T) {
 func TestObsHistoryEndpointServesSampledSeries(t *testing.T) {
 	srv, ts := newObsServer(t, "")
 	// Wait for a few sampler ticks.
-	for start := time.Now(); srv.Obs().Stats().Samples < 3; {
+	for start := time.Now(); srv.obs.Stats().Samples < 3; {
 		if time.Since(start) > 10*time.Second {
 			t.Fatal("sampler never ticked")
 		}
@@ -299,13 +299,13 @@ func TestObsHistoryAndAlertsSurviveReboot(t *testing.T) {
 		`{"name":"keeper","metric":"benchd_queue_depth","kind":"threshold","op":"gt","value":1e9,"for":"1h"}`, &rule); code != http.StatusCreated {
 		t.Fatalf("alert create: %d", code)
 	}
-	for start := time.Now(); srv1.Obs().Stats().Samples < 5; {
+	for start := time.Now(); srv1.obs.Stats().Samples < 5; {
 		if time.Since(start) > 10*time.Second {
 			t.Fatal("sampler never ticked")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	preSamples := srv1.Obs().Stats().Samples
+	preSamples := srv1.obs.Stats().Samples
 	ts1.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -354,7 +354,7 @@ func TestShutdownResolvesFiringAlerts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Obs().AddRule(obs.Rule{
+	if _, err := srv.obs.AddRule(obs.Rule{
 		Metric: "benchd_queue_depth", Kind: obs.KindThreshold, Op: obs.OpGT, Value: -1,
 	}); err != nil {
 		t.Fatal(err)

@@ -44,10 +44,10 @@ func TestDetectRegressionsReadsOnlyTheWindow(t *testing.T) {
 		other = append(other, entryAt(i, "hpcg-original", 100))
 	}
 	latest := entryAt(history, "hpgmg-fv", 50)
-	if err := srv.Writer().Append("archer2", "hpgmg-fv", append(steady, latest)...); err != nil {
+	if err := srv.writer.Append("archer2", "hpgmg-fv", append(steady, latest)...); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Writer().Append("archer2", "hpcg-original", other...); err != nil {
+	if err := srv.writer.Append("archer2", "hpcg-original", other...); err != nil {
 		t.Fatal(err)
 	}
 

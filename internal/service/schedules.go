@@ -12,8 +12,7 @@ import (
 
 	"repro/internal/atomicfile"
 	"repro/internal/cbsched"
-	"repro/internal/concretize"
-	"repro/internal/spec"
+	"repro/internal/core"
 	"repro/internal/suite"
 )
 
@@ -65,20 +64,7 @@ func (s *Server) scheduleBuildHash(sp cbsched.Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sys, part, err := s.runner.Estate.Resolve(sp.System)
-	if err != nil {
-		return "", err
-	}
-	specText := b.BuildSpec()
-	if sp.BuildSpec != "" {
-		specText = sp.BuildSpec
-	}
-	abstract, err := spec.Parse(specText)
-	if err != nil {
-		return "", err
-	}
-	cfg := s.runner.Envs.ForSystem(sys.Name)
-	conc, err := concretize.Concretize(abstract, cfg.ConcretizeOptions(s.runner.Repo, string(part.Processor.Arch)))
+	conc, err := s.runner.Concretize(b, core.Options{System: sp.System, Spec: sp.BuildSpec})
 	if err != nil {
 		return "", err
 	}
@@ -160,32 +146,6 @@ func (s *Server) persistSchedules() {
 	}
 }
 
-// validateScheduleTarget applies the same benchmark/system/spec checks
-// a direct run submission gets, so a schedule can only be registered
-// for work the daemon could actually execute.
-func (s *Server) validateScheduleTarget(req *scheduleRequest) error {
-	if req.Benchmark == "" || req.System == "" {
-		return fmt.Errorf("benchmark and system are required")
-	}
-	if _, err := suite.ByName(req.Benchmark); err != nil {
-		return err
-	}
-	if _, _, err := s.runner.Estate.Resolve(req.System); err != nil {
-		return err
-	}
-	if req.Spec != "" {
-		norm, err := suite.NormalizeModelSpec(req.Spec)
-		if err != nil {
-			return err
-		}
-		req.Spec = norm
-	}
-	if req.NumTasks < 0 || req.TasksPerNode < 0 || req.CPUsPerTask < 0 {
-		return fmt.Errorf("layout overrides must be non-negative")
-	}
-	return nil
-}
-
 func (s *Server) handleCreateSchedule(w http.ResponseWriter, r *http.Request) {
 	if s.degraded {
 		// Read-only daemon: registering work that can never execute
@@ -200,7 +160,10 @@ func (s *Server) handleCreateSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if err := s.validateScheduleTarget(&req); err != nil {
+	// A schedule can only be registered for work a run submission
+	// would accept.
+	_, spec, err := s.checkTarget(req.Benchmark, req.System, req.Spec, req.NumTasks, req.TasksPerNode, req.CPUsPerTask)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -208,7 +171,7 @@ func (s *Server) handleCreateSchedule(w http.ResponseWriter, r *http.Request) {
 		Name:          req.Name,
 		Benchmark:     req.Benchmark,
 		System:        req.System,
-		BuildSpec:     req.Spec,
+		BuildSpec:     spec,
 		NumTasks:      req.NumTasks,
 		TasksPerNode:  req.TasksPerNode,
 		CPUsPerTask:   req.CPUsPerTask,

@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/buildsys"
@@ -265,6 +266,9 @@ type Server struct {
 	// recover.
 	degraded bool
 
+	// badLogged is how many quarantined perflog lines have been logged.
+	badLogged atomic.Int64
+
 	mu      sync.Mutex
 	runs    map[string]*Run
 	order   []string // submission order, for listing
@@ -384,6 +388,7 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
+	s.logQuarantined()
 	s.startLoops()
 	phases := []struct {
 		name string
@@ -402,10 +407,6 @@ func New(cfg Config) (*Server, error) {
 	cfg.Logger.Info("boot complete", append(attrs, "degraded", degraded)...)
 	return s, nil
 }
-
-// Obs exposes the self-observability subsystem (tests drive Sample
-// directly through it).
-func (s *Server) Obs() *obs.Observer { return s.obs }
 
 // Bus exposes the event bus so harnesses (the chaos suite, the CLI
 // process embedding a daemon) can subscribe directly.
@@ -454,14 +455,6 @@ func (s *Server) Degraded() bool { return s.degraded }
 // path).
 func (s *Server) Store() *perfstore.Store { return s.store }
 
-// Runner exposes the pipeline runner so harnesses (the chaos suite) can
-// tune its retry policy and stage timeout before submitting work.
-func (s *Server) Runner() *core.Runner { return s.runner }
-
-// Writer exposes the shared group-commit perflog writer (tests flush
-// through it).
-func (s *Server) Writer() *perflog.Writer { return s.writer }
-
 // commitIngest runs on the writer's committer goroutine once per file
 // per durable commit, before the commit's appenders wake: the only way
 // the daemon's own entries enter the store (see IngestCommit).
@@ -488,6 +481,37 @@ type SubmitRequest struct {
 	Warmup      int
 }
 
+// checkTarget is the check a run submission and a schedule registration
+// share: benchmark and system named, layout overrides non-negative, the
+// benchmark in the suite and the system resolvable. It returns the
+// benchmark and the spec, normalized.
+func (s *Server) checkTarget(benchmark, system, spec string, numTasks, tasksPerNode, cpusPerTask int) (core.Benchmark, string, error) {
+	if benchmark == "" || system == "" {
+		return nil, "", fmt.Errorf("benchmark and system are required")
+	}
+	// Layout overrides are "0 = use the benchmark default"; negative
+	// values would otherwise flow unchecked into the runner and job
+	// script (the runner only overrides on > 0, silently masking the
+	// caller's mistake).
+	if numTasks < 0 || tasksPerNode < 0 || cpusPerTask < 0 {
+		return nil, "", fmt.Errorf("layout overrides must be non-negative (num_tasks=%d, tasks_per_node=%d, cpus_per_task=%d)",
+			numTasks, tasksPerNode, cpusPerTask)
+	}
+	b, err := suite.ByName(benchmark)
+	if err != nil {
+		return nil, "", err
+	}
+	if _, _, err := s.runner.Estate.Resolve(system); err != nil {
+		return nil, "", err
+	}
+	if spec != "" {
+		if spec, err = suite.NormalizeModelSpec(spec); err != nil {
+			return nil, "", err
+		}
+	}
+	return b, spec, nil
+}
+
 // Submit validates a run request and enqueues it. It fails fast on an
 // unknown benchmark or system, a negative layout override, a stale
 // install-tree binary (pre-flight validation; surfaces as
@@ -504,20 +528,13 @@ func (s *Server) Submit(req SubmitRequest) (*Run, error) {
 // what a 202 means — where rendering the *Run after submit returns may
 // already show it running.
 func (s *Server) submit(req SubmitRequest, scheduleID string) (*Run, runView, error) {
-	benchmark, system, specText := req.Benchmark, req.System, req.Spec
-	if benchmark == "" || system == "" {
-		return nil, runView{}, fmt.Errorf("benchmark and system are required")
+	benchmark, system := req.Benchmark, req.System
+	b, specText, err := s.checkTarget(benchmark, system, req.Spec, req.NumTasks, req.TasksPerNode, req.CPUsPerTask)
+	if err != nil {
+		return nil, runView{}, err
 	}
 	if s.degraded {
 		return nil, runView{}, errDegraded
-	}
-	// Layout overrides are "0 = use the benchmark default"; negative
-	// values would otherwise flow unchecked into the runner and job
-	// script (the runner only overrides on > 0, silently masking the
-	// caller's mistake).
-	if req.NumTasks < 0 || req.TasksPerNode < 0 || req.CPUsPerTask < 0 {
-		return nil, runView{}, fmt.Errorf("layout overrides must be non-negative (num_tasks=%d, tasks_per_node=%d, cpus_per_task=%d)",
-			req.NumTasks, req.TasksPerNode, req.CPUsPerTask)
 	}
 	if req.Repetitions < 0 || req.Warmup < 0 {
 		return nil, runView{}, fmt.Errorf("repetitions and warmup must be non-negative (repetitions=%d, warmup=%d)",
@@ -529,20 +546,6 @@ func (s *Server) submit(req SubmitRequest, scheduleID string) (*Run, runView, er
 	}
 	if err := stats.ValidateProtocol(reps, req.Warmup); err != nil {
 		return nil, runView{}, err
-	}
-	b, err := suite.ByName(benchmark)
-	if err != nil {
-		return nil, runView{}, err
-	}
-	if _, _, err := s.runner.Estate.Resolve(system); err != nil {
-		return nil, runView{}, err
-	}
-	if specText != "" {
-		norm, err := suite.NormalizeModelSpec(specText)
-		if err != nil {
-			return nil, runView{}, err
-		}
-		specText = norm
 	}
 	// Pre-flight validation (the stale-binary postmortem): reject the
 	// run before it enters the queue when an installed prefix the build

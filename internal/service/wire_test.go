@@ -316,7 +316,7 @@ func TestNonFiniteAndUnencodable(t *testing.T) {
 	}
 	defer srv.Shutdown(context.Background())
 	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 95} {
-		if err := srv.Writer().Append("archer2", "hpgmg-fv", cacheEntryFor("archer2", "hpgmg-fv", i+1, v)); err != nil {
+		if err := srv.writer.Append("archer2", "hpgmg-fv", cacheEntryFor("archer2", "hpgmg-fv", i+1, v)); err != nil {
 			t.Fatal(err)
 		}
 	}

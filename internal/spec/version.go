@@ -97,9 +97,6 @@ type VersionRange struct {
 	Exact  bool
 }
 
-// AnyVersion is the unconstrained version range.
-var AnyVersion = VersionRange{}
-
 // ExactVersion returns a range pinning exactly v.
 func ExactVersion(v Version) VersionRange {
 	return VersionRange{Lo: v, Hi: v, Exact: true}

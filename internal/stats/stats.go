@@ -160,24 +160,6 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// DiscardWarmup splits a repetition series into discarded warm-up
-// observations and the measured remainder. warmup is clamped to
-// [0, len(values)-1] so at least one measured value always survives; a
-// protocol that discards every repetition is a configuration error, and
-// clamping beats silently reporting nothing.
-func DiscardWarmup(values []float64, warmup int) (discarded, measured []float64) {
-	if warmup < 0 {
-		warmup = 0
-	}
-	if warmup >= len(values) {
-		warmup = len(values) - 1
-		if warmup < 0 {
-			warmup = 0
-		}
-	}
-	return values[:warmup], values[warmup:]
-}
-
 // ValidateProtocol rejects nonsensical repetition parameters before a run
 // starts. repetitions is the number of measured repetitions (>= 1);
 // warmup is the number of additional discarded executions (>= 0).

@@ -184,31 +184,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestDiscardWarmup(t *testing.T) {
-	vals := []float64{1, 2, 3, 4}
-	d, m := DiscardWarmup(vals, 1)
-	if len(d) != 1 || d[0] != 1 || len(m) != 3 || m[0] != 2 {
-		t.Fatalf("warmup 1: discarded=%v measured=%v", d, m)
-	}
-	d, m = DiscardWarmup(vals, 0)
-	if len(d) != 0 || len(m) != 4 {
-		t.Fatalf("warmup 0: discarded=%v measured=%v", d, m)
-	}
-	d, m = DiscardWarmup(vals, -3)
-	if len(d) != 0 || len(m) != 4 {
-		t.Fatalf("negative warmup: discarded=%v measured=%v", d, m)
-	}
-	// Clamped: at least one measured value always survives.
-	d, m = DiscardWarmup(vals, 10)
-	if len(d) != 3 || len(m) != 1 || m[0] != 4 {
-		t.Fatalf("oversized warmup: discarded=%v measured=%v", d, m)
-	}
-	d, m = DiscardWarmup(nil, 2)
-	if len(d) != 0 || len(m) != 0 {
-		t.Fatalf("nil input: discarded=%v measured=%v", d, m)
-	}
-}
-
 func TestValidateProtocol(t *testing.T) {
 	if err := ValidateProtocol(1, 0); err != nil {
 		t.Fatalf("1/0 rejected: %v", err)

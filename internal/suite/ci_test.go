@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/perfstore"
 	"repro/internal/postprocess"
 )
 
@@ -67,7 +68,11 @@ func TestCIPipelineVision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := postprocess.CheckRegressions(hpgmgOnly, []string{"system", "benchmark"}, "l0", 0.05)
+	store := perfstore.Open(perflogs)
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	reports, err := store.Regressions(perfstore.Query{Benchmark: "hpgmg-fv", FOM: "l0"}, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

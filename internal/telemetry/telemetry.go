@@ -105,21 +105,6 @@ func (s *Span) SetAttr(key, value string) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// Attr returns one attribute's value ("" when absent).
-func (s *Span) Attr(key string) string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, a := range s.attrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
-}
-
 // End finishes the span, recording the error (nil is a success). Ending
 // a root span publishes the whole trace to its tracer. End is
 // idempotent: only the first call sets the end time.

@@ -1,8 +1,7 @@
 // Package yamlite implements the small YAML subset used by the
-// framework's configuration files (system configs, post-processing plot
-// configs). The paper's framework drives post-processing "via a YAML
-// configuration file" (§2.4); the standard library has no YAML support, so
-// this package provides just enough:
+// framework's post-processing plot configs. The paper's framework drives
+// post-processing "via a YAML configuration file" (§2.4); the standard
+// library has no YAML support, so this package provides just enough:
 //
 //   - block mappings (indentation-based)
 //   - block sequences ("- " items, including sequences of mappings)
@@ -315,58 +314,6 @@ func Str(v Value) (string, error) {
 	default:
 		return "", fmt.Errorf("yamlite: expected string, got %T", v)
 	}
-}
-
-// Int asserts v is an integer.
-func Int(v Value) (int64, error) {
-	switch x := v.(type) {
-	case int64:
-		return x, nil
-	case float64:
-		if x == float64(int64(x)) {
-			return int64(x), nil
-		}
-	}
-	return 0, fmt.Errorf("yamlite: expected integer, got %T(%v)", v, v)
-}
-
-// Float asserts v is numeric.
-func Float(v Value) (float64, error) {
-	switch x := v.(type) {
-	case float64:
-		return x, nil
-	case int64:
-		return float64(x), nil
-	default:
-		return 0, fmt.Errorf("yamlite: expected number, got %T", v)
-	}
-}
-
-// Bool asserts v is a boolean.
-func Bool(v Value) (bool, error) {
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("yamlite: expected bool, got %T", v)
-	}
-	return b, nil
-}
-
-// GetPath walks nested mappings by dotted path ("plot.series.column"),
-// returning an error naming the missing segment.
-func GetPath(v Value, path string) (Value, error) {
-	cur := v
-	for _, seg := range strings.Split(path, ".") {
-		m, err := Map(cur)
-		if err != nil {
-			return nil, fmt.Errorf("yamlite: path %q: %w", path, err)
-		}
-		next, ok := m[seg]
-		if !ok {
-			return nil, fmt.Errorf("yamlite: path %q: missing key %q", path, seg)
-		}
-		cur = next
-	}
-	return cur, nil
 }
 
 // Keys returns a mapping's keys, sorted, for deterministic iteration.

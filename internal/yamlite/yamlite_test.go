@@ -1,7 +1,9 @@
 package yamlite
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -71,17 +73,17 @@ system:
     cores: 40
 `
 	v := mustParse(t, text)
-	got, err := GetPath(v, "system.partition.cores")
+	got, err := getPath(v, "system.partition.cores")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != int64(40) {
 		t.Errorf("cores = %v", got)
 	}
-	if _, err := GetPath(v, "system.partition.sockets"); err == nil {
+	if _, err := getPath(v, "system.partition.sockets"); err == nil {
 		t.Error("missing key must error")
 	}
-	if _, err := GetPath(v, "system.name.inner"); err == nil {
+	if _, err := getPath(v, "system.name.inner"); err == nil {
 		t.Error("walking through a scalar must error")
 	}
 }
@@ -103,7 +105,7 @@ series:
     label: Copy
 `
 	v := mustParse(t, text)
-	s, err := GetPath(v, "series")
+	s, err := getPath(v, "series")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ partitions:
     nodes: 4
 `
 	v := mustParse(t, text)
-	s, _ := GetPath(v, "partitions")
+	s, _ := getPath(v, "partitions")
 	seq, err := Seq(s)
 	if err != nil {
 		t.Fatal(err)
@@ -196,26 +198,14 @@ func TestTypedAccessorErrors(t *testing.T) {
 	if _, err := Seq("notaseq"); err == nil {
 		t.Error("Seq on scalar")
 	}
-	if _, err := Int("x"); err == nil {
-		t.Error("Int on string")
-	}
-	if _, err := Bool("x"); err == nil {
-		t.Error("Bool on string")
-	}
-	if _, err := Float("x"); err == nil {
-		t.Error("Float on string")
+	if _, err := Str([]Value{"x"}); err == nil {
+		t.Error("Str on sequence")
 	}
 	if s, err := Str(int64(3)); err != nil || s != "3" {
 		t.Errorf("Str(3) = %q, %v", s, err)
 	}
-	if f, err := Float(int64(3)); err != nil || f != 3.0 {
-		t.Errorf("Float(3) = %v, %v", f, err)
-	}
-	if n, err := Int(4.0); err != nil || n != 4 {
-		t.Errorf("Int(4.0) = %v, %v", n, err)
-	}
-	if _, err := Int(4.5); err == nil {
-		t.Error("Int(4.5) should error")
+	if s, err := Str(2.5); err != nil || s != "2.5" {
+		t.Errorf("Str(2.5) = %q, %v", s, err)
 	}
 }
 
@@ -246,7 +236,7 @@ series: [programming_model]
 	// flow syntax, so this should fail cleanly rather than mis-parse.
 	if _, err := Parse(text); err == nil {
 		v := mustParse(t, text)
-		if _, err2 := GetPath(v, "x_axis.value"); err2 != nil {
+		if _, err2 := getPath(v, "x_axis.value"); err2 != nil {
 			t.Errorf("config misparsed: %v", err2)
 		}
 	}
@@ -263,7 +253,7 @@ series:
   - programming_model
 `
 	v := mustParse(t, block)
-	got, err := GetPath(v, "y_axis.units")
+	got, err := getPath(v, "y_axis.units")
 	if err != nil || got != "GB/s" {
 		t.Errorf("units = %v, %v", got, err)
 	}
@@ -307,12 +297,32 @@ func TestQuotedKeyForms(t *testing.T) {
 }
 
 func TestBoolTrueValue(t *testing.T) {
-	b, err := Bool(true)
-	if err != nil || !b {
-		t.Errorf("Bool(true) = %v, %v", b, err)
+	m, err := Map(mustParse(t, "flag: true\n"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	f, err := Float(2.5)
-	if err != nil || f != 2.5 {
-		t.Errorf("Float(2.5) = %v, %v", f, err)
+	if b, ok := m["flag"].(bool); !ok || !b {
+		t.Errorf("flag = %#v, want true", m["flag"])
 	}
+	if s, err := Str(m["flag"]); err != nil || s != "true" {
+		t.Errorf("Str(true) = %q, %v", s, err)
+	}
+}
+
+// getPath walks nested mappings by dotted path ("plot.series.column"),
+// returning an error naming the missing segment.
+func getPath(v Value, path string) (Value, error) {
+	cur := v
+	for _, seg := range strings.Split(path, ".") {
+		m, err := Map(cur)
+		if err != nil {
+			return nil, fmt.Errorf("yamlite: path %q: %w", path, err)
+		}
+		next, ok := m[seg]
+		if !ok {
+			return nil, fmt.Errorf("yamlite: path %q: missing key %q", path, seg)
+		}
+		cur = next
+	}
+	return cur, nil
 }

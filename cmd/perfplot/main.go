@@ -64,6 +64,10 @@ func usage() {
                    [--rsd-gate R]                    repetition sets with RSD > R print
                                                      as UNSTABLE and are excluded from
                                                      baselines (0 = default 0.10)
+
+Every subcommand reads the tree as benchd does: whole lines only, and a
+line that does not parse is skipped without a message, costing that line
+alone (benchd's /healthz counts such lines).
 `)
 }
 

@@ -93,10 +93,7 @@ func TestRepetitionRunAggregates(t *testing.T) {
 		t.Fatalf("protocol extras: %v", rep.Entry.Extra)
 	}
 	// Exactly one perflog line, and it round-trips the stats.
-	entries, err := perflog.Read(filepath.Join(r.PerflogRoot, "archer2", "vary.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := wholeTree(t, filepath.Join(r.PerflogRoot, "archer2", "vary.log"))
 	if len(entries) != 1 {
 		t.Fatalf("perflog lines = %d, want 1", len(entries))
 	}
@@ -187,10 +184,7 @@ func TestRepetitionFailureFailsWholeRun(t *testing.T) {
 	if len(b.contexts) != 2 {
 		t.Fatalf("executions = %d, want 2 (stop after failing rep)", len(b.contexts))
 	}
-	entries, err := perflog.Read(filepath.Join(r.PerflogRoot, "archer2", "vary.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := wholeTree(t, filepath.Join(r.PerflogRoot, "archer2", "vary.log"))
 	if len(entries) != 1 || entries[0].Pass() {
 		t.Fatalf("perflog: %d entries, pass=%v", len(entries), len(entries) > 0 && entries[0].Pass())
 	}
@@ -233,7 +227,7 @@ func TestRepetitionFaultExhaustionFailsRun(t *testing.T) {
 	if !faultinject.Is(err) {
 		t.Errorf("error lost its fault type: %v", err)
 	}
-	if _, rerr := perflog.Read(filepath.Join(r.PerflogRoot, "archer2", "vary.log")); rerr == nil {
+	if _, rerr := perflog.ReadTree(filepath.Join(r.PerflogRoot, "archer2", "vary.log")); rerr == nil {
 		t.Fatal("perflog written for a run that never completed")
 	}
 }

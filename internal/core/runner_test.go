@@ -14,7 +14,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fom"
 	"repro/internal/launcher"
-	"repro/internal/perflog"
 	"repro/internal/retry"
 	"repro/internal/telemetry"
 )
@@ -104,10 +103,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Errorf("FOMs = %v", rep.FOMs)
 	}
 	// The perflog has the entry.
-	entries, err := perflog.Read(filepath.Join(r.PerflogRoot, "archer2", "echo.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := wholeTree(t, filepath.Join(r.PerflogRoot, "archer2", "echo.log"))
 	if len(entries) != 1 || !entries[0].Pass() {
 		t.Fatalf("perflog entries: %+v", entries)
 	}
@@ -295,10 +291,7 @@ func TestRunManyAcrossSystems(t *testing.T) {
 		t.Errorf("systems = %v", seen)
 	}
 	// All three perflogs exist for cross-system assimilation.
-	entries, err := perflog.ReadTree(r.PerflogRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := wholeTree(t, r.PerflogRoot)
 	if len(entries) != 3 {
 		t.Errorf("assimilated %d entries", len(entries))
 	}
@@ -379,10 +372,7 @@ func TestStageDurationExtras(t *testing.T) {
 	if math.Abs(exec2-rt2) > 1e-9 {
 		t.Errorf("simulated stage_execute_s = %g, want %g", exec2, rt2)
 	}
-	entries, err := perflog.Read(filepath.Join(r.PerflogRoot, "archer2", "echo.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := wholeTree(t, filepath.Join(r.PerflogRoot, "archer2", "echo.log"))
 	if got := entries[len(entries)-1].Extra["stage_build_s"]; got == "" {
 		t.Error("stage_build_s missing from the perflog round trip")
 	}
@@ -438,8 +428,8 @@ func TestRunManyCollectsPerTargetErrors(t *testing.T) {
 	}
 	// Both healthy systems still produced perflog entries.
 	for _, sys := range []string{"archer2", "csd3"} {
-		if _, serr := perflog.Read(filepath.Join(r.PerflogRoot, sys, "echo.log")); serr != nil {
-			t.Errorf("perflog for %s: %v", sys, serr)
+		if len(wholeTree(t, filepath.Join(r.PerflogRoot, sys, "echo.log"))) == 0 {
+			t.Errorf("no perflog entries for %s", sys)
 		}
 	}
 }

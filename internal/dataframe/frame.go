@@ -141,21 +141,6 @@ func (f *Frame) Col(name string) (*Column, error) {
 	return f.cols[i], nil
 }
 
-// Float returns cell (row, col) of a float column.
-func (f *Frame) Float(col string, row int) (float64, error) {
-	c, err := f.Col(col)
-	if err != nil {
-		return 0, err
-	}
-	if c.kind != Float {
-		return 0, fmt.Errorf("dataframe: column %q is %s, not float", col, c.kind)
-	}
-	if row < 0 || row >= c.Len() {
-		return 0, fmt.Errorf("dataframe: row %d out of range [0,%d)", row, c.Len())
-	}
-	return c.floats[row], nil
-}
-
 // Str returns cell (row, col) as a string.
 func (f *Frame) Str(col string, row int) (string, error) {
 	c, err := f.Col(col)

@@ -27,6 +27,19 @@ func sampleFrame(t *testing.T) *Frame {
 	return f
 }
 
+// floatAt returns cell (row, col) of a float column.
+func floatAt(t *testing.T, f *Frame, col string, row int) float64 {
+	t.Helper()
+	c, err := f.Col(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Kind() != Float {
+		t.Fatalf("column %q is %s, not float", col, c.Kind())
+	}
+	return c.Float(row)
+}
+
 func TestBuilders(t *testing.T) {
 	f := sampleFrame(t)
 	if f.NumRows() != 5 || len(f.Columns()) != 3 {
@@ -38,9 +51,8 @@ func TestBuilders(t *testing.T) {
 	if !f.Has("dofs") || f.Has("nope") {
 		t.Error("Has wrong")
 	}
-	v, err := f.Float("dofs", 2)
-	if err != nil || v != 126.10 {
-		t.Errorf("Float = %v, %v", v, err)
+	if v := floatAt(t, f, "dofs", 2); v != 126.10 {
+		t.Errorf("Float = %v", v)
 	}
 	s, err := f.Str("system", 3)
 	if err != nil || s != "isambard" {
@@ -65,7 +77,7 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := f.Col("missing"); err == nil {
 		t.Error("missing column lookup accepted")
 	}
-	if _, err := f.Float("a", 99); err == nil {
+	if _, err := f.Str("a", 99); err == nil {
 		t.Error("row out of range accepted")
 	}
 	if _, err := f.Str("a", -1); err == nil {
@@ -75,9 +87,6 @@ func TestBuilderErrors(t *testing.T) {
 
 func TestFloatOnStringColumn(t *testing.T) {
 	f := sampleFrame(t)
-	if _, err := f.Float("system", 0); err == nil {
-		t.Error("Float on string column accepted")
-	}
 	c, _ := f.Col("system")
 	if !math.IsNaN(c.Float(0)) {
 		t.Error("Column.Float on string column should be NaN")
@@ -93,8 +102,7 @@ func TestFilterEq(t *testing.T) {
 	if got.NumRows() != 2 {
 		t.Fatalf("rows = %d", got.NumRows())
 	}
-	v, _ := got.Float("dofs", 1)
-	if v != 83.43 {
+	if v := floatAt(t, got, "dofs", 1); v != 83.43 {
 		t.Errorf("second archer2 row dofs = %g", v)
 	}
 }
@@ -153,13 +161,13 @@ func TestSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _ := asc.Float("dofs", 0)
-	last, _ := asc.Float("dofs", asc.NumRows()-1)
+	first := floatAt(t, asc, "dofs", 0)
+	last := floatAt(t, asc, "dofs", asc.NumRows()-1)
 	if first != 30.59 || last != 126.10 {
 		t.Errorf("ascending sort wrong: %g..%g", first, last)
 	}
 	desc, _ := f.Sort("dofs", false)
-	first, _ = desc.Float("dofs", 0)
+	first = floatAt(t, desc, "dofs", 0)
 	if first != 126.10 {
 		t.Errorf("descending sort wrong: %g", first)
 	}
@@ -174,10 +182,10 @@ func TestSortNaNLast(t *testing.T) {
 	f := New()
 	_ = f.AddFloatColumn("x", []float64{math.NaN(), 2, 1})
 	got, _ := f.Sort("x", true)
-	if v, _ := got.Float("x", 0); v != 1 {
+	if v := floatAt(t, got, "x", 0); v != 1 {
 		t.Errorf("first = %g", v)
 	}
-	if v, _ := got.Float("x", 2); !math.IsNaN(v) {
+	if v := floatAt(t, got, "x", 2); !math.IsNaN(v) {
 		t.Errorf("NaN not last: %g", v)
 	}
 }
@@ -191,53 +199,15 @@ func TestHeadAndSelect(t *testing.T) {
 	if s, _ := h.Str("system", 1); s != "cosma8" {
 		t.Errorf("head row 1 = %q", s)
 	}
-	sel, err := f.Select("dofs", "system")
+	sel, err := f.SelectColumns("dofs", "system")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sel.Columns(); got[0] != "dofs" || got[1] != "system" || len(got) != 2 {
 		t.Errorf("select columns = %v", got)
 	}
-	if _, err := f.Select("nope"); err == nil {
+	if _, err := f.SelectColumns("nope"); err == nil {
 		t.Error("select of missing column accepted")
-	}
-}
-
-func mean(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-func TestGroupBy(t *testing.T) {
-	f := sampleFrame(t)
-	g, err := f.GroupBy([]string{"system"}, "dofs", mean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumRows() != 4 {
-		t.Fatalf("groups = %d", g.NumRows())
-	}
-	// archer2 has rows 95.36 and 83.43 -> mean 89.395.
-	byName := map[string]float64{}
-	for r := 0; r < g.NumRows(); r++ {
-		s, _ := g.Str("system", r)
-		v, _ := g.Float("dofs", r)
-		byName[s] = v
-	}
-	if math.Abs(byName["archer2"]-89.395) > 1e-9 {
-		t.Errorf("archer2 mean = %g", byName["archer2"])
-	}
-	if byName["csd3"] != 126.10 {
-		t.Errorf("csd3 = %g", byName["csd3"])
-	}
-	if _, err := f.GroupBy([]string{"nope"}, "dofs", mean); err == nil {
-		t.Error("missing key accepted")
-	}
-	if _, err := f.GroupBy([]string{"system"}, "system", mean); err == nil {
-		t.Error("string value column accepted")
 	}
 }
 

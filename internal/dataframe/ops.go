@@ -109,80 +109,6 @@ func (f *Frame) Sort(col string, ascending bool) (*Frame, error) {
 	return f.selectRows(rows), nil
 }
 
-// Select returns a frame with only the named columns, in that order.
-func (f *Frame) Select(cols ...string) (*Frame, error) {
-	out := New()
-	for _, name := range cols {
-		c, err := f.Col(name)
-		if err != nil {
-			return nil, err
-		}
-		out.index[c.Name] = len(out.cols)
-		out.cols = append(out.cols, c)
-	}
-	return out, nil
-}
-
-// Agg is a group-by aggregation function over float values.
-type Agg func([]float64) float64
-
-// GroupBy groups rows by the values of the named string columns and
-// aggregates the named float column, producing one row per group with the
-// key columns plus an aggregate column named like valueCol.
-func (f *Frame) GroupBy(keyCols []string, valueCol string, agg Agg) (*Frame, error) {
-	for _, k := range keyCols {
-		if _, err := f.Col(k); err != nil {
-			return nil, err
-		}
-	}
-	vc, err := f.Col(valueCol)
-	if err != nil {
-		return nil, err
-	}
-	if vc.Kind() != Float {
-		return nil, fmt.Errorf("dataframe: GroupBy value column %q must be float", valueCol)
-	}
-	type group struct {
-		keys   []string
-		values []float64
-	}
-	groups := map[string]*group{}
-	var order []string
-	for r := 0; r < f.NumRows(); r++ {
-		keys := make([]string, len(keyCols))
-		for i, k := range keyCols {
-			keys[i], _ = f.Str(k, r)
-		}
-		id := fmt.Sprintf("%q", keys)
-		g, ok := groups[id]
-		if !ok {
-			g = &group{keys: keys}
-			groups[id] = g
-			order = append(order, id)
-		}
-		g.values = append(g.values, vc.Float(r))
-	}
-	out := New()
-	keyData := make([][]string, len(keyCols))
-	var aggData []float64
-	for _, id := range order {
-		g := groups[id]
-		for i := range keyCols {
-			keyData[i] = append(keyData[i], g.keys[i])
-		}
-		aggData = append(aggData, agg(g.values))
-	}
-	for i, k := range keyCols {
-		if err := out.AddStringColumn(k, keyData[i]); err != nil {
-			return nil, err
-		}
-	}
-	if err := out.AddFloatColumn(valueCol, aggData); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Pivot builds a 2-D table: one row per unique rowCol value, one column
 // per unique colCol value, cells from valueCol (last wins on duplicates,
 // NaN when absent). Row and column labels are returned sorted. This is

@@ -11,12 +11,13 @@
 package perflog
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -240,11 +241,16 @@ func Append(root, system, benchmark string, entries ...*Entry) error {
 //     failed directory sync fails the open, and the next open syncs
 //     again.
 //   - A file whose last byte is not '\n' ends in a torn line (a writer
-//     died mid-append). A '\n' is written to terminate it, so the next
+//     died mid-append). "|\n" is written to terminate it, so the next
 //     entry starts a line of its own instead of being glued to the
-//     fragment; the caller's commit fsync makes it durable. If an
-//     out-of-band writer races in between the check and the write, the
-//     worst case is an empty line, which every reader skips.
+//     fragment, and the fragment never parses: a raw '|' always starts
+//     a field (values write it as \p), so the fragment's last field is
+//     empty, which ParseLine refuses, wherever the cut fell. Readers
+//     skip it as a bad line; the caller's commit fsync makes it durable.
+//     The check can race another appender whose write is still landing
+//     (the size read falls inside its line); the terminator then lands
+//     after that writer's whole line as a line holding only '|', which
+//     every reader skips like a blank line.
 func openLog(root, system, benchmark string) (*os.File, string, error) {
 	dir := filepath.Join(root, system)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -269,7 +275,7 @@ func openLog(root, system, benchmark string) (*os.File, string, error) {
 	return f, path, nil
 }
 
-// terminateTail writes a '\n' after a torn last line, as openLog
+// terminateTail writes "|\n" after a torn last line, as openLog
 // describes.
 func terminateTail(f *os.File) error {
 	fi, err := f.Stat()
@@ -281,49 +287,87 @@ func terminateTail(f *os.File) error {
 		return err
 	}
 	if last[0] != '\n' {
-		_, err = f.Write([]byte{'\n'})
+		_, err = f.Write([]byte("|\n"))
 	}
 	return err
 }
 
-// Read decodes all entries from one perflog file.
-func Read(path string) ([]*Entry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("perflog: %w", err)
-	}
-	defer f.Close()
-	return ReadFrom(f)
+// BadLine is one whole perflog line that did not parse. Every reader
+// skips it, so it costs that line and nothing after it.
+type BadLine struct {
+	File   string `json:"file"`
+	Offset int64  `json:"offset"`
+	Length int    `json:"length"`
+	Error  string `json:"error"`
 }
 
-// ReadFrom decodes entries from a stream, one line each.
-func ReadFrom(r io.Reader) ([]*Entry, error) {
-	var out []*Entry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		e, err := ParseLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("perflog: line %d: %w", lineNo, err)
-		}
-		out = append(out, e)
+// Lines is what Scan read: the whole lines, parsed.
+type Lines struct {
+	Entries []*Entry
+	Bad     []BadLine // the whole lines that did not parse, in file order
+	Bytes   int64     // consumed through the last '\n'
+}
+
+// ScanChunk bounds one read of Scan: a chunk's whole lines become one
+// string that the parsed entries' fields are substrings of. A chunk
+// never spans two scans, so no other file's entries keep it alive.
+const ScanChunk = 1 << 20
+
+// Scan is the one reader of perflog text: it parses the whole lines r
+// yields, a ScanChunk at a time, with no cap on a line's length. Blank
+// lines, '#' comments and the bare '|' a racing openLog can leave are
+// skipped; a line that does not parse is recorded in Bad, named by file
+// and by its offset counted from offset (where r starts in the file).
+// Bytes after the last '\n' are a line a writer is still appending, or
+// a torn tail, and are left unread: every entry Scan returns is a whole
+// line. size is an upper bound on what r holds, or ≤ 0 when unknown; it
+// only sizes the first chunk. The error is what cut the read short;
+// Lines still covers every whole line read before it.
+func Scan(r io.Reader, size int64, file string, offset int64) (Lines, error) {
+	var out Lines
+	if size <= 0 || size > ScanChunk {
+		size = ScanChunk
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("perflog: %w", err)
+	buf := make([]byte, 0, size)
+	for {
+		n, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		end := bytes.LastIndexByte(buf, '\n') + 1
+		for chunk := string(buf[:end]); chunk != ""; {
+			line, rest, _ := strings.Cut(chunk, "\n")
+			if text := strings.TrimSpace(line); text != "" && text != "|" && !strings.HasPrefix(text, "#") {
+				if e, err := ParseLine(text); err != nil {
+					out.Bad = append(out.Bad, BadLine{File: file, Offset: offset + out.Bytes, Length: len(line) + 1, Error: err.Error()})
+				} else {
+					out.Entries = append(out.Entries, e)
+				}
+			}
+			out.Bytes += int64(len(line)) + 1
+			chunk = rest
+		}
+		switch err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			return out, nil
+		default:
+			return out, err
+		}
+		buf = buf[:copy(buf, buf[end:])]
+		if len(buf) == cap(buf) { // one line longer than the buffer
+			buf = slices.Grow(buf, len(buf))
+		}
 	}
-	return out, nil
 }
 
 // ReadTree walks a perflog root directory (as written by Append, possibly
-// covering many systems) and returns every entry. This is the
-// cross-platform assimilation step of §2.4: logs "generated on isolated
-// systems" are collated in one pass.
+// covering many systems) and returns every entry, in walk order. This is
+// the cross-platform assimilation step of §2.4: logs "generated on
+// isolated systems" are collated in one pass. Each .log file is read by
+// Scan, as the store reads it: a line that does not parse is skipped and
+// costs only itself, and an unterminated last line is left out. Both
+// skips are silent (the store counts bad lines in its Stats; a caller
+// that must see them calls Scan itself). root may also name a single
+// .log file.
 func ReadTree(root string) ([]*Entry, error) {
 	var out []*Entry
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -333,13 +377,20 @@ func ReadTree(root string) ([]*Entry, error) {
 		if d.IsDir() || !strings.HasSuffix(path, ".log") {
 			return nil
 		}
-		entries, err := Read(path)
+		f, err := os.Open(path)
 		if err != nil {
-			// Read's errors name the line but not the file; a tree walk
-			// without the path would leave the bad log unidentifiable.
+			return err
+		}
+		defer f.Close()
+		var size int64
+		if info, err := d.Info(); err == nil {
+			size = info.Size()
+		}
+		lines, err := Scan(f, size, path, 0)
+		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		out = append(out, entries...)
+		out = append(out, lines.Entries...)
 		return nil
 	})
 	if err != nil {

@@ -1,6 +1,8 @@
 package perflog
 
 import (
+	"bytes"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -31,6 +33,38 @@ func sampleEntry() *Entry {
 		},
 		Extra: map[string]string{"num_tasks": "8", "num_cpus_per_task": "8"},
 	}
+}
+
+// readLog reads every .log file under root (or the one file root
+// names) through Scan, in walk order, failing the test on a line that
+// does not parse or a torn last line: what a correct writer leaves is
+// whole lines that all parse, which ReadTree, skipping both, does not
+// check.
+func readLog(t *testing.T, root string) []*Entry {
+	t.Helper()
+	var out []*Entry
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".log") {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		lines, err := Scan(bytes.NewReader(data), int64(len(data)), path, 0)
+		if err != nil {
+			return err
+		}
+		if len(lines.Bad) > 0 || lines.Bytes != int64(len(data)) {
+			t.Errorf("%s: %d of %d bytes are whole lines; lines that do not parse: %+v", path, lines.Bytes, len(data), lines.Bad)
+		}
+		out = append(out, lines.Entries...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestLineRoundTrip(t *testing.T) {
@@ -132,10 +166,7 @@ func TestAppendAndRead(t *testing.T) {
 	if err := Append(root, "archer2", "hpgmg-fv", e3); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := Read(filepath.Join(root, "archer2", "hpgmg-fv.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := readLog(t, filepath.Join(root, "archer2", "hpgmg-fv.log"))
 	if len(entries) != 3 {
 		t.Fatalf("entries = %d, want 3", len(entries))
 	}
@@ -177,31 +208,36 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
+	if entries := readLog(t, path); len(entries) != 1 {
 		t.Errorf("entries = %d", len(entries))
 	}
 }
 
 func TestReadMissingFile(t *testing.T) {
-	if _, err := Read(filepath.Join(t.TempDir(), "nope.log")); err == nil {
-		t.Error("missing file accepted")
+	if _, err := ReadTree(filepath.Join(t.TempDir(), "nope")); err == nil {
+		t.Error("missing tree accepted")
 	}
 }
 
-func TestReadCorruptLineReportsLineNumber(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.log")
-	content := sampleEntry().Line() + "\ngarbage line\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+// TestScanSkipsBadLine: a line that does not parse costs that line
+// alone. Scan serves the whole lines around it, consumes the whole text,
+// and names the bad line by its offset and length (newline included)
+// from where the reader started in the file.
+func TestScanSkipsBadLine(t *testing.T) {
+	good := sampleEntry().Line() + "\n"
+	const junk = "garbage line\n"
+	content := good + junk + good
+	const at = 1000 // where the reader starts in the file
+	lines, err := Scan(strings.NewReader(content), 0, "x.log", at)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := Read(path)
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("error should name the line: %v", err)
+	if len(lines.Entries) != 2 || lines.Bytes != int64(len(content)) {
+		t.Fatalf("%d entries, %d bytes; want 2 entries, %d bytes", len(lines.Entries), lines.Bytes, len(content))
+	}
+	want := BadLine{File: "x.log", Offset: at + int64(len(good)), Length: len(junk), Error: `perflog: malformed field "garbage line"`}
+	if len(lines.Bad) != 1 || lines.Bad[0] != want {
+		t.Fatalf("bad lines %+v, want one %+v", lines.Bad, want)
 	}
 }
 
@@ -233,10 +269,7 @@ func TestAppendConcurrentWritersNeverInterleave(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	entries, err := Read(filepath.Join(root, "archer2", "hpgmg-fv.log"))
-	if err != nil {
-		t.Fatalf("interleaved write corrupted the log: %v", err)
-	}
+	entries := readLog(t, filepath.Join(root, "archer2", "hpgmg-fv.log"))
 	if len(entries) != writers*batches*2 {
 		t.Errorf("entries = %d, want %d", len(entries), writers*batches*2)
 	}
@@ -275,10 +308,7 @@ func TestAppendSurfacesSyncFault(t *testing.T) {
 	if err := Append(root, "archer2", "hpgmg-fv", sampleEntry()); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := Read(filepath.Join(root, "archer2", "hpgmg-fv.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := readLog(t, filepath.Join(root, "archer2", "hpgmg-fv.log"))
 	// Injected sync faults fire before the write, so the faulted append
 	// left nothing behind: exactly the acknowledged entry is present.
 	if len(entries) != 1 {
@@ -319,10 +349,7 @@ func TestAppendFiresWrittenPoint(t *testing.T) {
 	if err := Append(root, "archer2", "hpgmg-fv", sampleEntry()); !faultinject.Is(err) {
 		t.Fatalf("written fault not surfaced: %v", err)
 	}
-	entries, err := Read(filepath.Join(root, "archer2", "hpgmg-fv.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := readLog(t, filepath.Join(root, "archer2", "hpgmg-fv.log"))
 	if len(entries) != 1 {
 		t.Fatalf("log holds %d entries after a fault between write and fsync, want the 1 written", len(entries))
 	}
@@ -331,10 +358,10 @@ func TestAppendFiresWrittenPoint(t *testing.T) {
 // TestAppendTerminatesTornTail: a writer that died mid-append leaves the
 // file ending in half a line. The next append, on either path, must
 // land as a line of its own, byte-identical to its Line(), after the
-// fragment terminated on its own line — not glued onto the fragment,
-// where "…|job" + "ts=…" would read back as an invented "jobts" extra.
-// The fragment line itself stays unparseable; skipping or quarantining
-// it is the store's job, not the append path's.
+// fragment terminated with "|\n" — not glued onto the fragment, where
+// "…|job" + "ts=…" would read back as an invented "jobts" extra. The
+// '|' gives the fragment an empty last field, so it never parses
+// wherever the cut fell; readers skip it as a bad line.
 func TestAppendTerminatesTornTail(t *testing.T) {
 	paths := []struct {
 		name   string
@@ -380,7 +407,7 @@ func TestAppendTerminatesTornTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := line + "\n" + fragment + "\n" + next.Line() + "\n"
+			want := line + "\n" + fragment + "|\n" + next.Line() + "\n"
 			if string(data) != want {
 				t.Fatalf("file after torn tail + append:\n%s\nwant:\n%s", data, want)
 			}

@@ -45,10 +45,7 @@ func TestWriterAppendsDurableAndReadable(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := ReadTree(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := readLog(t, root)
 	if len(entries) != 4 {
 		t.Fatalf("tree holds %d entries, want 4", len(entries))
 	}
@@ -100,10 +97,7 @@ func TestWriterConcurrentAppendersNoTornLines(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := ReadTree(root)
-	if err != nil {
-		t.Fatalf("tree corrupt after concurrent appends: %v", err)
-	}
+	entries := readLog(t, root)
 	if len(entries) != writers*appends {
 		t.Fatalf("tree holds %d entries, want %d", len(entries), writers*appends)
 	}
@@ -150,10 +144,7 @@ func TestWriterGroupsAppendsIntoOneCommit(t *testing.T) {
 	if got := after - before; got != 1 {
 		t.Fatalf("%d appends committed in %g commits, want exactly 1", n, got)
 	}
-	entries, err := Read(filepath.Join(root, "archer2", "hpgmg-fv.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := readLog(t, filepath.Join(root, "archer2", "hpgmg-fv.log"))
 	if len(entries) != n {
 		t.Fatalf("log holds %d entries, want %d", len(entries), n)
 	}
@@ -210,10 +201,7 @@ func TestWriterSyncFaultFailsWholeBatch(t *testing.T) {
 	if err := <-recovered; err != nil {
 		t.Fatal(err)
 	}
-	entries, err := Read(filepath.Join(root, "archer2", "hpgmg-fv.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := readLog(t, filepath.Join(root, "archer2", "hpgmg-fv.log"))
 	if len(entries) != 1 {
 		t.Fatalf("log holds %d entries after recovery, want 1", len(entries))
 	}
@@ -309,10 +297,7 @@ func TestWriterCloseFlushesPending(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("pending append not flushed by Close: %v", err)
 	}
-	entries, err := Read(filepath.Join(root, "archer2", "hpgmg-fv.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := readLog(t, filepath.Join(root, "archer2", "hpgmg-fv.log"))
 	if len(entries) != 1 {
 		t.Fatalf("log holds %d entries, want 1", len(entries))
 	}
@@ -453,10 +438,7 @@ func TestWriterCommitOffsetTrueUnderOOBAppends(t *testing.T) {
 	if committed != viaWriter {
 		t.Fatalf("commits carried %d entries, want %d", committed, viaWriter)
 	}
-	entries, err := ReadTree(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := readLog(t, root)
 	if len(entries) != viaWriter+oob {
 		t.Fatalf("tree holds %d entries, want %d", len(entries), viaWriter+oob)
 	}

@@ -359,15 +359,15 @@ func readTailRef(path string, from, to int64) fileTail {
 				return err
 			}
 			text := strings.TrimSpace(line)
-			if text != "" && !strings.HasPrefix(text, "#") {
+			if text != "" && text != "|" && !strings.HasPrefix(text, "#") {
 				e, perr := perflog.ParseLine(text)
 				if perr != nil {
-					t.bad = append(t.bad, BadLine{File: path, Offset: from + t.bytes, Length: len(line), Error: perr.Error()})
+					t.Bad = append(t.Bad, perflog.BadLine{File: path, Offset: from + t.Bytes, Length: len(line), Error: perr.Error()})
 				} else {
-					t.entries = append(t.entries, e)
+					t.Entries = append(t.Entries, e)
 				}
 			}
-			t.bytes += int64(len(line))
+			t.Bytes += int64(len(line))
 		}
 	}
 	if err := read(); err != nil {

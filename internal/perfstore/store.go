@@ -15,14 +15,12 @@
 package perfstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,16 +78,6 @@ type checkpoint struct {
 	offset int64 // bytes consumed through the last complete line
 }
 
-// BadLine is one complete perflog line that did not parse. Ingest skips
-// it and moves the checkpoint past it, so it costs that line and nothing
-// after it.
-type BadLine struct {
-	File   string `json:"file"`
-	Offset int64  `json:"offset"`
-	Length int    `json:"length"`
-	Error  string `json:"error"`
-}
-
 // quarantineKeep bounds the bad lines a store remembers: the newest
 // ones, enough to find a corrupt file; the total is counted without
 // bound.
@@ -113,7 +101,7 @@ type Stats struct {
 	// BadLines counts the lines ingest has quarantined; Quarantined holds
 	// the newest of them, oldest first.
 	BadLines    int
-	Quarantined []BadLine
+	Quarantined []perflog.BadLine
 }
 
 // rsdGate resolves the store's effective variance-gate threshold.
@@ -179,7 +167,7 @@ type Store struct {
 	bad struct {
 		sync.Mutex
 		n      int
-		recent []BadLine
+		recent []perflog.BadLine
 	}
 }
 
@@ -375,21 +363,14 @@ func (s *Store) checkpoint(path string) *checkpoint {
 }
 
 // fileTail is what one perflog file holds past a checkpoint: its
-// complete lines, parsed, and the ones that did not parse. Reading one
-// touches no store state; it enters the store through advance.
+// whole lines, as perflog.Scan read them. Reading one touches no store
+// state; it enters the store through advance.
 type fileTail struct {
-	from    int64 // checkpoint offset the read started at
-	shrunk  bool  // the file is shorter than from: it was rewritten, and the tail is the whole file
-	entries []*perflog.Entry
-	bad     []BadLine
-	bytes   int64 // consumed through the last complete line
-	err     error // what cut the read short; entries and bytes still cover what was read
+	from   int64 // checkpoint offset the read started at
+	shrunk bool  // the file is shorter than from: it was rewritten, and the tail is the whole file
+	perflog.Lines
+	err error // what cut the read short; Lines still covers what was read
 }
-
-// tailChunk bounds one read of a tail: a chunk's complete lines become
-// one string that the parsed entries' fields are substrings of. A chunk
-// never spans two files, so no other file's entries keep it alive.
-const tailChunk = 1 << 20
 
 // readTail reads the complete lines of path past offset from and, unless
 // to is negative, before offset to.
@@ -428,38 +409,8 @@ func (t *fileTail) read(path string, to int64) error {
 		return err
 	}
 	r := faultinject.Reader("perfstore.read", io.LimitReader(f, to-from))
-	buf := make([]byte, 0, min(to-from, tailChunk))
-	for {
-		n, err := io.ReadFull(r, buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		end := bytes.LastIndexByte(buf, '\n') + 1
-		for chunk := string(buf[:end]); chunk != ""; {
-			line, rest, _ := strings.Cut(chunk, "\n")
-			if text := strings.TrimSpace(line); text != "" && !strings.HasPrefix(text, "#") {
-				if e, err := perflog.ParseLine(text); err != nil {
-					t.bad = append(t.bad, BadLine{File: path, Offset: from + t.bytes, Length: len(line) + 1, Error: err.Error()})
-				} else {
-					t.entries = append(t.entries, e)
-				}
-			}
-			t.bytes += int64(len(line)) + 1
-			chunk = rest
-		}
-		switch err {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			// Anything left is a partial trailing line: a writer is
-			// mid-append. Leave the checkpoint before it so the next sync
-			// picks it up whole.
-			return nil
-		default:
-			return err
-		}
-		buf = buf[:copy(buf, buf[end:])]
-		if len(buf) == cap(buf) { // one line longer than the buffer
-			buf = slices.Grow(buf, len(buf))
-		}
-	}
+	t.Lines, err = perflog.Scan(r, to-from, path, from)
+	return err
 }
 
 // advance is the one way a checkpoint moves. It indexes the complete
@@ -486,16 +437,16 @@ func (s *Store) advance(path string, ahead *fileTail, to int64) error {
 		}
 		ck.offset = 0
 	}
-	s.addBatch(t.entries, path)
-	s.quarantine(t.bad)
-	ck.offset += t.bytes
-	s.bumpStats(1, t.bytes, len(t.entries))
+	s.addBatch(t.Entries, path)
+	s.quarantine(t.Bad)
+	ck.offset += t.Bytes
+	s.bumpStats(1, t.Bytes, len(t.Entries))
 	return t.err
 }
 
 // quarantine records lines ingest skipped, keeping the newest
 // quarantineKeep.
-func (s *Store) quarantine(bad []BadLine) {
+func (s *Store) quarantine(bad []perflog.BadLine) {
 	if len(bad) == 0 {
 		return
 	}
@@ -642,7 +593,7 @@ func (s *Store) Stats() Stats {
 	s.loadFail.Unlock()
 	s.bad.Lock()
 	out.BadLines = s.bad.n
-	out.Quarantined = append([]BadLine{}, s.bad.recent...)
+	out.Quarantined = append([]perflog.BadLine{}, s.bad.recent...)
 	s.bad.Unlock()
 	return out
 }

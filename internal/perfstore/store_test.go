@@ -206,11 +206,7 @@ func TestAppendKeepsStoreAndTreeInLockstep(t *testing.T) {
 	if s.Stats().BytesParsed != before || s.Len() != 1 {
 		t.Error("Append left the checkpoint behind the file")
 	}
-	entries, err := perflog.ReadTree(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
+	if entries := wholeTree(t, root); len(entries) != 1 {
 		t.Errorf("tree entries = %d", len(entries))
 	}
 }
@@ -397,10 +393,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 		t.Errorf("entries = %d, want %d", s.Len(), writers*perWriter)
 	}
 	// Everything the writers appended is also parseable on disk.
-	entries, err := perflog.ReadTree(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := wholeTree(t, root)
 	if len(entries) != writers*perWriter {
 		t.Errorf("tree entries = %d", len(entries))
 	}

@@ -1,7 +1,9 @@
 package perfstore
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,9 +11,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/fom"
 	"repro/internal/perflog"
 )
 
@@ -60,10 +64,7 @@ func TestSyncOrderIndependentOfParallelism(t *testing.T) {
 	root := tiedTree(t)
 	// The serial walk's order: files in lexical order, lines in file
 	// order, stably sorted by time.
-	walked, err := perflog.ReadTree(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	walked := wholeTree(t, root)
 	slices.SortStableFunc(walked, func(a, b *perflog.Entry) int { return a.Time.Compare(b.Time) })
 	var want []string
 	for _, e := range walked {
@@ -116,7 +117,7 @@ func TestSyncParseErrorKeepsGoodPrefix(t *testing.T) {
 			t.Fatalf("GOMAXPROCS=%d: checkpoint at %d, want %d (the end of the file)", procs, got, len(mangled))
 		}
 		st := s.Stats()
-		want := BadLine{File: bad, Offset: int64(len(prefix)), Length: len(junk), Error: `perflog: malformed field "this is not a perflog line"`}
+		want := perflog.BadLine{File: bad, Offset: int64(len(prefix)), Length: len(junk), Error: `perflog: malformed field "this is not a perflog line"`}
 		if st.BadLines != 1 || len(st.Quarantined) != 1 || st.Quarantined[0] != want {
 			t.Fatalf("GOMAXPROCS=%d: quarantine %d %+v, want one %+v", procs, st.BadLines, st.Quarantined, want)
 		}
@@ -198,16 +199,16 @@ func TestReadTailMatchesLineReader(t *testing.T) {
 	line(0, nil)
 	good.WriteString("   \t\n  # indented comment\r\n")
 	good.WriteString("  " + strings.TrimSuffix(entry("archer2", "hpcg", 1, t0, nil).Line(), "\n") + "  \r\n")
-	for i := 2; good.Len() < 3*tailChunk/2; i++ {
+	for i := 2; good.Len() < 3*perflog.ScanChunk/2; i++ {
 		line(i, nil)
 	}
-	line(-1, map[string]string{"blob": strings.Repeat("x", tailChunk*3/2)})
+	line(-1, map[string]string{"blob": strings.Repeat("x", perflog.ScanChunk*3/2)})
 	for i := 0; i < 2000; i++ {
 		line(100_000+i, nil)
 	}
 	good.WriteString("ts=2023-07-07T10:02:11Z|benchmark=torn") // no trailing newline
 	content := good.String()
-	if content[tailChunk-1] == '\n' {
+	if content[perflog.ScanChunk-1] == '\n' {
 		t.Fatal("no line straddles the first chunk boundary")
 	}
 	goodPath := filepath.Join(dir, "good.log")
@@ -250,16 +251,134 @@ func TestReadTailMatchesLineReader(t *testing.T) {
 				return fn(c.path, c.from, c.to)
 			}
 			got, want := read(readTail), read(readTailRef)
-			if got.from != want.from || got.shrunk != want.shrunk || got.bytes != want.bytes || fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+			if got.from != want.from || got.shrunk != want.shrunk || got.Bytes != want.Bytes || fmt.Sprint(got.err) != fmt.Sprint(want.err) {
 				t.Fatalf("got from %d shrunk %v bytes %d err %v\nwant from %d shrunk %v bytes %d err %v",
-					got.from, got.shrunk, got.bytes, got.err, want.from, want.shrunk, want.bytes, want.err)
+					got.from, got.shrunk, got.Bytes, got.err, want.from, want.shrunk, want.Bytes, want.err)
 			}
-			if !reflect.DeepEqual(got.entries, want.entries) {
-				t.Fatalf("%d entries, want %d (or they differ)", len(got.entries), len(want.entries))
+			if !reflect.DeepEqual(got.Entries, want.Entries) {
+				t.Fatalf("%d entries, want %d (or they differ)", len(got.Entries), len(want.Entries))
 			}
-			if !reflect.DeepEqual(got.bad, want.bad) {
-				t.Fatalf("quarantined %+v, want %+v", got.bad, want.bad)
+			if !reflect.DeepEqual(got.Bad, want.Bad) {
+				t.Fatalf("quarantined %+v, want %+v", got.Bad, want.Bad)
 			}
 		})
+	}
+}
+
+// TestTornTailNeverServed: a file cut at any byte and then appended to
+// serves exactly its whole lines plus the acked run, whichever way the
+// tree is read — a text boot, a sealed reboot, or perflog.ReadTree —
+// and a fragment left by the cut is quarantined exactly once. The lines
+// carry escaped '|' and '\' and a FOM, so cuts land inside escapes and
+// inside the number. Each cut is its own benchmark's file in one tree.
+func TestTornTailNeverServed(t *testing.T) {
+	line := func(benchmark string, job int) *perflog.Entry {
+		return &perflog.Entry{
+			Time: t0.Add(time.Duration(job) * time.Hour), Benchmark: benchmark, System: "archer2",
+			Spec: `stream|omp\gcc`, JobID: job, Result: "pass",
+			FOMs: map[string]fom.Value{"Triad": {Name: "Triad", Value: 123456.75}},
+		}
+	}
+	root, data := t.TempDir(), t.TempDir()
+	want := map[string][]string{} // benchmark -> the lines it must serve
+	fragments := 0
+	for cut := 0; ; cut++ {
+		benchmark := fmt.Sprint("stream-", cut)
+		text := line(benchmark, 1).Line() + "\n" + line(benchmark, 2).Line() + "\n"
+		if cut > len(text) {
+			break
+		}
+		path := filepath.Join(root, "archer2", benchmark+".log")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text[:cut]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		acked := line(benchmark, 3)
+		if err := perflog.Append(root, "archer2", benchmark, acked); err != nil {
+			t.Fatal(err)
+		}
+		whole := text[:strings.LastIndexByte(text[:cut], '\n')+1]
+		lines := strings.Split(whole, "\n")
+		want[benchmark] = append(lines[:len(lines)-1], acked.Line())
+		if len(whole) < cut {
+			fragments++
+		}
+	}
+	check := func(how string, got []*perflog.Entry) {
+		t.Helper()
+		served := map[string][]string{}
+		for _, e := range got {
+			served[e.Benchmark] = append(served[e.Benchmark], e.Line())
+		}
+		for benchmark, lines := range want {
+			if !slices.Equal(served[benchmark], lines) {
+				t.Errorf("%s, %s: served %q, want %q", how, benchmark, served[benchmark], lines)
+			}
+		}
+	}
+	quarantined := func(how string, n int) {
+		t.Helper()
+		if n != fragments {
+			t.Errorf("%s: %d lines quarantined, want %d (one per fragment)", how, n, fragments)
+		}
+	}
+
+	s := Open(root)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	check("text boot", s.Select(Query{}))
+	quarantined("text boot", s.Stats().BadLines)
+
+	sealed, err := OpenTiered(root, data)
+	if err == nil {
+		err = sealed.Sync()
+	}
+	if err == nil {
+		_, err = sealed.Seal()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebooted, err := OpenTiered(root, data)
+	if err == nil {
+		err = rebooted.Sync()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("sealed reboot", rebooted.Select(Query{}))
+	quarantined("seal and reboot", sealed.Stats().BadLines+rebooted.Stats().BadLines)
+
+	entries, err := perflog.ReadTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ReadTree", entries)
+}
+
+// TestAdvanceIndexesReadPrefixThenFails: a read-ahead an I/O error cut
+// short after two whole lines still enters the store — advance indexes
+// both entries, moves the checkpoint over exactly their bytes, counts
+// them in Stats, and returns the error.
+func TestAdvanceIndexesReadPrefixThenFails(t *testing.T) {
+	root := t.TempDir()
+	path := filepath.Join(root, "archer2", "hpgmg-fv.log")
+	two := entry("archer2", "hpgmg-fv", 1, t0, map[string]float64{"l0": 95}).Line() + "\n" +
+		entry("archer2", "hpgmg-fv", 2, t0.Add(time.Hour), map[string]float64{"l0": 94}).Line() + "\n"
+	cut := errors.New("disk went away")
+	lines, err := perflog.Scan(io.MultiReader(strings.NewReader(two), iotest.ErrReader(cut)), 0, path, 0)
+	s := Open(root)
+	s.ckMu.Lock()
+	err = s.advance(path, &fileTail{Lines: lines, err: err}, -1)
+	s.ckMu.Unlock()
+	if !errors.Is(err, cut) {
+		t.Fatalf("advance returned %v, want the read error", err)
+	}
+	st := s.Stats()
+	if s.Len() != 2 || s.checkpointOffset(path) != int64(len(two)) || st.EntriesAdded != 2 || st.BytesParsed != int64(len(two)) || st.FilesScanned != 1 {
+		t.Fatalf("Len %d, checkpoint %d, stats %+v: want 2 entries indexed and counted over %d bytes", s.Len(), s.checkpointOffset(path), st, len(two))
 	}
 }

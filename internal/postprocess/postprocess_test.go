@@ -40,6 +40,19 @@ func table4Entries() []*perflog.Entry {
 	}
 }
 
+// floatAt returns cell (row, col) of a float column.
+func floatAt(t *testing.T, f *dataframe.Frame, col string, row int) float64 {
+	t.Helper()
+	c, err := f.Col(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Kind() != dataframe.Float {
+		t.Fatalf("column %q is %s, not float", col, c.Kind())
+	}
+	return c.Float(row)
+}
+
 func TestToFrame(t *testing.T) {
 	f, err := ToFrame(table4Entries())
 	if err != nil {
@@ -53,9 +66,8 @@ func TestToFrame(t *testing.T) {
 			t.Errorf("missing column %q (have %v)", col, f.Columns())
 		}
 	}
-	v, err := f.Float("l0", 2)
-	if err != nil || v != 126.10 {
-		t.Errorf("l0[2] = %v, %v", v, err)
+	if v := floatAt(t, f, "l0", 2); v != 126.10 {
+		t.Errorf("l0[2] = %v", v)
 	}
 	s, _ := f.Str("system", 3)
 	if s != "isambard" {
@@ -74,12 +86,10 @@ func TestToFrameSparseFOMs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Missing FOMs are NaN.
-	v, _ := f.Float("gflops", 0)
-	if !math.IsNaN(v) {
+	if v := floatAt(t, f, "gflops", 0); !math.IsNaN(v) {
 		t.Errorf("gflops[0] = %g, want NaN", v)
 	}
-	v, _ = f.Float("l0", 1)
-	if !math.IsNaN(v) {
+	if v := floatAt(t, f, "l0", 1); !math.IsNaN(v) {
 		t.Errorf("l0[1] = %g, want NaN", v)
 	}
 }

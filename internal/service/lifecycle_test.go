@@ -101,8 +101,8 @@ func testShutdownSequence(t *testing.T, drained bool) {
 	if err := w.Append("archer2", "babelstream-omp", testEntry()); !errors.Is(err, perflog.ErrWriterClosed) {
 		t.Fatalf("append after shutdown = %v, want ErrWriterClosed", err)
 	}
-	if entries, err := perflog.ReadTree(dir + "/perflogs"); err != nil || len(entries) != 1 {
-		t.Fatalf("perflog tree after shutdown: %d entries, err %v; want 1", len(entries), err)
+	if entries := wholeTree(t, dir+"/perflogs"); len(entries) != 1 {
+		t.Fatalf("perflog tree after shutdown: %d entries, want 1", len(entries))
 	}
 	// The history is flushed.
 	if _, samples, err := obs.LoadHistory(filepath.Join(dir, "data", obs.HistoryFile)); err != nil || samples != 1 {

@@ -141,18 +141,6 @@ func (f *Frame) Col(name string) (*Column, error) {
 	return f.cols[i], nil
 }
 
-// Str returns cell (row, col) as a string.
-func (f *Frame) Str(col string, row int) (string, error) {
-	c, err := f.Col(col)
-	if err != nil {
-		return "", err
-	}
-	if row < 0 || row >= c.Len() {
-		return "", fmt.Errorf("dataframe: row %d out of range [0,%d)", row, c.Len())
-	}
-	return c.Str(row), nil
-}
-
 // SelectColumns builds a new frame projecting the named columns, in the
 // order given. A name ending in "*" selects every column with that
 // prefix, in insertion order — "stage_*" pulls in the per-stage duration

@@ -40,6 +40,16 @@ func floatAt(t *testing.T, f *Frame, col string, row int) float64 {
 	return c.Float(row)
 }
 
+// strAt reads a cell through Col and Column.Str.
+func strAt(t *testing.T, f *Frame, col string, row int) string {
+	t.Helper()
+	c, err := f.Col(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Str(row)
+}
+
 func TestBuilders(t *testing.T) {
 	f := sampleFrame(t)
 	if f.NumRows() != 5 || len(f.Columns()) != 3 {
@@ -54,9 +64,8 @@ func TestBuilders(t *testing.T) {
 	if v := floatAt(t, f, "dofs", 2); v != 126.10 {
 		t.Errorf("Float = %v", v)
 	}
-	s, err := f.Str("system", 3)
-	if err != nil || s != "isambard" {
-		t.Errorf("Str = %v, %v", s, err)
+	if s := strAt(t, f, "system", 3); s != "isambard" {
+		t.Errorf("Str = %v", s)
 	}
 }
 
@@ -76,12 +85,6 @@ func TestBuilderErrors(t *testing.T) {
 	}
 	if _, err := f.Col("missing"); err == nil {
 		t.Error("missing column lookup accepted")
-	}
-	if _, err := f.Str("a", 99); err == nil {
-		t.Error("row out of range accepted")
-	}
-	if _, err := f.Str("a", -1); err == nil {
-		t.Error("negative row accepted")
 	}
 }
 
@@ -172,8 +175,7 @@ func TestSort(t *testing.T) {
 		t.Errorf("descending sort wrong: %g", first)
 	}
 	byName, _ := f.Sort("system", true)
-	s, _ := byName.Str("system", 0)
-	if s != "archer2" {
+	if s := strAt(t, byName, "system", 0); s != "archer2" {
 		t.Errorf("string sort wrong: %s", s)
 	}
 }
@@ -196,7 +198,7 @@ func TestHeadAndSelect(t *testing.T) {
 	if h.NumRows() != 2 || len(h.Columns()) != 3 {
 		t.Errorf("head shape = %dx%d", h.NumRows(), len(h.Columns()))
 	}
-	if s, _ := h.Str("system", 1); s != "cosma8" {
+	if s := strAt(t, h, "system", 1); s != "cosma8" {
 		t.Errorf("head row 1 = %q", s)
 	}
 	sel, err := f.SelectColumns("dofs", "system")
@@ -261,7 +263,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	for r := 0; r < f.NumRows(); r++ {
 		for c, name := range f.Columns() {
-			want, _ := f.Str(name, r)
+			want := strAt(t, f, name, r)
 			if got[r+1][c] != want {
 				t.Errorf("cell (%d, %s) = %q, want %q", r, name, got[r+1][c], want)
 			}

@@ -66,29 +66,53 @@ func NewRepStatsReader(fomName string) RepStatsReader {
 	return r
 }
 
+// Keys lists the extras keys of the aggregate, in the order ReadFunc asks
+// for their values.
+func (r *RepStatsReader) Keys() []string { return r.keys[:] }
+
 // Read decodes the aggregate from e. ok is false when the entry predates
 // the repetition protocol (no rep extras) or the extras are malformed —
 // callers then fall back to the single-point value.
 func (r *RepStatsReader) Read(e *Entry) (RepStats, bool) {
-	nStr, present := e.Extra[r.keys[0]]
-	if !present {
-		return RepStats{}, false
-	}
-	n, err := strconv.Atoi(nStr)
-	if err != nil || n < 1 {
-		return RepStats{}, false
-	}
-	var vals [len(repFields) - 1]float64
-	for i, key := range r.keys[1:] {
-		raw, present := e.Extra[key]
+	var vals [len(repFields)]string
+	for i, key := range r.keys {
+		v, present := e.Extra[key]
 		if !present {
 			return RepStats{}, false
 		}
-		if vals[i], err = strconv.ParseFloat(raw, 64); err != nil {
+		vals[i] = v
+	}
+	return parseRepStats(vals)
+}
+
+// ReadFunc is Read over any store of extras: get(i) returns the value of
+// Keys()[i] and whether it is present.
+func (r *RepStatsReader) ReadFunc(get func(i int) (string, bool)) (RepStats, bool) {
+	var vals [len(repFields)]string
+	for i := range vals {
+		v, present := get(i)
+		if !present {
+			return RepStats{}, false
+		}
+		vals[i] = v
+	}
+	return parseRepStats(vals)
+}
+
+// parseRepStats decodes the values of the aggregate's extras, in
+// repFields order.
+func parseRepStats(vals [len(repFields)]string) (RepStats, bool) {
+	n, err := strconv.Atoi(vals[0])
+	if err != nil || n < 1 {
+		return RepStats{}, false
+	}
+	var f [len(repFields) - 1]float64
+	for i, raw := range vals[1:] {
+		if f[i], err = strconv.ParseFloat(raw, 64); err != nil {
 			return RepStats{}, false
 		}
 	}
-	return RepStats{N: n, Mean: vals[0], Stddev: vals[1], RSD: vals[2], CILo: vals[3], CIHi: vals[4]}, true
+	return RepStats{N: n, Mean: f[0], Stddev: f[1], RSD: f[2], CILo: f[3], CIHi: f[4]}, true
 }
 
 // RepStats decodes the repetition aggregate for one FOM: a one-shot

@@ -143,10 +143,17 @@ func BenchmarkStoreRegressions(b *testing.B) {
 // Aggregate and Regressions pay in their inner loops.
 func BenchmarkStoreGroupKey(b *testing.B) {
 	e := randEntry(newBenchRNG(), 0)
-	k := newGroupKeyer([]string{"system", "benchmark", "extra.num_tasks"})
+	s := Open("unused")
+	s.add(e, "mem.log")
+	m := Query{}.compile()
+	m.group = compileGroup([]string{"system", "benchmark", "extra.num_tasks"})
+	var l leg
+	l.bind(&s.shardFor(e.System).view, m, nil)
+	h := hit{&l, 0}
+	var key []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if len(k.raw(e)) == 0 {
+		if key = h.groupKey(key[:0]); len(key) == 0 {
 			b.Fatal("empty key")
 		}
 	}

@@ -117,8 +117,8 @@ func (s *Store) Seal() (int, error) {
 	for _, g := range s.seg.list {
 		slots = append(slots, tierSlot{keep: g})
 	}
-	// The new segment starts resident: its arena is the head just
-	// snapshotted, so only a load after a restart goes through the codec.
+	// The new segment starts resident as the block it wrote, decoded
+	// (writeSegmentFile), so the reset below lets the head's entries go.
 	err := s.swap(append(slots, tierSlot{ents: ents}), func(next *manifest) {
 		next.MaxSeq = max(next.MaxSeq, s.seq.Load())
 		for path, ck := range s.ck {
@@ -186,7 +186,7 @@ func (s *Store) Compact(maxSegments int) (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("perfstore: compact: %w", err)
 		}
-		ents = append(ents, d.entries...)
+		ents = append(ents, d.cols.arena(noID)...)
 	}
 	slices.SortFunc(ents, func(a, b stored) int { return cmpOrder(a.t, a.seq, b.t, b.seq) })
 	if err := s.swap([]tierSlot{{ents: ents}}, nil); err != nil {
@@ -221,13 +221,7 @@ func (s *Store) evictSealed(path string) error {
 		if err != nil {
 			return fmt.Errorf("perfstore: evict sealed: %w", err)
 		}
-		kept := make([]stored, 0, len(d.entries))
-		for _, st := range d.entries {
-			if st.file != rel {
-				kept = append(kept, st)
-			}
-		}
-		if len(kept) > 0 {
+		if kept := d.cols.arena(d.cols.id(rel)); len(kept) > 0 {
 			slots = append(slots, tierSlot{ents: kept})
 		}
 	}

@@ -55,6 +55,7 @@ func TestRegressionWindowCost(t *testing.T) {
 				t.Fatalf("%s/%d: bounded regressions diverged from the reference", tier, n)
 			}
 		}
+		t.Logf("%s: %d allocations on the small store, %d on the big one; the bounded baseline read %d and %d rows", tier, allocs[0], allocs[1], bounded[0], bounded[1])
 		if allocs[0] != allocs[1] || allocs[1] >= window {
 			t.Errorf("%s: %d allocations on the small store, %d on the big one; want equal and under %d", tier, allocs[0], allocs[1], window)
 		}
@@ -125,4 +126,44 @@ func TestCommitIngestAllocs(t *testing.T) {
 	if allocs > 5 {
 		t.Errorf("a 1-entry commit made %.1f allocations, want at most 5", allocs)
 	}
+}
+
+// TestSealedRowCost: a segment load keeps the rows in columns. One
+// decode of a block laid out like the end-to-end benchmark's corpus
+// (windowEntry) allocates at most 160 bytes per row — an entry with its
+// two maps cost over a kilobyte — and a number of allocations that does
+// not grow with the rows: ten times the rows cost at most a handful more.
+func TestSealedRowCost(t *testing.T) {
+	const small, big = 2_000, 20_000
+	var mallocs [2]uint64
+	for i, n := range []int{small, big} {
+		hdr, data := encodeSegment(windowArena(n))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := decodeSegment(hdr, data)
+		runtime.ReadMemStats(&after)
+		if err != nil || d.rows() != n {
+			t.Fatalf("%d rows: decoded %d, err %v", n, d.rows(), err)
+		}
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+		mallocs[i] = after.Mallocs - before.Mallocs
+		t.Logf("%d rows: %.1f B allocated and %.1f B resident per row, %d allocations", n, perRow, float64(d.cols.resident)/float64(n), mallocs[i])
+		if n == big && perRow > 160 {
+			t.Errorf("%d rows: a decode allocated %.1f B per row, want at most 160", n, perRow)
+		}
+	}
+	if mallocs[1] > mallocs[0]+8 {
+		t.Errorf("a decode made %d allocations at %d rows and %d at %d rows; want at most 8 more", mallocs[1], big, mallocs[0], small)
+	}
+}
+
+// windowArena is n windowEntry rows as a sealed arena.
+func windowArena(n int) []stored {
+	rng := rand.New(rand.NewSource(3))
+	ents := make([]stored, n)
+	for i := range ents {
+		e := windowEntry(rng, i)
+		ents[i] = stored{entry: e, file: "archer2/hpgmg-fv.log", t: timeNanos(e.Time), seq: uint64(i + 1)}
+	}
+	return ents
 }

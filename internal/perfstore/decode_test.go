@@ -48,44 +48,64 @@ func randArena(rng *rand.Rand, n int) []stored {
 			entry: e, file: pick("a/x.log", "b/y.log"), t: timeNanos(e.Time), seq: uint64(100 + i),
 		})
 	}
-	slices.SortFunc(ents, func(a, b stored) int {
-		return cmpHits(hit{a.entry, a.t, a.seq}, hit{b.entry, b.t, b.seq})
-	})
+	slices.SortFunc(ents, cmpStored)
 	return ents
 }
 
+// cmpStored orders an arena by (time, seq).
+func cmpStored(a, b stored) int { return cmpOrder(a.t, a.seq, b.t, b.seq) }
+
+// checkDecode decodes a block with decodeSegment and with the reference
+// decoder, and fails unless both accept it or both refuse it and, when
+// they accept it, every materialized row is deeply equal to the
+// reference's entry (a NaN FOM equal to itself), with the same ordering
+// key and source file, and the
+// postings are the ones buildPostings derives from the reference arena.
+// It returns the decoded view and the reference arena.
+func checkDecode(t testing.TB, hdr segHeader, data []byte) (*view, []stored) {
+	t.Helper()
+	d, err := decodeSegment(hdr, data)
+	ref, refErr := decodeEntriesRef(hdr, data)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("decoder and reference disagree: err %v, reference err %v", err, refErr)
+	}
+	if err != nil {
+		return nil, nil
+	}
+	got := d.cols.arena(noID)
+	if len(got) != len(ref) || d.rows() != len(ref) {
+		t.Fatalf("decoded %d rows (%d materialized), reference %d", d.rows(), len(got), len(ref))
+	}
+	for i := range ref {
+		want, got := ref[i], got[i]
+		// Deep equality, with FOM values compared bit for bit: a fuzzed
+		// block can hold a NaN.
+		if !reflect.DeepEqual(want.entry.Time, got.entry.Time) || !sameEntry(want.entry, got.entry) {
+			t.Fatalf("row %d:\nwant %#v\ngot  %#v", i, want.entry, got.entry)
+		}
+		if want.t != got.t || want.seq != got.seq || want.file != got.file {
+			t.Fatalf("row %d: slot (%d,%d,%q) -> (%d,%d,%q)", i, want.t, want.seq, want.file, got.t, got.seq, got.file)
+		}
+	}
+	if want := buildPostings(ref); !reflect.DeepEqual(want, d.post) {
+		t.Fatalf("decoded postings diverge from buildPostings\nwant %v\ngot  %v", want, d.post)
+	}
+	return d, ref
+}
+
 // TestSegmentDecodeMatchesReference: for random arenas the decoder must
-// give back the very entries that were encoded, and the posting lists
-// the encoder and the decoder bucket by dictionary id must both be the
-// ones buildPostings derives from the arena.
+// give back the very entries that were encoded, as the reference decoder
+// does, with the posting lists buildPostings derives from them.
 func TestSegmentDecodeMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ents := randArena(rng, rng.Intn(300))
-		hdr, data, post := encodeSegment(ents)
-		d, err := decodeSegment(hdr, data)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if len(d.entries) != len(ents) {
-			t.Fatalf("seed %d: decoded %d of %d entries", seed, len(d.entries), len(ents))
-		}
+		hdr, data := encodeSegment(ents)
+		_, ref := checkDecode(t, hdr, data)
 		for i := range ents {
-			want, got := ents[i], d.entries[i]
-			if !reflect.DeepEqual(want.entry, got.entry) {
-				t.Fatalf("seed %d row %d:\nwant %#v\ngot  %#v", seed, i, want.entry, got.entry)
+			if !reflect.DeepEqual(ents[i].entry, ref[i].entry) {
+				t.Fatalf("seed %d row %d:\nwant %#v\ngot  %#v", seed, i, ents[i].entry, ref[i].entry)
 			}
-			if want.t != got.t || want.seq != got.seq || want.file != got.file {
-				t.Fatalf("seed %d row %d: slot (%d,%d,%q) -> (%d,%d,%q)",
-					seed, i, want.t, want.seq, want.file, got.t, got.seq, got.file)
-			}
-		}
-		want := buildPostings(ents)
-		if !reflect.DeepEqual(want, d.post) {
-			t.Fatalf("seed %d: decoded postings diverge from buildPostings\nwant %v\ngot  %v", seed, want, d.post)
-		}
-		if !reflect.DeepEqual(want, post) {
-			t.Fatalf("seed %d: encoded postings diverge from buildPostings\nwant %v\ngot  %v", seed, want, post)
 		}
 	}
 }
@@ -136,9 +156,10 @@ func rawBlock(dict []string, rows []rawRow) (segHeader, []byte) {
 // TestSegmentDecodeRepeatedDictionaryStrings: a block whose dictionary
 // holds one string under two ids, and whose rows name one FOM or extra
 // key twice, is not something encodeSegment writes, but it decodes —
-// and then its postings must still be the reference's: one list per
-// key string, rows in order, a row posted under the value its map
-// ended up holding.
+// and then its rows must still be the reference's, the last occurrence
+// of a name holding, and its postings the reference's: one list per key
+// string, rows in order, a row posted under the value its map ended up
+// holding.
 func TestSegmentDecodeRepeatedDictionaryStrings(t *testing.T) {
 	dict := []string{
 		0: "", 1: "f.log", 2: "archer2", 3: "archer2", 4: "hpcg", 5: "hpcg",
@@ -152,12 +173,15 @@ func TestSegmentDecodeRepeatedDictionaryStrings(t *testing.T) {
 		{sec: 14, file: 1, system: 2, benchmark: 4, result: 7},
 	}
 	hdr, data := rawBlock(dict, rows)
-	d, err := decodeSegment(hdr, data)
-	if err != nil {
-		t.Fatal(err)
+	d, ref := checkDecode(t, hdr, data)
+	if d == nil {
+		t.Fatal("block refused")
 	}
-	if want := buildPostings(d.entries); !reflect.DeepEqual(want, d.post) {
-		t.Fatalf("postings diverge from buildPostings\nwant %v\ngot  %v", want, d.post)
+	if got := ref[2].entry.Extra["k"]; got != "v2" {
+		t.Fatalf("row 2 holds k=%q, want the last occurrence, v2", got)
+	}
+	if sys := d.cols.col[colSystem]; sys[0] != sys[1] {
+		t.Fatalf("archer2 decoded under ids %d and %d, want one canonical id", sys[0], sys[1])
 	}
 	for key, want := range map[string][]int32{
 		keySystem("archer2"): {0, 1, 2, 3, 4},
@@ -171,4 +195,167 @@ func TestSegmentDecodeRepeatedDictionaryStrings(t *testing.T) {
 			t.Errorf("post[%q] = %v, want %v", key, got, want)
 		}
 	}
+}
+
+// decodeEntriesRef is the decoder a segment load ran before sealed
+// segments stayed in columns, kept as the oracle decodeSegment is tested
+// against: it rebuilds the arena, one perflog.Entry with two maps per
+// row, and makes the same checks.
+func decodeEntriesRef(h segHeader, data []byte) ([]stored, error) {
+	if uint64(len(data)) != h.DataLen {
+		return nil, fmt.Errorf("data block is %d bytes, header says %d", len(data), h.DataLen)
+	}
+	if crc32.Checksum(data, segCRC) != h.DataCRC {
+		return nil, fmt.Errorf("data CRC mismatch")
+	}
+	// Each row costs at least one byte in every varint column, so a
+	// count exceeding the block length is corrupt without further work.
+	if uint64(h.Count) > h.DataLen {
+		return nil, fmt.Errorf("count %d exceeds data length %d", h.Count, h.DataLen)
+	}
+	r := &byteReader{buf: data}
+	nDict, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if nDict > uint64(len(data)) {
+		return nil, fmt.Errorf("dictionary of %d strings exceeds data length", nDict)
+	}
+	dict := make([]string, nDict)
+	for i := range dict {
+		n, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		b, err := r.bytes(n)
+		if err != nil {
+			return nil, err
+		}
+		dict[i] = string(b)
+	}
+	dictID := func() (uint64, error) {
+		id, err := r.uvarint()
+		if err != nil {
+			return 0, err
+		}
+		if id >= uint64(len(dict)) {
+			return 0, fmt.Errorf("dictionary id %d out of range (%d strings)", id, len(dict))
+		}
+		return id, nil
+	}
+	str := func() (string, error) {
+		id, err := dictID()
+		if err != nil {
+			return "", err
+		}
+		return dict[id], nil
+	}
+
+	slab := make([]perflog.Entry, h.Count)
+	arena := make([]stored, h.Count)
+	prevSec := int64(0)
+	prevT := int64(math.MinInt64)
+	for i := 0; i < h.Count; i++ {
+		dsec, err := r.varint()
+		if err != nil {
+			return nil, err
+		}
+		sec := prevSec + dsec
+		prevSec = sec
+		ns, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if ns >= 1e9 {
+			return nil, fmt.Errorf("row %d: nanoseconds %d out of range", i, ns)
+		}
+		dseq, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		e := &slab[i]
+		e.Time = time.Unix(sec, int64(ns)).UTC()
+		st := &arena[i]
+		st.entry, st.seq = e, h.MinSeq+dseq
+		if st.file, err = str(); err != nil {
+			return nil, err
+		}
+		if e.System, err = str(); err != nil {
+			return nil, err
+		}
+		if e.Benchmark, err = str(); err != nil {
+			return nil, err
+		}
+		if e.Partition, err = str(); err != nil {
+			return nil, err
+		}
+		if e.Environ, err = str(); err != nil {
+			return nil, err
+		}
+		if e.Spec, err = str(); err != nil {
+			return nil, err
+		}
+		if e.Result, err = str(); err != nil {
+			return nil, err
+		}
+		job, err := r.varint()
+		if err != nil {
+			return nil, err
+		}
+		e.JobID = int(job)
+		nf, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if nf > uint64(len(data)) {
+			return nil, fmt.Errorf("row %d: %d FOMs exceeds data length", i, nf)
+		}
+		// The map hints are capped by what the rest of the block could
+		// hold (a FOM is at least 10 bytes, an extra 2), so a corrupt
+		// count cannot size an allocation beyond the block itself.
+		e.FOMs = make(map[string]fom.Value, min(nf, uint64(len(data)-r.pos)/10))
+		for j := uint64(0); j < nf; j++ {
+			name, err := str()
+			if err != nil {
+				return nil, err
+			}
+			unit, err := str()
+			if err != nil {
+				return nil, err
+			}
+			b, err := r.bytes(8)
+			if err != nil {
+				return nil, err
+			}
+			e.FOMs[name] = fom.Value{Name: name, Value: math.Float64frombits(binary.LittleEndian.Uint64(b)), Unit: unit}
+		}
+		nx, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if nx > uint64(len(data)) {
+			return nil, fmt.Errorf("row %d: %d extras exceeds data length", i, nx)
+		}
+		e.Extra = make(map[string]string, min(nx, uint64(len(data)-r.pos)/2))
+		for j := uint64(0); j < nx; j++ {
+			k, err := str()
+			if err != nil {
+				return nil, err
+			}
+			v, err := str()
+			if err != nil {
+				return nil, err
+			}
+			e.Extra[k] = v
+		}
+		st.t = timeNanos(e.Time)
+		if st.t < prevT {
+			return nil, fmt.Errorf("row %d: arena not (time, seq)-sorted", i)
+		}
+		prevT = st.t
+	}
+	if r.pos != len(data) {
+		return nil, fmt.Errorf("%d trailing bytes after last row", len(data)-r.pos)
+	}
+	return arena, nil
 }

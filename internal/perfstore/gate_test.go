@@ -14,7 +14,9 @@ import (
 // TestStateChangesGoThroughOnePath holds the storage engine to one
 // routine per state change, read from the package's non-test files:
 // only swap writes a segment or the manifest, only Sync's read-ahead and
-// advance read a perflog tail, and the forks those routines replaced —
+// advance read a perflog tail, a sealed segment gets its one in-memory
+// form only from decodeSegment, on a load or on the write that sealed
+// it, and the forks those routines replaced —
 // the tombstones, the second posting builder, the decline-without-parsing
 // commit path, the unused Systems method — stay gone.
 func TestStateChangesGoThroughOnePath(t *testing.T) {
@@ -22,6 +24,7 @@ func TestStateChangesGoThroughOnePath(t *testing.T) {
 		"saveManifest":     {"(Store).swap"},
 		"writeSegmentFile": {"(Store).swap"},
 		"readTail":         {"(Store).Sync", "(Store).advance"},
+		"decodeSegment":    {"(segment).load", "writeSegmentFile"},
 	}
 	gone := map[string]bool{
 		"buildPostings": true, "compactLocked": true, "(Store).Systems": true,

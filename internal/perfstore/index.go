@@ -27,8 +27,8 @@ import (
 //
 // Both are maintained incrementally under the shard lock on add and
 // rebuilt with the arena on evict; queries only ever take the read
-// lock. Entries are immutable once added, so index reads may hand out
-// *perflog.Entry freely.
+// lock. Entries are immutable once added, so a Select may hand out a
+// head row's *perflog.Entry itself.
 
 // Posting-list keys. The kind byte namespaces the value so a system
 // named "pass" never collides with result=pass.
@@ -67,14 +67,17 @@ func timeNanos(tm time.Time) int64 {
 }
 
 // view is the read side of one leg of a query — a head shard or a sealed
-// segment: the arena, its posting lists, and its (time, seq) order. A
-// segment's arena is sealed in that order, so its byTime is nil, meaning
-// identity. Everything a query reads goes through a view, so both tiers
-// run the one scan in query.go.
+// segment: the rows, their posting lists, and their (time, seq) order. A
+// shard's rows are its arena of entries, in ingest order, with byTime
+// giving the time order; a segment's rows are columns (see columns),
+// sealed in time order, so its byTime is nil, meaning identity.
+// Everything a query reads goes through a view, so both tiers run the one
+// scan in query.go.
 type view struct {
-	entries []stored           // arena; a shard's grows by appends and is rebuilt by eviction
-	post    map[string][]int32 // posting lists, ascending arena indices
-	byTime  []int32            // arena indices, sorted by (Time, seq); non-nil whenever a shard holds anything
+	entries []stored           // a shard's arena; grows by appends and is rebuilt by eviction
+	cols    *columns           // a segment's rows
+	post    map[string][]int32 // posting lists, ascending row indices
+	byTime  []int32            // a shard's rows, sorted by (Time, seq); non-nil whenever it holds anything
 }
 
 type shard struct {
@@ -195,34 +198,38 @@ func (sh *shard) mergeTimeLocked(base int32) {
 
 // evictLocked removes every entry ingested from file by rebuilding the
 // shard from the rows that stay, their seqs and arena order unchanged —
-// as sealed eviction rewrites a segment. Callers hold sh.mu.
+// as sealed eviction rewrites a segment. The rows that stay move to a new
+// arena, so no arena row is ever written twice: a query that copied the
+// arena's slice header under the read lock can still read its rows after
+// releasing it (see leg). Callers hold sh.mu.
 func (sh *shard) evictLocked(file string) int {
-	kept := sh.entries[:0]
+	removed := 0
+	for i := range sh.entries {
+		if sh.entries[i].file == file {
+			removed++
+		}
+	}
+	if removed == 0 {
+		return 0
+	}
+	kept := make([]stored, 0, len(sh.entries)-removed)
 	for _, st := range sh.entries {
 		if st.file != file {
 			kept = append(kept, st)
 		}
 	}
-	removed := len(sh.entries) - len(kept)
-	if removed == 0 {
-		return 0
-	}
-	clear(sh.entries[len(kept):]) // the evicted entries and their chunks can go
 	sh.reset()
 	sh.entries = kept
 	sh.indexLocked(0)
 	return removed
 }
 
-// hit is one matching entry with its ordering key — timestamp nanos
-// plus the tie-break sequence — the unit of the cross-shard merge.
+// hit is one matching row, the unit of the cross-leg merge: it is read,
+// and ordered by (time, seq), through its leg.
 type hit struct {
-	e   *perflog.Entry
-	t   int64
-	seq uint64
+	leg *leg
+	row int32
 }
-
-func (st *stored) hit() hit { return hit{st.entry, st.t, st.seq} }
 
 // cmpOrder compares two (time, seq) ordering keys.
 func cmpOrder(at int64, aseq uint64, bt int64, bseq uint64) int {
@@ -235,23 +242,42 @@ func cmpOrder(at int64, aseq uint64, bt int64, bseq uint64) int {
 	return 0
 }
 
-func cmpHits(a, b hit) int       { return cmpOrder(a.t, a.seq, b.t, b.seq) }
-func cmpStored(a, b *stored) int { return cmpOrder(a.t, a.seq, b.t, b.seq) }
+func cmpHits(a, b hit) int {
+	at, aseq := a.key()
+	bt, bseq := b.key()
+	return cmpOrder(at, aseq, bt, bseq)
+}
 
 // rows is the number of rows.
 func (v *view) rows() int {
-	if v.byTime != nil {
-		return len(v.byTime)
+	if v.cols != nil {
+		return len(v.cols.t)
 	}
-	return len(v.entries)
+	return len(v.byTime)
 }
 
-// row is the i-th row in (time, seq) order.
-func (v *view) row(i int) *stored {
+// at is the row that is i-th in (time, seq) order.
+func (v *view) at(i int) int32 {
 	if v.byTime != nil {
-		i = int(v.byTime[i])
+		return v.byTime[i]
 	}
-	return &v.entries[i]
+	return int32(i)
+}
+
+// key is row's (time, seq) ordering key.
+func (v *view) key(row int32) (int64, uint64) {
+	if v.cols != nil {
+		return v.cols.t[row], v.cols.seq[row]
+	}
+	st := &v.entries[row]
+	return st.t, st.seq
+}
+
+// cmp compares two rows in (time, seq) order.
+func (v *view) cmp(a, b int32) int {
+	at, aseq := v.key(a)
+	bt, bseq := v.key(b)
+	return cmpOrder(at, aseq, bt, bseq)
 }
 
 // lists looks up the posting list of every key, rarest first. It returns
@@ -356,14 +382,18 @@ func fanN(n int, fn func(i int)) {
 // slice in the same order. With a limit it merges backwards from the
 // tails and stops after limit entries — each leg already trimmed itself
 // to its own most recent limit, and the global answer is a subset of
-// those tails.
+// those tails. A sealed row it picks is materialized here, into one slab
+// for the call.
 func mergeHits(parts [][]hit, limit int) []*perflog.Entry {
 	live := parts[:0]
-	total := 0
+	total, sealed := 0, 0
 	for _, p := range parts {
 		if len(p) > 0 {
 			live = append(live, p)
 			total += len(p)
+			if p[0].leg.cols != nil {
+				sealed += len(p)
+			}
 		}
 	}
 	if total == 0 {
@@ -378,6 +408,8 @@ func mergeHits(parts [][]hit, limit int) []*perflog.Entry {
 		}
 	}
 	out := make([]*perflog.Entry, n)
+	slab := make([]perflog.Entry, 0, min(n, sealed))
+	var memo extrasMemo
 	for k := range out {
 		best := -1
 		for i, p := range live {
@@ -385,10 +417,11 @@ func mergeHits(parts [][]hit, limit int) []*perflog.Entry {
 				best = i
 			}
 		}
+		e := live[best][pos[best]].entry(&slab, &memo)
 		if back {
-			out[n-1-k] = live[best][pos[best]].e
+			out[n-1-k] = e
 		} else {
-			out[k] = live[best][pos[best]].e
+			out[k] = e
 		}
 		pos[best] += step
 	}

@@ -3,6 +3,7 @@ package perfstore
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -94,12 +95,36 @@ func randQuery(rng *rand.Rand) Query {
 	return q
 }
 
+// sameEntries reports whether two answers hold equal entries in the same
+// order: the same pointer, or — for a sealed row, materialized per
+// answer — an equal entry (sameEntry).
 func sameEntries(a, b []*perflog.Entry) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] { // pointer identity: byte-identical by construction
+		if a[i] != b[i] && !sameEntry(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameEntry is deep equality of two entries, with the time compared as an
+// instant and FOM values bit for bit, so a NaN equals itself. It spells
+// out reflect.DeepEqual over perflog.Entry's fields, which the property
+// tests call on every row of large answers.
+func sameEntry(a, b *perflog.Entry) bool {
+	if !a.Time.Equal(b.Time) || a.Benchmark != b.Benchmark || a.System != b.System ||
+		a.Partition != b.Partition || a.Environ != b.Environ || a.Spec != b.Spec ||
+		a.JobID != b.JobID || a.Result != b.Result ||
+		(a.FOMs == nil) != (b.FOMs == nil) || len(a.FOMs) != len(b.FOMs) ||
+		(a.Extra == nil) != (b.Extra == nil) || !maps.Equal(a.Extra, b.Extra) {
+		return false
+	}
+	for name, v := range a.FOMs {
+		w, ok := b.FOMs[name]
+		if !ok || v.Name != w.Name || v.Unit != w.Unit || math.Float64bits(v.Value) != math.Float64bits(w.Value) {
 			return false
 		}
 	}
@@ -244,8 +269,10 @@ func scanOne(s *Store, q Query, newestFirst bool, stopAfter int) (plan, read int
 	sh := s.shardFor("a")
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	plan, read = sh.view.scan(q.compile(), newestFirst, nil, func(h hit) bool {
-		jobs = append(jobs, h.e.JobID)
+	var l leg
+	l.bind(&sh.view, q.compile(), nil)
+	plan, read = l.scan(newestFirst, nil, func(h hit) bool {
+		jobs = append(jobs, h.entry(nil, nil).JobID)
 		return len(jobs) != stopAfter
 	})
 	return plan, read, jobs

@@ -60,6 +60,12 @@ type matcher struct {
 	// keys are the posting-list keys of the query's equality
 	// predicates; empty means "everything matches except Since".
 	keys []string
+	// group is the fields an Aggregate or Regressions groups by, and rep
+	// reads the repetition statistics of its FOM when withRep is set;
+	// Select sets neither.
+	group   []groupField
+	rep     perflog.RepStatsReader
+	withRep bool
 }
 
 type extraKV struct{ k, v string }
@@ -119,54 +125,6 @@ func (m *matcher) matchEntry(e *perflog.Entry) bool {
 		}
 	}
 	return true
-}
-
-// groupKeyer renders group-by keys with the field resolvers bound once
-// per query (not re-switched per entry) and a reused buffer, so keying
-// an entry allocates nothing until a new group is actually inserted
-// into a map (via string(raw)).
-type groupKeyer struct {
-	fields []func(e *perflog.Entry) string
-	buf    []byte
-}
-
-func newGroupKeyer(groupBy []string) *groupKeyer {
-	k := &groupKeyer{fields: make([]func(e *perflog.Entry) string, len(groupBy))}
-	for i, name := range groupBy {
-		switch name {
-		case "system":
-			k.fields[i] = func(e *perflog.Entry) string { return e.System }
-		case "benchmark":
-			k.fields[i] = func(e *perflog.Entry) string { return e.Benchmark }
-		case "partition":
-			k.fields[i] = func(e *perflog.Entry) string { return e.Partition }
-		case "environ":
-			k.fields[i] = func(e *perflog.Entry) string { return e.Environ }
-		case "spec":
-			k.fields[i] = func(e *perflog.Entry) string { return e.Spec }
-		case "result":
-			k.fields[i] = func(e *perflog.Entry) string { return e.Result }
-		default:
-			name := name
-			k.fields[i] = func(e *perflog.Entry) string { return e.Extra[name] }
-		}
-	}
-	return k
-}
-
-// raw renders the entry's group key into the keyer's reused buffer.
-// The returned slice is only valid until the next call; map lookups on
-// string(raw) stay allocation-free, and callers materialize a string
-// only when inserting a new group.
-func (k *groupKeyer) raw(e *perflog.Entry) []byte {
-	k.buf = k.buf[:0]
-	for i, f := range k.fields {
-		if i > 0 {
-			k.buf = append(k.buf, '/')
-		}
-		k.buf = append(k.buf, f(e)...)
-	}
-	return k.buf
 }
 
 // aggNames is the vocabulary ParseQuery accepts for agg=.
@@ -318,9 +276,9 @@ const (
 // in the time order — and then picks the smaller candidate set: when the
 // window is shorter than the rarest posting list (always, without an
 // indexed predicate) it walks the window in (time, seq) order and checks
-// the predicates with matchEntry; otherwise it intersects the posting
-// lists, drops rows before Since, and visits in arena order — (time, seq)
-// order for a segment, ingest order for a shard.
+// the predicates row by row (leg.match); otherwise it intersects the
+// posting lists, drops rows before Since, and visits in row order —
+// (time, seq) order for a segment, ingest order for a shard.
 //
 // Newest first is for a visitor that stops once it has enough (a Limit,
 // a bounded baseline): rows always arrive newest first, and before
@@ -329,13 +287,17 @@ const (
 // the top, and the detour at most doubles the work of the intersection it
 // usually saves. If the visitor is still hungry the intersection serves
 // the rows older than the walk reached.
-func (v *view) scan(m *matcher, newestFirst bool, reserve func(rows int), visit func(hit) bool) (plan, read int) {
-	n := v.rows()
+func (l *leg) scan(newestFirst bool, reserve func(rows int), visit func(hit) bool) (plan, read int) {
+	m := l.m
+	n := l.rows()
 	lo := 0
 	if m.hasSince {
-		lo = sort.Search(n, func(i int) bool { return v.row(i).t >= m.sinceNano })
+		lo = sort.Search(n, func(i int) bool {
+			t, _ := l.key(l.at(i))
+			return t >= m.sinceNano
+		})
 	}
-	if lo == n {
+	if lo == n || l.none() {
 		return planNone, 0
 	}
 	if reserve == nil {
@@ -345,7 +307,7 @@ func (v *view) scan(m *matcher, newestFirst bool, reserve func(rows int), visit 
 	plan = planTime
 	var lists [][]int32
 	if len(m.keys) > 0 {
-		if lists = v.lists(m.keys); lists == nil {
+		if lists = l.lists(m.keys); lists == nil {
 			return planNone, 0
 		}
 		plan = planWindow
@@ -364,8 +326,8 @@ func (v *view) scan(m *matcher, newestFirst bool, reserve func(rows int), visit 
 		from, step = n-1, -1
 	}
 	for i := 0; i < walk; i++ {
-		st := v.row(from + i*step)
-		if (plan == planTime || m.matchEntry(st.entry)) && !visit(st.hit()) {
+		row := l.at(from + i*step)
+		if (plan == planTime || l.match(row)) && !visit(hit{l, row}) {
 			return min(plan, planWindow), i + 1 // the walk was enough: no intersection ran
 		}
 	}
@@ -373,14 +335,13 @@ func (v *view) scan(m *matcher, newestFirst bool, reserve func(rows int), visit 
 		return min(plan, planWindow), walk // the walk covered the window
 	}
 	idxs := intersect(lists)
-	byOrder := func(a, b int32) int { return cmpStored(&v.entries[a], &v.entries[b]) }
-	if newestFirst && v.byTime != nil && !slices.IsSortedFunc(idxs, byOrder) {
+	if newestFirst && l.byTime != nil && !slices.IsSortedFunc(idxs, l.cmp) {
 		idxs = slices.Clone(idxs) // a shard that ingested out of order
-		slices.SortFunc(idxs, byOrder)
+		slices.SortFunc(idxs, l.cmp)
 	}
-	var reached *stored // the oldest row the walk already served
+	reached := int32(-1) // the oldest row the walk already served
 	if walk > 0 {
-		reached = v.row(n - walk)
+		reached = l.at(n - walk)
 	} else {
 		reserve(len(idxs))
 	}
@@ -388,18 +349,18 @@ func (v *view) scan(m *matcher, newestFirst bool, reserve func(rows int), visit 
 		from, step = len(idxs)-1, -1
 	}
 	for i := range idxs {
-		st := &v.entries[idxs[from+i*step]]
-		if m.hasSince && st.t < m.sinceNano || reached != nil && cmpStored(st, reached) >= 0 {
+		row := idxs[from+i*step]
+		if t, _ := l.key(row); m.hasSince && t < m.sinceNano || reached >= 0 && l.cmp(row, reached) >= 0 {
 			continue
 		}
-		if !visit(st.hit()) {
+		if !visit(hit{l, row}) {
 			break
 		}
 	}
 	return plan, walk + len(lists[0])
 }
 
-// scanLegs runs leg over every leg of the store — sealed segments in
+// scanLegs runs fn over every leg of the store — sealed segments in
 // manifest order (oldest first), then the head shards — on the bounded
 // worker pool, and returns the per-leg results in that order. A segment
 // whose zone map ends before Since is skipped without touching disk; one
@@ -408,16 +369,19 @@ func (v *view) scan(m *matcher, newestFirst bool, reserve func(rows int), visit 
 // The segment read lock is held across the whole fan, so a concurrent
 // Seal (segment published + head cleared under the write lock) is atomic
 // to the query — every entry is observed in exactly one tier.
-func scanLegs[T any](s *Store, m *matcher, leg func(v *view) (out T, plan, read int)) []T {
+func scanLegs[T any](s *Store, m *matcher, fn func(l *leg) (out T, plan, read int)) []T {
 	s.seg.RLock()
 	defer s.seg.RUnlock()
 	segs := s.seg.list
 	out := make([]T, len(segs)+shardCount)
+	legs, ids := make([]leg, len(out)), make([]legIDs, len(segs))
 	var took [planCount]atomic.Bool
 	var rows atomic.Int64
 	fanN(len(out), func(i int) {
 		var v *view
+		var sealed *legIDs
 		if i < len(segs) {
+			sealed = &ids[i]
 			g := segs[i]
 			if m.hasSince && g.info.MaxT < m.sinceNano {
 				metricSegmentsPruned.Inc()
@@ -437,8 +401,10 @@ func scanLegs[T any](s *Store, m *matcher, leg func(v *view) (out T, plan, read 
 		if v.rows() == 0 {
 			return // an empty shard: spare the leg its set-up
 		}
+		l := &legs[i]
+		l.bind(v, m, sealed)
 		var plan, read int
-		out[i], plan, read = leg(v)
+		out[i], plan, read = fn(l)
 		took[plan].Store(true)
 		rows.Add(int64(read))
 	})
@@ -451,13 +417,13 @@ func scanLegs[T any](s *Store, m *matcher, leg func(v *view) (out T, plan, read 
 	return out
 }
 
-// selectLegs is Select before the merge: each leg's matching entries in
+// selectLegs is Select before the merge: each leg's matching rows in
 // (time, seq) order, trimmed to the leg's most recent limit when
 // limit > 0 — the global answer is a subset of those tails.
 func (s *Store) selectLegs(m *matcher, limit int) [][]hit {
-	return scanLegs(s, m, func(v *view) ([]hit, int, int) {
+	return scanLegs(s, m, func(l *leg) ([]hit, int, int) {
 		var hits []hit
-		plan, read := v.scan(m, limit > 0, func(rows int) {
+		plan, read := l.scan(limit > 0, func(rows int) {
 			if limit > 0 {
 				rows = min(rows, limit)
 			}
@@ -468,7 +434,7 @@ func (s *Store) selectLegs(m *matcher, limit int) [][]hit {
 		})
 		if limit > 0 {
 			slices.Reverse(hits) // arrived newest first
-		} else if plan == planPostings && v.byTime != nil {
+		} else if plan == planPostings && l.byTime != nil {
 			slices.SortFunc(hits, cmpHits) // arrived in ingest order
 		}
 		return hits, plan, read
@@ -525,55 +491,48 @@ func (p *partialAgg) merge(o *partialAgg) {
 	p.stable += o.stable
 }
 
-// aggregator folds entries into per-group partials: one per leg, so the
+// aggregator folds rows into per-group partials: one per leg, so the
 // key buffer and the map are never shared between workers.
 type aggregator struct {
-	keyer  *groupKeyer
-	fom    string
+	values bool // fold the query's FOM, not only counts
 	gate   float64
-	stats  perflog.RepStatsReader
+	key    []byte
 	groups map[string]*partialAgg
 }
 
-func newAggregator(groupBy []string, fomName string, gate float64) *aggregator {
-	return &aggregator{
-		keyer:  newGroupKeyer(groupBy),
-		fom:    fomName,
-		gate:   gate,
-		stats:  perflog.NewRepStatsReader(fomName),
-		groups: map[string]*partialAgg{},
-	}
+func newAggregator(values bool, gate float64) *aggregator {
+	return &aggregator{values: values, gate: gate, groups: map[string]*partialAgg{}}
 }
 
-// observe folds one entry in. It is a scan visitor that never stops.
+// observe folds one row in. It is a scan visitor that never stops.
 func (a *aggregator) observe(h hit) bool {
-	raw := a.keyer.raw(h.e)
-	p := a.groups[string(raw)]
+	a.key = h.groupKey(a.key[:0])
+	p := a.groups[string(a.key)]
 	if p == nil {
-		p = &partialAgg{group: string(raw), min: math.Inf(1), max: math.Inf(-1)}
+		p = &partialAgg{group: string(a.key), min: math.Inf(1), max: math.Inf(-1)}
 		a.groups[p.group] = p
 	}
 	p.count++
-	if a.fom == "" {
+	if !a.values {
 		return true
 	}
 	if a.gate > 0 {
 		// The variance gate: repetition stats (n >= 2) whose RSD exceeds it.
-		if s, ok := a.stats.Read(h.e); ok && s.N >= 2 && s.RSD > a.gate {
+		if s, ok := h.repStats(); ok && s.N >= 2 && s.RSD > a.gate {
 			p.unstable++
 			return true
 		}
 	}
 	p.stable++
-	v := h.e.FOMs[a.fom]
-	p.min = math.Min(p.min, v.Value)
-	p.max = math.Max(p.max, v.Value)
-	p.sum += v.Value
-	if p.stable == 1 || h.t > p.lastT || (h.t == p.lastT && h.seq > p.lastSeq) {
-		p.last = v.Value
-		p.lastT = h.t
-		p.lastSeq = h.seq
-		p.unit = v.Unit
+	v, unit := h.value()
+	p.min = math.Min(p.min, v)
+	p.max = math.Max(p.max, v)
+	p.sum += v
+	if t, seq := h.key(); p.stable == 1 || t > p.lastT || (t == p.lastT && seq > p.lastSeq) {
+		p.last = v
+		p.lastT = t
+		p.lastSeq = seq
+		p.unit = unit
 	}
 	return true
 }
@@ -592,18 +551,22 @@ func (s *Store) Aggregate(q Query) ([]Aggregate, error) {
 	if q.FOM == "" && q.Agg != "count" {
 		return nil, fmt.Errorf("perfstore: aggregate needs Query.FOM")
 	}
-	groupBy, gate, m := q.groupBy(), s.rsdGate(), q.compile()
+	gate, m := s.rsdGate(), q.compile()
+	m.group = compileGroup(q.groupBy())
+	if q.FOM != "" && gate > 0 {
+		m.rep, m.withRep = perflog.NewRepStatsReader(q.FOM), true
+	}
 	var parts []*aggregator
 	if q.Limit > 0 {
-		a := newAggregator(groupBy, q.FOM, gate)
+		a := newAggregator(q.FOM != "", gate)
 		for _, h := range newestHits(s.selectLegs(m, q.Limit), q.Limit) {
 			a.observe(h)
 		}
 		parts = []*aggregator{a}
 	} else {
-		parts = scanLegs(s, m, func(v *view) (*aggregator, int, int) {
-			a := newAggregator(groupBy, q.FOM, gate)
-			plan, read := v.scan(m, false, nil, a.observe)
+		parts = scanLegs(s, m, func(l *leg) (*aggregator, int, int) {
+			a := newAggregator(q.FOM != "", gate)
+			plan, read := l.scan(false, nil, a.observe)
 			return a, plan, read
 		})
 	}

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -26,7 +27,14 @@ import (
 // GroupKey joins the entry's group-by fields with "/" — the same shape
 // perfplot regress prints.
 func GroupKey(e *perflog.Entry, groupBy []string) string {
-	return string(newGroupKeyer(groupBy).raw(e))
+	var key []byte
+	for i, f := range compileGroup(groupBy) {
+		if i > 0 {
+			key = append(key, '/')
+		}
+		key = append(key, entryField(e, f)...)
+	}
+	return string(key)
 }
 
 // add indexes a single entry.
@@ -34,19 +42,19 @@ func (s *Store) add(e *perflog.Entry, file string) { s.addBatch([]*perflog.Entry
 
 func (s *Store) selectScan(q Query) []*perflog.Entry {
 	m := q.compile()
-	var hits []hit
-	scan := func(st *stored) {
-		if !(m.hasSince && st.t < m.sinceNano) && m.matchEntry(st.entry) {
-			hits = append(hits, st.hit())
+	var hits []stored
+	scan := func(arena []stored) {
+		for _, st := range arena {
+			if !(m.hasSince && st.t < m.sinceNano) && m.matchEntry(st.entry) {
+				hits = append(hits, st)
+			}
 		}
 	}
 	s.seg.RLock()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for j := range sh.entries {
-			scan(&sh.entries[j])
-		}
+		scan(sh.entries)
 		sh.mu.RUnlock()
 	}
 	for _, g := range s.seg.list {
@@ -55,20 +63,43 @@ func (s *Store) selectScan(q Query) []*perflog.Entry {
 			s.noteLoadFailure(err)
 			continue
 		}
-		for j := range d.entries {
-			scan(&d.entries[j])
-		}
+		scan(refArena(d.cols))
 	}
 	s.seg.RUnlock()
-	slices.SortFunc(hits, cmpHits)
+	slices.SortFunc(hits, cmpStored)
 	if q.Limit > 0 && len(hits) > q.Limit {
 		hits = hits[len(hits)-q.Limit:]
 	}
 	out := make([]*perflog.Entry, len(hits))
-	for i, h := range hits {
-		out[i] = h.e
+	for i, st := range hits {
+		out[i] = st.entry
 	}
 	return out
+}
+
+// refArenas holds segments' rows materialized once for the reference
+// scan — columns never change, and the references run many queries — up
+// to refArenaRows rows, when it starts over.
+var refArenas = struct {
+	sync.Mutex
+	m    map[*columns][]stored
+	rows int
+}{m: map[*columns][]stored{}}
+
+const refArenaRows = 50_000
+
+func refArena(c *columns) []stored {
+	refArenas.Lock()
+	defer refArenas.Unlock()
+	a, ok := refArenas.m[c]
+	if !ok {
+		if refArenas.rows += len(c.t); refArenas.rows > refArenaRows {
+			refArenas.m, refArenas.rows = map[*columns][]stored{}, len(c.t)
+		}
+		a = c.arena(noID)
+		refArenas.m[c] = a
+	}
+	return a
 }
 
 // entryUnstable reports whether an entry's FOM trips the variance gate:
@@ -84,15 +115,13 @@ func entryUnstable(e *perflog.Entry, fomName string, gate float64) bool {
 // aggregateEntries aggregates an already selected, time-ascending entry
 // slice.
 func aggregateEntries(entries []*perflog.Entry, groupBy []string, fomName string, gate float64) []Aggregate {
-	keyer := newGroupKeyer(groupBy)
 	byGroup := map[string]*Aggregate{}
 	stableCount := map[string]int{}
 	var order []string
 	for _, e := range entries {
-		raw := keyer.raw(e)
-		agg := byGroup[string(raw)]
+		key := GroupKey(e, groupBy)
+		agg := byGroup[key]
 		if agg == nil {
-			key := string(raw)
 			agg = &Aggregate{Group: key, Min: math.Inf(1), Max: math.Inf(-1)}
 			byGroup[key] = agg
 			order = append(order, key)
@@ -296,8 +325,8 @@ func (s *Store) addBatchRef(entries []*perflog.Entry, file string) {
 
 // buildPostings indexes an immutable (t, seq)-sorted arena with the
 // same posting-list keys the head shards maintain incrementally, one
-// key string per posting: the reference the postings encodeSegment and
-// decodeSegment bucket by dictionary id are tested against.
+// key string per posting: the reference the postings decodeSegment
+// buckets by dictionary id are tested against.
 func buildPostings(entries []stored) map[string][]int32 {
 	post := map[string][]int32{}
 	for i := range entries {

@@ -250,10 +250,10 @@ func (l *legSeries) appendGroup(dst []point, group string) []point {
 // pinsGroups reports whether q's equality predicates fix every group-by
 // field, so that all matching entries fall in one group: an entry made of
 // nothing but the predicates has every field set.
-func pinsGroups(q Query, groupBy []string) bool {
+func pinsGroups(q Query, group []groupField) bool {
 	probe := &perflog.Entry{System: q.System, Benchmark: q.Benchmark, Result: q.Result, Extra: q.Extra}
-	for _, field := range newGroupKeyer(groupBy).fields {
-		if field(probe) == "" {
+	for _, f := range group {
+		if entryField(probe, f) == "" {
 			return false
 		}
 	}
@@ -279,16 +279,16 @@ func (s *Store) Regressions(q Query, tolerance float64, window int) ([]Report, e
 	if q.FOM == "" {
 		return nil, fmt.Errorf("perfstore: regressions need Query.FOM")
 	}
-	groupBy := q.groupBy()
 	m := q.compile()
-	stats := perflog.NewRepStatsReader(q.FOM)
-	bounded := window > 0 && q.Limit == 0 && pinsGroups(q, groupBy)
+	m.group = compileGroup(q.groupBy())
+	m.rep, m.withRep = perflog.NewRepStatsReader(q.FOM), true
+	bounded := window > 0 && q.Limit == 0 && pinsGroups(q, m.group)
 	// newSeries starts one leg's per-group series; add appends a run and
 	// reports whether a bounded baseline still wants more. The group key
-	// is rendered into the keyer's reused buffer and only materialized as
-	// a string when a new group appears.
+	// is rendered into a reused buffer and only materialized as a string
+	// when a new group appears.
 	newSeries := func() (l *legSeries, reserve func(int), add func(hit) bool) {
-		keyer := newGroupKeyer(groupBy)
+		var key []byte
 		l = &legSeries{groups: map[string]*span{}}
 		usable := 0
 		reserve = func(rows int) {
@@ -299,14 +299,16 @@ func (s *Store) Regressions(q Query, tolerance float64, window int) ([]Report, e
 		}
 		return l, reserve, func(h hit) bool {
 			idx := int32(len(l.runs))
-			raw := keyer.raw(h.e)
-			if g := l.groups[string(raw)]; g == nil {
-				l.groups[string(raw)] = &span{idx, idx}
+			key = h.groupKey(key[:0])
+			if g := l.groups[string(key)]; g == nil {
+				l.groups[string(key)] = &span{idx, idx}
 			} else {
 				l.runs[g.last].next, g.last = idx, idx
 			}
-			r := run{h.t, h.seq, h.e.FOMs[q.FOM].Value, -1, -1}
-			if rs, ok := stats.Read(h.e); ok {
+			value, _ := h.value()
+			t, seq := h.key()
+			r := run{t, seq, value, -1, -1}
+			if rs, ok := h.repStats(); ok {
 				r.stats = int32(len(l.stats))
 				l.stats = append(l.stats, rs)
 			}
@@ -326,9 +328,9 @@ func (s *Store) Regressions(q Query, tolerance float64, window int) ([]Report, e
 		}
 		legs = append(legs, l)
 	} else {
-		legs = scanLegs(s, m, func(v *view) (*legSeries, int, int) {
+		legs = scanLegs(s, m, func(lg *leg) (*legSeries, int, int) {
 			l, reserve, add := newSeries()
-			plan, read := v.scan(m, bounded, reserve, add)
+			plan, read := lg.scan(bounded, reserve, add)
 			return l, plan, read
 		})
 	}

@@ -28,6 +28,14 @@
 //	    FOMs: uvarint nf, then nf × (name id, unit id, f64 bits LE),
 //	    extras: uvarint nx, then nx × (key id, value id)
 //
+// In memory a segment stays in columns (see columns): the dictionary, one
+// slice per fixed field, and one slab each of FOM and extra cells, all
+// carrying dictionary ids. A query compares ids, and a row becomes a
+// perflog.Entry only when a Select returns it or a compaction or an
+// eviction re-encodes it. A sealed segment has this one resident form,
+// whether it was just written or loaded after a restart: both come from
+// decodeSegment.
+//
 // Segments are a derived cache of the text perflog tree (the durable
 // source of truth, paper Principle 6): any segment can be dropped and
 // rebuilt by re-parsing the perflog bytes it covers.
@@ -42,8 +50,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/atomicfile"
@@ -101,6 +111,9 @@ var (
 	metricManifestGen = telemetry.DefaultRegistry.Gauge(
 		"perfstore_manifest_generation",
 		"Manifest generation (seals + compactions + sealed evictions).").With()
+	metricSealedResident = telemetry.DefaultRegistry.Gauge(
+		"perfstore_sealed_resident_bytes",
+		"Bytes the loaded sealed segments keep in memory: their columns and posting lists.").With()
 )
 
 // segHeader is the decoded fixed-size segment header — everything a
@@ -147,11 +160,9 @@ func (d *dictBuilder) id(s string) uint64 {
 }
 
 // encodeSegment renders a (t, seq)-sorted arena into header + data
-// block bytes, and buckets the arena's posting lists by dictionary id as
-// it hands the ids out — the lists a decode of the block yields.
-func encodeSegment(entries []stored) (segHeader, []byte, map[string][]int32) {
+// block bytes.
+func encodeSegment(entries []stored) (segHeader, []byte) {
 	dict := &dictBuilder{ids: map[string]uint64{}}
-	pb := newPostingBuilder(0, len(entries))
 	var cols []byte
 	put := func(v uint64) { cols = binary.AppendUvarint(cols, v) }
 	puts := func(v int64) { cols = binary.AppendVarint(cols, v) }
@@ -176,38 +187,22 @@ func encodeSegment(entries []stored) (segHeader, []byte, map[string][]int32) {
 		prevSec = sec
 		put(uint64(e.Time.Nanosecond()))
 		put(st.seq - hdr.MinSeq)
-		put(dict.id(st.file))
-		sys, bench := dict.id(e.System), dict.id(e.Benchmark)
-		put(sys)
-		put(bench)
-		pb.postSystem(sys)
-		pb.postBenchmark(bench)
-		put(dict.id(e.Partition))
-		put(dict.id(e.Environ))
-		put(dict.id(e.Spec))
-		res := dict.id(e.Result)
-		put(res)
-		if e.Result != "" {
-			pb.postResult(res)
+		for _, s := range [numCols]string{st.file, e.System, e.Benchmark, e.Partition, e.Environ, e.Spec, e.Result} {
+			put(dict.id(s))
 		}
 		puts(int64(e.JobID))
 		put(uint64(len(e.FOMs)))
 		for _, name := range sortedFOMNames(e.FOMs) {
 			v := e.FOMs[name]
-			id := dict.id(name)
-			put(id)
+			put(dict.id(name))
 			put(dict.id(v.Unit))
 			cols = binary.LittleEndian.AppendUint64(cols, math.Float64bits(v.Value))
-			pb.postFOM(id)
 		}
 		put(uint64(len(e.Extra)))
 		for _, k := range sortedExtraKeys(e.Extra) {
-			kid, vid := dict.id(k), dict.id(e.Extra[k])
-			put(kid)
-			put(vid)
-			pb.postExtra(kid, vid)
+			put(dict.id(k))
+			put(dict.id(e.Extra[k]))
 		}
-		pb.endRow()
 	}
 
 	data := binary.AppendUvarint(nil, uint64(len(dict.strs)))
@@ -218,7 +213,7 @@ func encodeSegment(entries []stored) (segHeader, []byte, map[string][]int32) {
 	data = append(data, cols...)
 	hdr.DataLen = uint64(len(data))
 	hdr.DataCRC = crc32.Checksum(data, segCRC)
-	return hdr, data, pb.finish(dict.strs)
+	return hdr, data
 }
 
 func sortedFOMNames(m map[string]fom.Value) []string {
@@ -319,17 +314,17 @@ func (r *byteReader) bytes(n uint64) ([]byte, error) {
 }
 
 // postingBuilder buckets row indices by dictionary id while a segment
-// encodes or decodes, so neither path concatenates or hashes a posting
-// key per row: a posting is one table or integer-map probe, each key
-// string is built once per distinct id, and every list is carved out of
-// one shared slab. finish yields exactly what the per-row key build in
-// ref_test.go computes from the arena.
+// decodes, so the decoder never concatenates or hashes a posting key per
+// row: a posting is one table or integer-map probe, each key string is
+// built once per distinct id, and every list is carved out of one shared
+// slab. finish yields exactly what the per-row key build in ref_test.go
+// computes from the arena.
 type postingBuilder struct {
 	// system, benchmark, result and FOM-name postings are keyed by one
-	// dictionary id: dense id → bucket+1 tables, grown as the encoder
-	// hands out ids. Extras are keyed by a (key id, value id) pair.
+	// canonical dictionary id: dense id → bucket+1 tables. Extras are
+	// keyed by a (key id, value id) pair.
 	system, benchmark, result, fom []int32
-	extra                          map[[2]uint64]int32
+	extra                          map[[2]uint32]int32
 	buckets                        []postingBucket
 	refs                           []int32 // bucket of every posting, in row order
 	rowEnd                         []int32 // len(refs) after each row
@@ -340,26 +335,28 @@ type postingBuilder struct {
 // its value) and how many rows it holds.
 type postingBucket struct {
 	kind byte
-	a, b uint64
+	a, b uint32
 	n    int32
 }
 
-// newPostingBuilder sizes the id tables for a dictionary of ids strings.
-func newPostingBuilder(ids, rows int) *postingBuilder {
+// newPostingBuilder sizes the id tables for a dictionary of ids strings
+// and the bucket references for at most postings postings over rows rows.
+func newPostingBuilder(ids, rows, postings int) *postingBuilder {
 	tables := make([]int32, 4*ids)
 	return &postingBuilder{
 		system:    tables[:ids:ids],
 		benchmark: tables[ids : 2*ids : 2*ids],
 		result:    tables[2*ids : 3*ids : 3*ids],
 		fom:       tables[3*ids:],
-		extra:     map[[2]uint64]int32{},
+		extra:     map[[2]uint32]int32{},
+		refs:      make([]int32, 0, postings),
 		rowEnd:    make([]int32, 0, rows),
 	}
 }
 
 // post records the current row under the bucket *slot names, creating
 // the bucket on first use.
-func (pb *postingBuilder) post(slot *int32, kind byte, a, b uint64) {
+func (pb *postingBuilder) post(slot *int32, kind byte, a, b uint32) {
 	if *slot == 0 {
 		pb.buckets = append(pb.buckets, postingBucket{kind: kind, a: a, b: b})
 		*slot = int32(len(pb.buckets))
@@ -368,26 +365,17 @@ func (pb *postingBuilder) post(slot *int32, kind byte, a, b uint64) {
 	pb.refs = append(pb.refs, *slot-1)
 }
 
-// idSlot is table's slot for id, growing the table to an id the encoder
-// just handed out.
-func idSlot(table *[]int32, id uint64) *int32 {
-	for uint64(len(*table)) <= id {
-		*table = append(*table, 0)
-	}
-	return &(*table)[id]
-}
+func (pb *postingBuilder) postSystem(id uint32)    { pb.post(&pb.system[id], 's', id, 0) }
+func (pb *postingBuilder) postBenchmark(id uint32) { pb.post(&pb.benchmark[id], 'b', id, 0) }
+func (pb *postingBuilder) postResult(id uint32)    { pb.post(&pb.result[id], 'r', id, 0) }
+func (pb *postingBuilder) postFOM(id uint32)       { pb.post(&pb.fom[id], 'f', id, 0) }
 
-func (pb *postingBuilder) postSystem(id uint64)    { pb.post(idSlot(&pb.system, id), 's', id, 0) }
-func (pb *postingBuilder) postBenchmark(id uint64) { pb.post(idSlot(&pb.benchmark, id), 'b', id, 0) }
-func (pb *postingBuilder) postResult(id uint64)    { pb.post(idSlot(&pb.result, id), 'r', id, 0) }
-func (pb *postingBuilder) postFOM(id uint64)       { pb.post(idSlot(&pb.fom, id), 'f', id, 0) }
-
-func (pb *postingBuilder) postExtra(k, v uint64) {
-	slot := pb.extra[[2]uint64{k, v}]
+func (pb *postingBuilder) postExtra(k, v uint32) {
+	slot := pb.extra[[2]uint32{k, v}]
 	known := slot != 0
 	pb.post(&slot, 'x', k, v)
 	if !known {
-		pb.extra[[2]uint64{k, v}] = slot
+		pb.extra[[2]uint32{k, v}] = slot
 	}
 }
 
@@ -410,9 +398,10 @@ func bucketKey(dict []string, bk postingBucket) string {
 func (pb *postingBuilder) endRow() { pb.rowEnd = append(pb.rowEnd, int32(len(pb.refs))) }
 
 // finish lays the buckets out in one slab (ascending row order within
-// each, since rows were posted in order) and names them. A dictionary
-// that repeats a string under two ids — the encoder never writes one —
-// gives two buckets one key; their lists merge in row order.
+// each, since rows were posted in order) and names them. Ids are
+// canonical, so two buckets render one key only when an extra key or
+// value holds the NUL byte the key separates them with; their lists
+// merge in row order, as one key string's list would.
 func (pb *postingBuilder) finish(dict []string) map[string][]int32 {
 	next := make([]int32, len(pb.buckets))
 	off := int32(0)
@@ -455,24 +444,215 @@ func mergePostings(a, b []int32) []int32 {
 	return append(append(out, a...), b...)
 }
 
-// lastOf reports whether no later element of ids (taken every stride)
-// names the same string as ids[j] — the occurrence a map filled in
-// order ends up holding.
-func lastOf(dict []string, ids []uint64, j, stride int) bool {
-	for l := j + stride; l < len(ids); l += stride {
-		if dict[ids[l]] == dict[ids[j]] {
-			return false
-		}
-	}
-	return true
+// The identity columns of a sealed row, in the order a segment row
+// encodes them.
+const (
+	colFile = iota
+	colSystem
+	colBenchmark
+	colPartition
+	colEnviron
+	colSpec
+	colResult
+	numCols
+)
+
+// noID is an id no dictionary hands out: the id of a string it lacks.
+const noID = math.MaxUint32
+
+// fomCell is one FOM of a sealed row, its name and unit as dictionary ids.
+type fomCell struct {
+	name, unit uint32
+	value      float64
 }
 
-// decodeSegment rebuilds the arena from a data block. Every id and
-// length is validated against the block, so a corrupt segment yields an
-// error, never a panic or a silently wrong arena. The entries live in
-// one slab per segment and the posting lists are bucketed as the rows
-// decode (see postingBuilder), so a load costs a handful of allocations
-// per row rather than dozens.
+// extraCell is one extra of a sealed row, key and value as dictionary ids.
+type extraCell struct{ key, val uint32 }
+
+// farTime is the time of a row whose ordering key saturated (see
+// timeNanos), which the key alone cannot give back.
+type farTime struct {
+	row int32
+	sec int64
+	ns  int32
+}
+
+// columns is a sealed segment in memory. Every string is a dictionary id,
+// and ids are canonical: a string the dictionary repeats has one id, so an
+// equality is an id compare. A row holds each FOM name and extra key once,
+// with the value a map filled in block order ends up holding.
+type columns struct {
+	dict    []string          // substrings of one string holding the whole dictionary
+	lookup  map[string]uint32 // the canonical id of each dictionary string
+	empty   uint32            // the id of "", or noID: what an absent extra reads as
+	t       []int64           // ordering key per row (timeNanos)
+	seq     []uint64          // ingest sequence per row
+	col     [numCols][]uint32 // identity fields per row
+	job     []int64           // job id per row
+	fomAt   []uint32          // row i's FOMs are foms[fomAt[i]:fomAt[i+1]]
+	extraAt []uint32          // row i's extras are extras[extraAt[i]:extraAt[i+1]]
+	foms    []fomCell
+	extras  []extraCell
+	far     []farTime // the rows whose ordering key saturated, ascending
+
+	resident int64 // bytes these columns and the segment's posting lists keep in memory (size)
+}
+
+// id is s's dictionary id, noID when the segment never stores s.
+func (c *columns) id(s string) uint32 {
+	if id, ok := c.lookup[s]; ok {
+		return id
+	}
+	return noID
+}
+
+// str is the string of id; noID reads as "".
+func (c *columns) str(id uint32) string {
+	if id == noID {
+		return ""
+	}
+	return c.dict[id]
+}
+
+// fom finds row's FOM named by id.
+func (c *columns) fom(row int32, name uint32) (fomCell, bool) {
+	for _, f := range c.foms[c.fomAt[row]:c.fomAt[row+1]] {
+		if f.name == name {
+			return f, true
+		}
+	}
+	return fomCell{}, false
+}
+
+// extra finds the value id of row's extra keyed by id.
+func (c *columns) extra(row int32, key uint32) (uint32, bool) {
+	for _, x := range c.extras[c.extraAt[row]:c.extraAt[row+1]] {
+		if x.key == key {
+			return x.val, true
+		}
+	}
+	return noID, false
+}
+
+// extraOr is the value id of row's extra keyed by id, and for a row
+// without it the id of "" — what a perflog.Entry's Extra map reads.
+func (c *columns) extraOr(row int32, key uint32) uint32 {
+	if v, ok := c.extra(row, key); ok {
+		return v
+	}
+	return c.empty
+}
+
+// time is row's timestamp as the decoder of the text record gives it.
+func (c *columns) time(row int32) time.Time {
+	if t := c.t[row]; t != math.MinInt64 && t != math.MaxInt64 {
+		return time.Unix(0, t).UTC()
+	}
+	i := sort.Search(len(c.far), func(i int) bool { return c.far[i].row >= row })
+	return time.Unix(c.far[i].sec, int64(c.far[i].ns)).UTC()
+}
+
+// extrasMemo lets the rows one call materializes share an Extra map when
+// their extras are the same cells of the same segment — the usual case, a
+// few run parameters repeating across runs. An entry the store hands out
+// is read-only, as a head row's entry, shared by every answer, is already.
+type extrasMemo struct {
+	slots [4]struct {
+		cols  *columns
+		cells []extraCell
+		m     map[string]string
+	}
+	next int
+}
+
+// extra is the Extra map of cells, made the first time the memo meets them.
+func (memo *extrasMemo) extra(c *columns, cells []extraCell) map[string]string {
+	for i := range memo.slots {
+		if s := &memo.slots[i]; s.cols == c && slices.Equal(s.cells, cells) {
+			return s.m
+		}
+	}
+	m := make(map[string]string, len(cells))
+	for _, x := range cells {
+		m[c.dict[x.key]] = c.dict[x.val]
+	}
+	s := &memo.slots[memo.next%len(memo.slots)]
+	s.cols, s.cells, s.m = c, cells, m
+	memo.next++
+	return m
+}
+
+// fill materializes row into e.
+func (c *columns) fill(row int32, e *perflog.Entry, memo *extrasMemo) {
+	d, ids := c.dict, &c.col
+	e.Time = c.time(row)
+	e.System = d[ids[colSystem][row]]
+	e.Benchmark = d[ids[colBenchmark][row]]
+	e.Partition = d[ids[colPartition][row]]
+	e.Environ = d[ids[colEnviron][row]]
+	e.Spec = d[ids[colSpec][row]]
+	e.Result = d[ids[colResult][row]]
+	e.JobID = int(c.job[row])
+	foms := c.foms[c.fomAt[row]:c.fomAt[row+1]]
+	e.FOMs = make(map[string]fom.Value, len(foms))
+	for _, f := range foms {
+		name := d[f.name]
+		e.FOMs[name] = fom.Value{Name: name, Value: f.value, Unit: d[f.unit]}
+	}
+	e.Extra = memo.extra(c, c.extras[c.extraAt[row]:c.extraAt[row+1]])
+}
+
+// arena materializes every row not ingested from the file whose
+// dictionary id is drop (noID drops nothing), its entries in one slab:
+// what a compaction or an eviction re-encodes.
+func (c *columns) arena(drop uint32) []stored {
+	slab := make([]perflog.Entry, len(c.t))
+	out := make([]stored, 0, len(c.t))
+	var memo extrasMemo
+	for row := range c.t {
+		file := c.col[colFile][row]
+		if file == drop {
+			continue
+		}
+		e := &slab[row]
+		c.fill(int32(row), e, &memo)
+		out = append(out, stored{entry: e, file: c.dict[file], t: c.t[row], seq: c.seq[row]})
+	}
+	return out
+}
+
+// size is what the columns and the posting lists keep resident, in
+// bytes: their capacities, and the dictionary's string bytes.
+func (c *columns) size(post map[string][]int32) int64 {
+	n := 8*cap(c.t) + 8*cap(c.seq) + 8*cap(c.job) + 4*cap(c.fomAt) + 4*cap(c.extraAt) +
+		16*cap(c.foms) + 8*cap(c.extras) + 24*cap(c.far) + 16*cap(c.dict)
+	for _, ids := range c.col {
+		n += 4 * cap(ids)
+	}
+	for _, s := range c.dict {
+		n += len(s)
+	}
+	for _, list := range post {
+		n += 4 * cap(list)
+	}
+	return int64(n)
+}
+
+// lastSeen records, per dictionary id, the row that last placed a cell
+// under it and where — how a row keeps one cell per FOM name or extra key.
+type lastSeen struct {
+	row int32 // row+1, so the zero value is no row
+	at  uint32
+}
+
+// decodeSegment turns a data block into the segment's resident columns
+// and posting lists. Every id and length is validated against the block,
+// so a corrupt segment yields an error, never a panic or a silently wrong
+// segment. No per-row entry, map or string is made: the rows are read in
+// two passes, the first filling the fixed columns and checking and
+// counting the FOM and extra lists, the second filling those lists into
+// slabs the counts sized exactly and bucketing the postings (see
+// postingBuilder).
 func decodeSegment(h segHeader, data []byte) (*view, error) {
 	if uint64(len(data)) != h.DataLen {
 		return nil, fmt.Errorf("data block is %d bytes, header says %d", len(data), h.DataLen)
@@ -485,6 +665,9 @@ func decodeSegment(h segHeader, data []byte) (*view, error) {
 	if uint64(h.Count) > h.DataLen {
 		return nil, fmt.Errorf("count %d exceeds data length %d", h.Count, h.DataLen)
 	}
+	if uint64(len(data)) > math.MaxUint32 {
+		return nil, fmt.Errorf("data block of %d bytes exceeds 4 GiB", len(data))
+	}
 	r := &byteReader{buf: data}
 	nDict, err := r.uvarint()
 	if err != nil {
@@ -493,43 +676,56 @@ func decodeSegment(h segHeader, data []byte) (*view, error) {
 	if nDict > uint64(len(data)) {
 		return nil, fmt.Errorf("dictionary of %d strings exceeds data length", nDict)
 	}
-	dict := make([]string, nDict)
-	for i := range dict {
+	start := r.pos
+	for i := uint64(0); i < nDict; i++ {
 		n, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		b, err := r.bytes(n)
-		if err != nil {
+		if _, err := r.bytes(n); err != nil {
 			return nil, err
 		}
-		dict[i] = string(b)
 	}
-	dictID := func() (uint64, error) {
+	// One string holds the whole dictionary; its entries are substrings.
+	all := string(data[start:r.pos])
+	c := &columns{dict: make([]string, nDict), lookup: make(map[string]uint32, nDict)}
+	canon := make([]uint32, nDict)
+	for i, p := 0, 0; i < len(c.dict); i++ {
+		n, w := binary.Uvarint(data[start+p:])
+		p += w
+		s := all[p : p+int(n)]
+		p += int(n)
+		c.dict[i] = s
+		id, dup := c.lookup[s]
+		if !dup {
+			id = uint32(i)
+			c.lookup[s] = id
+		}
+		canon[i] = id
+	}
+	c.empty = c.id("")
+	dictID := func() (uint32, error) {
 		id, err := r.uvarint()
 		if err != nil {
 			return 0, err
 		}
-		if id >= uint64(len(dict)) {
-			return 0, fmt.Errorf("dictionary id %d out of range (%d strings)", id, len(dict))
+		if id >= uint64(len(canon)) {
+			return 0, fmt.Errorf("dictionary id %d out of range (%d strings)", id, len(canon))
 		}
-		return id, nil
-	}
-	str := func() (string, error) {
-		id, err := dictID()
-		if err != nil {
-			return "", err
-		}
-		return dict[id], nil
+		return canon[id], nil
 	}
 
-	slab := make([]perflog.Entry, h.Count)
-	d := &view{entries: make([]stored, h.Count)}
-	pb := newPostingBuilder(len(dict), h.Count)
-	var ids []uint64 // the row's FOM-name ids, then its extra (key, value) id pairs
+	n := h.Count
+	c.t, c.seq, c.job = make([]int64, n), make([]uint64, n), make([]int64, n)
+	ids := make([]uint32, numCols*n)
+	for k := range c.col {
+		c.col[k] = ids[k*n : (k+1)*n : (k+1)*n]
+	}
+	c.fomAt, c.extraAt = make([]uint32, n+1), make([]uint32, n+1)
+	var nFOMs, nExtras uint64
 	prevSec := int64(0)
 	prevT := int64(math.MinInt64)
-	for i := 0; i < h.Count; i++ {
+	for i := 0; i < n; i++ {
 		dsec, err := r.varint()
 		if err != nil {
 			return nil, err
@@ -547,46 +743,17 @@ func decodeSegment(h segHeader, data []byte) (*view, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := &slab[i]
-		e.Time = time.Unix(sec, int64(ns)).UTC()
-		st := &d.entries[i]
-		st.entry, st.seq = e, h.MinSeq+dseq
-		if st.file, err = str(); err != nil {
+		c.seq[i] = h.MinSeq + dseq
+		for k := range c.col {
+			if c.col[k][i], err = dictID(); err != nil {
+				return nil, err
+			}
+		}
+		if c.job[i], err = r.varint(); err != nil {
 			return nil, err
 		}
-		sysID, err := dictID()
-		if err != nil {
-			return nil, err
-		}
-		e.System = dict[sysID]
-		pb.postSystem(sysID)
-		benchID, err := dictID()
-		if err != nil {
-			return nil, err
-		}
-		e.Benchmark = dict[benchID]
-		pb.postBenchmark(benchID)
-		if e.Partition, err = str(); err != nil {
-			return nil, err
-		}
-		if e.Environ, err = str(); err != nil {
-			return nil, err
-		}
-		if e.Spec, err = str(); err != nil {
-			return nil, err
-		}
-		resID, err := dictID()
-		if err != nil {
-			return nil, err
-		}
-		if e.Result = dict[resID]; e.Result != "" {
-			pb.postResult(resID)
-		}
-		job, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		e.JobID = int(job)
+		// The second pass reads the row's lists from here.
+		c.fomAt[i] = uint32(r.pos)
 		nf, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -594,34 +761,15 @@ func decodeSegment(h segHeader, data []byte) (*view, error) {
 		if nf > uint64(len(data)) {
 			return nil, fmt.Errorf("row %d: %d FOMs exceeds data length", i, nf)
 		}
-		// The map hints are capped by what the rest of the block could
-		// hold (a FOM is at least 10 bytes, an extra 2), so a corrupt
-		// count cannot size an allocation beyond the block itself.
-		e.FOMs = make(map[string]fom.Value, min(nf, uint64(len(data)-r.pos)/10))
-		ids = ids[:0]
 		for j := uint64(0); j < nf; j++ {
-			nameID, err := dictID()
-			if err != nil {
+			if _, err := dictID(); err != nil {
 				return nil, err
 			}
-			unit, err := str()
-			if err != nil {
+			if _, err := dictID(); err != nil {
 				return nil, err
 			}
-			b, err := r.bytes(8)
-			if err != nil {
+			if _, err := r.bytes(8); err != nil {
 				return nil, err
-			}
-			name := dict[nameID]
-			e.FOMs[name] = fom.Value{Name: name, Value: math.Float64frombits(binary.LittleEndian.Uint64(b)), Unit: unit}
-			ids = append(ids, nameID)
-		}
-		// A row that names one FOM (or extra key) twice holds only the
-		// last occurrence in its map; only that one is posted.
-		distinct := len(e.FOMs) == len(ids)
-		for j, nameID := range ids {
-			if distinct || lastOf(dict, ids, j, 1) {
-				pb.postFOM(nameID)
 			}
 		}
 		nx, err := r.uvarint()
@@ -631,37 +779,76 @@ func decodeSegment(h segHeader, data []byte) (*view, error) {
 		if nx > uint64(len(data)) {
 			return nil, fmt.Errorf("row %d: %d extras exceeds data length", i, nx)
 		}
-		e.Extra = make(map[string]string, min(nx, uint64(len(data)-r.pos)/2))
-		ids = ids[:0]
-		for j := uint64(0); j < nx; j++ {
-			k, err := dictID()
-			if err != nil {
+		for j := uint64(0); j < 2*nx; j++ {
+			if _, err := dictID(); err != nil {
 				return nil, err
 			}
-			v, err := dictID()
-			if err != nil {
-				return nil, err
-			}
-			e.Extra[dict[k]] = dict[v]
-			ids = append(ids, k, v)
 		}
-		distinct = 2*len(e.Extra) == len(ids)
-		for j := 0; j < len(ids); j += 2 {
-			if distinct || lastOf(dict, ids, j, 2) {
-				pb.postExtra(ids[j], ids[j+1])
-			}
+		nFOMs, nExtras = nFOMs+nf, nExtras+nx
+		t := timeNanos(time.Unix(sec, int64(ns)).UTC())
+		if t == math.MinInt64 || t == math.MaxInt64 {
+			c.far = append(c.far, farTime{int32(i), sec, int32(ns)})
 		}
-		pb.endRow()
-		st.t = timeNanos(e.Time)
-		if st.t < prevT {
+		if t < prevT {
 			return nil, fmt.Errorf("row %d: arena not (time, seq)-sorted", i)
 		}
-		prevT = st.t
+		c.t[i], prevT = t, t
 	}
 	if r.pos != len(data) {
 		return nil, fmt.Errorf("%d trailing bytes after last row", len(data)-r.pos)
 	}
-	d.post = pb.finish(dict)
+
+	// Second pass: the first checked every varint and id read here.
+	next := func() uint32 {
+		v, _ := r.uvarint()
+		return uint32(v)
+	}
+	c.foms = make([]fomCell, 0, nFOMs)
+	c.extras = make([]extraCell, 0, nExtras)
+	pb := newPostingBuilder(len(c.dict), n, 3*n+int(nFOMs+nExtras))
+	seen := make([]lastSeen, 2*len(c.dict)) // FOM names, then extra keys
+	fomSeen, extraSeen := seen[:len(c.dict)], seen[len(c.dict):]
+	for i := 0; i < n; i++ {
+		r.pos = int(c.fomAt[i])
+		row := int32(i + 1)
+		c.fomAt[i] = uint32(len(c.foms))
+		for j := next(); j > 0; j-- {
+			f := fomCell{name: canon[next()], unit: canon[next()]}
+			f.value = math.Float64frombits(binary.LittleEndian.Uint64(data[r.pos:]))
+			r.pos += 8
+			if s := &fomSeen[f.name]; s.row == row {
+				c.foms[s.at] = f // a name repeated in the row: the last one holds
+			} else {
+				*s = lastSeen{row, uint32(len(c.foms))}
+				c.foms = append(c.foms, f)
+			}
+		}
+		c.extraAt[i] = uint32(len(c.extras))
+		for j := next(); j > 0; j-- {
+			x := extraCell{key: canon[next()], val: canon[next()]}
+			if s := &extraSeen[x.key]; s.row == row {
+				c.extras[s.at] = x
+			} else {
+				*s = lastSeen{row, uint32(len(c.extras))}
+				c.extras = append(c.extras, x)
+			}
+		}
+		pb.postSystem(c.col[colSystem][i])
+		pb.postBenchmark(c.col[colBenchmark][i])
+		if res := c.col[colResult][i]; c.dict[res] != "" {
+			pb.postResult(res)
+		}
+		for _, f := range c.foms[c.fomAt[i]:] {
+			pb.postFOM(f.name)
+		}
+		for _, x := range c.extras[c.extraAt[i]:] {
+			pb.postExtra(x.key, x.val)
+		}
+		pb.endRow()
+	}
+	c.fomAt[n], c.extraAt[n] = uint32(len(c.foms)), uint32(len(c.extras))
+	d := &view{cols: c, post: pb.finish(c.dict)}
+	c.resident = c.size(d.post)
 	return d, nil
 }
 
@@ -673,11 +860,15 @@ func segFileName(id uint64) string { return fmt.Sprintf("seg-%08d.seg", id) }
 // orphan .tmp the next Open sweeps away — never a half-written live
 // segment. The "perfstore.segwrite" injection point models that crash:
 // it fires before any byte of the segment is written. The segment comes
-// back resident: its arena is entries itself, same *perflog.Entry
-// pointers, with the postings the encoder built.
+// back resident in the form a load gives it: the block it wrote, decoded.
+// Nothing of entries stays reachable through it.
 func writeSegmentFile(dir string, id uint64, entries []stored) (*segment, error) {
-	hdr, data, post := encodeSegment(entries)
+	hdr, data := encodeSegment(entries)
 	name := segFileName(id)
+	d, err := decodeSegment(hdr, data)
+	if err != nil {
+		return nil, fmt.Errorf("perfstore: seal %s: %w", name, err)
+	}
 	if err := faultinject.Fire("perfstore.segwrite"); err != nil {
 		return nil, fmt.Errorf("perfstore: seal %s: %w", name, err)
 	}
@@ -708,7 +899,9 @@ func writeSegmentFile(dir string, id uint64, entries []stored) (*segment, error)
 		info.Systems = append(info.Systems, sys)
 	}
 	sort.Strings(info.Systems)
-	return &segment{dir: dir, info: info, data: &view{entries: entries, post: post}}, nil
+	g := &segment{dir: dir, info: info, data: d}
+	g.resident.Store(d.cols.resident)
+	return g, nil
 }
 
 // readSegmentHeader reads and validates only the fixed-size header —
@@ -733,7 +926,11 @@ type segment struct {
 	info SegmentInfo
 
 	mu   sync.Mutex
-	data *view // byTime nil: the arena is (time, seq)-sorted as sealed
+	data *view // columns, in (time, seq) order as sealed
+
+	// resident is data's size in bytes once it is in memory
+	// (columns.resident), readable without waiting for a load in progress.
+	resident atomic.Int64
 }
 
 // segLoadPolicy absorbs transient read hiccups (NFS wobble, injected
@@ -741,7 +938,7 @@ type segment struct {
 var segLoadPolicy = retry.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
 
 // load decodes the segment's data block, once; later calls return the
-// resident arena. The "perfstore.segload" injection point models the
+// resident columns. The "perfstore.segload" injection point models the
 // read failing.
 func (g *segment) load() (*view, error) {
 	g.mu.Lock()
@@ -777,5 +974,6 @@ func (g *segment) load() (*view, error) {
 	}
 	metricSegmentLoads.Inc()
 	g.data = d
+	g.resident.Store(d.cols.resident)
 	return d, nil
 }

@@ -1,10 +1,11 @@
 package perfstore
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -19,9 +20,7 @@ func sortedStored(seed int64, n int) []stored {
 		e := randEntry(rng, i)
 		ents = append(ents, stored{entry: e, file: "mem.log", t: timeNanos(e.Time), seq: uint64(i + 1)})
 	}
-	slices.SortFunc(ents, func(a, b stored) int {
-		return cmpHits(hit{a.entry, a.t, a.seq}, hit{b.entry, b.t, b.seq})
-	})
+	slices.SortFunc(ents, cmpStored)
 	return ents
 }
 
@@ -31,19 +30,17 @@ func sortedStored(seed int64, n int) []stored {
 func TestSegmentRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 500} {
 		ents := sortedStored(int64(n)+1, n)
-		hdr, data, _ := encodeSegment(ents)
+		hdr, data := encodeSegment(ents)
 		if hdr.Count != n {
 			t.Fatalf("n=%d: header count %d", n, hdr.Count)
 		}
-		d, err := decodeSegment(hdr, data)
-		if err != nil {
-			t.Fatalf("n=%d: decode: %v", n, err)
+		d, _ := checkDecode(t, hdr, data)
+		if d == nil {
+			t.Fatalf("n=%d: block refused", n)
 		}
-		if len(d.entries) != n {
-			t.Fatalf("n=%d: decoded %d entries", n, len(d.entries))
-		}
+		got := d.cols.arena(noID)
 		for i := range ents {
-			want, got := ents[i], d.entries[i]
+			want, got := ents[i], got[i]
 			if want.entry.Line() != got.entry.Line() {
 				t.Fatalf("n=%d row %d: line diverged\nwant %s\ngot  %s", n, i, want.entry.Line(), got.entry.Line())
 			}
@@ -55,9 +52,35 @@ func TestSegmentRoundTrip(t *testing.T) {
 					n, i, want.t, want.seq, want.file, got.t, got.seq, got.file)
 			}
 		}
-		// The rebuilt posting lists must match a from-scratch build.
-		if rebuilt := buildPostings(d.entries); !reflect.DeepEqual(rebuilt, d.post) {
-			t.Fatalf("n=%d: decoded postings diverge from buildPostings", n)
+	}
+}
+
+// TestSealOutputUnchanged pins the PSG1 v1 bytes a seal writes: three
+// arenas — the end-to-end benchmark's layout (windowArena), random rows
+// with repeated names, empty results and no FOMs or extras (randArena),
+// and randEntry rows — sealed into files whose SHA-256 is what the
+// encoder wrote before segments stayed in columns in memory. Whatever
+// the resident form, the segment format does not move.
+func TestSealOutputUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	for i, tc := range []struct {
+		arena []stored
+		sum   string
+	}{
+		{windowArena(5000), "4fc18402892d121fb78c5845edf6393e4048553876b1b46ad89c6f2b6963024d"},
+		{randArena(rand.New(rand.NewSource(7)), 500), "30e0337522a9a41cfe3d7cc8b52a3fd2c308f58b0d6f04b7a549850347b99dce"},
+		{sortedStored(9, 300), "0939143a12bb993aad21a1227a21b281a30fae8e0890beca062d09984e7a341e"},
+	} {
+		g, err := writeSegmentFile(dir, uint64(i+1), tc.arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, g.info.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(raw)); sum != tc.sum {
+			t.Errorf("arena %d: sealed file has SHA-256 %s, want %s", i, sum, tc.sum)
 		}
 	}
 }
@@ -99,20 +122,19 @@ func TestSegmentTimeExtremes(t *testing.T) {
 		e := entry("archer2", "hpgmg-fv", i, tm, map[string]float64{"l0": float64(i)})
 		ents = append(ents, stored{entry: e, file: "x.log", t: timeNanos(tm), seq: uint64(i + 1)})
 	}
-	slices.SortFunc(ents, func(a, b stored) int {
-		return cmpHits(hit{a.entry, a.t, a.seq}, hit{b.entry, b.t, b.seq})
-	})
-	hdr, data, _ := encodeSegment(ents)
-	d, err := decodeSegment(hdr, data)
-	if err != nil {
-		t.Fatal(err)
+	slices.SortFunc(ents, cmpStored)
+	hdr, data := encodeSegment(ents)
+	d, _ := checkDecode(t, hdr, data)
+	if d == nil {
+		t.Fatal("block refused")
 	}
+	got := d.cols.arena(noID)
 	for i := range ents {
-		if !ents[i].entry.Time.Equal(d.entries[i].entry.Time) {
-			t.Fatalf("row %d: time %v -> %v", i, ents[i].entry.Time, d.entries[i].entry.Time)
+		if !ents[i].entry.Time.Equal(got[i].entry.Time) {
+			t.Fatalf("row %d: time %v -> %v", i, ents[i].entry.Time, got[i].entry.Time)
 		}
-		if ents[i].t != d.entries[i].t {
-			t.Fatalf("row %d: ordering key %d -> %d", i, ents[i].t, d.entries[i].t)
+		if ents[i].t != got[i].t {
+			t.Fatalf("row %d: ordering key %d -> %d", i, ents[i].t, got[i].t)
 		}
 	}
 }
@@ -142,8 +164,9 @@ func TestSegmentWriteRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := d.cols.arena(noID)
 	for i := range ents {
-		if ents[i].entry.Line() != d.entries[i].entry.Line() {
+		if ents[i].entry.Line() != got[i].entry.Line() {
 			t.Fatalf("row %d diverged after file round trip", i)
 		}
 	}
@@ -158,7 +181,7 @@ func TestSegmentWriteRead(t *testing.T) {
 // wrong arena — the CRC catches every single-byte flip).
 func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 	ents := sortedStored(7, 40)
-	hdr, data, _ := encodeSegment(ents)
+	hdr, data := encodeSegment(ents)
 	for i := 0; i < len(data); i += 7 {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x5a
@@ -172,14 +195,14 @@ func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 }
 
 // FuzzSegmentDecode hammers the decoder with arbitrary headers and data
-// blocks: it must never panic and never accept bytes whose CRC holds
-// but whose structure is inconsistent without an error. Valid inputs
-// (from the encoder) must round-trip, and the postings the encoder
-// builds for a decoded arena must be the decoder's and buildPostings'.
+// blocks: it must never panic, must accept exactly what the reference
+// decoder accepts, and must then give back the reference's rows and the
+// postings buildPostings derives from them (checkDecode). Re-encoding a
+// decoded arena must give a block that decodes to the same rows.
 func FuzzSegmentDecode(f *testing.F) {
 	for _, n := range []int{0, 1, 25} {
 		ents := sortedStored(int64(n)+11, n)
-		hdr, data, _ := encodeSegment(ents)
+		hdr, data := encodeSegment(ents)
 		f.Add(marshalHeader(hdr), data)
 	}
 	f.Add([]byte("PSG1 garbage header padding here to 64 bytes....................."), []byte("junk"))
@@ -188,39 +211,30 @@ func FuzzSegmentDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		d, err := decodeSegment(hdr, data)
-		if err != nil {
+		d, ref := checkDecode(t, hdr, data)
+		if d == nil {
 			return
 		}
 		// Whatever decoded must satisfy the segment invariants.
-		if len(d.entries) != hdr.Count {
-			t.Fatalf("decoded %d entries, header says %d", len(d.entries), hdr.Count)
+		if d.rows() != hdr.Count {
+			t.Fatalf("decoded %d rows, header says %d", d.rows(), hdr.Count)
 		}
-		for i := 1; i < len(d.entries); i++ {
-			a, b := d.entries[i-1], d.entries[i]
-			if a.t > b.t {
+		for i := 1; i < len(d.cols.t); i++ {
+			if d.cols.t[i-1] > d.cols.t[i] {
 				t.Fatalf("arena out of order at %d", i)
 			}
 		}
 		// And re-encoding a decoded arena must be stable (canonical form).
-		hdr2, data2, post2 := encodeSegment(d.entries)
-		d2, err := decodeSegment(hdr2, data2)
-		if err != nil {
-			t.Fatalf("re-encode of decoded arena does not decode: %v", err)
+		hdr2, data2 := encodeSegment(ref)
+		d2, _ := checkDecode(t, hdr2, data2)
+		if d2 == nil {
+			t.Fatal("re-encode of decoded arena does not decode")
 		}
-		if len(d2.entries) != len(d.entries) {
-			t.Fatalf("re-encode changed entry count")
-		}
-		for i := range d.entries {
-			if d.entries[i].entry.Line() != d2.entries[i].entry.Line() {
+		again := d2.cols.arena(noID)
+		for i := range ref {
+			if ref[i].entry.Line() != again[i].entry.Line() {
 				t.Fatalf("re-encode changed row %d", i)
 			}
-		}
-		if !reflect.DeepEqual(post2, d.post) {
-			t.Fatalf("encoder postings diverge from the decoder's\nenc %v\ndec %v", post2, d.post)
-		}
-		if want := buildPostings(d.entries); !reflect.DeepEqual(post2, want) {
-			t.Fatalf("encoder postings diverge from buildPostings\nenc %v\nref %v", post2, want)
 		}
 	})
 }

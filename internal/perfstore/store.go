@@ -98,6 +98,9 @@ type Stats struct {
 	SealedSegments      int
 	ManifestGeneration  uint64
 	SegmentLoadFailures int
+	// SealedResidentBytes is what the loaded sealed segments keep in
+	// memory: their columns and posting lists.
+	SealedResidentBytes int64
 	// BadLines counts the lines ingest has quarantined; Quarantined holds
 	// the newest of them, oldest first.
 	BadLines    int
@@ -579,6 +582,7 @@ func (s *Store) Stats() Stats {
 	s.seg.RLock()
 	for _, g := range s.seg.list {
 		out.SealedEntries += g.info.Count
+		out.SealedResidentBytes += g.resident.Load()
 		for _, sys := range g.info.Systems {
 			systems[sys] = true
 		}
@@ -599,14 +603,15 @@ func (s *Store) Stats() Stats {
 }
 
 // PublishMetrics pushes the point-in-time tier gauges (head entries,
-// sealed entries/segments, manifest generation) into the telemetry
-// registry — called on each /metrics scrape so the gauges are fresh
-// without a background sampler.
+// sealed entries, segments and resident bytes, manifest generation) into
+// the telemetry registry — called on each /metrics scrape so the gauges
+// are fresh without a background sampler.
 func (s *Store) PublishMetrics() {
 	st := s.Stats()
 	metricHeadEntries.Set(float64(st.HeadEntries))
 	metricSealedEntries.Set(float64(st.SealedEntries))
 	metricSealedSegments.Set(float64(st.SealedSegments))
+	metricSealedResident.Set(float64(st.SealedResidentBytes))
 	metricManifestGen.Set(float64(st.ManifestGeneration))
 }
 

@@ -188,18 +188,25 @@ func BenchmarkStoreSealedAggregate(b *testing.B) {
 }
 
 // BenchmarkSegmentDecode measures the segment load path alone — CRC,
-// dictionary, rows, posting lists — on a 50k-row block, so allocs/op ÷
-// 50k is the per-row garbage a cold sealed boot pays.
+// dictionary, columns, posting lists — on a 50k-row block, so allocs/op
+// is the allocations of one cold segment load (a count that does not
+// grow with the rows) and resident-B/row what the loaded segment keeps
+// in memory per row.
 func BenchmarkSegmentDecode(b *testing.B) {
 	const n = 50_000
-	hdr, data, _ := encodeSegment(sortedStored(21, n))
+	hdr, data := encodeSegment(sortedStored(21, n))
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var d *view
 	for i := 0; i < b.N; i++ {
-		d, err := decodeSegment(hdr, data)
-		if err != nil || len(d.entries) != n {
-			b.Fatalf("decoded %d entries, err %v", len(d.entries), err)
+		var err error
+		if d, err = decodeSegment(hdr, data); err != nil {
+			b.Fatal(err)
 		}
 	}
+	if d.rows() != n {
+		b.Fatalf("decoded %d rows, want %d", d.rows(), n)
+	}
+	b.ReportMetric(float64(d.cols.resident)/n, "resident-B/row")
 }

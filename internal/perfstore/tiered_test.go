@@ -578,13 +578,16 @@ func TestTieredEvictTruncatedSealedFile(t *testing.T) {
 // TestTieredMatchesInMemoryRandomized is the tier-equivalence property
 // test: the same entry pointers are fed to a memory-only store and a
 // tiered store (sealed mid-stream, twice), and every randomized query
-// must return the identical slice from both — Select by pointer
-// identity, Aggregate and Regressions by deep equality.
+// must return the same answer from both — Select entry by entry,
+// Aggregate and Regressions by deep equality. Every query runs again
+// after a reboot (OpenTiered on the same directories, the head sealed
+// first), so segments loaded from disk answer it.
 func TestTieredMatchesInMemoryRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		mem := Open("unused")
-		tiered, err := OpenTiered(t.TempDir(), t.TempDir())
+		root, dataDir := t.TempDir(), t.TempDir()
+		tiered, err := OpenTiered(root, dataDir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -602,46 +605,59 @@ func TestTieredMatchesInMemoryRandomized(t *testing.T) {
 			}
 		}
 		qrng := rand.New(rand.NewSource(seed * 131))
+		var queries [][2]Query // a Select, and the Aggregate and Regressions drawn from it
 		for trial := 0; trial < 200; trial++ {
-			q := randQuery(qrng)
-			if !sameEntries(tiered.Select(q), mem.Select(q)) {
-				t.Fatalf("seed %d trial %d: tiered Select diverged from in-memory\nquery %+v", seed, trial, q)
-			}
+			sel := randQuery(qrng)
+			q := sel
 			q.FOM = []string{"l0", "l1"}[qrng.Intn(2)]
 			q.GroupBy = [][]string{nil, {"system"}, {"result", "num_tasks"}}[qrng.Intn(3)]
-			ta, err := tiered.Aggregate(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ma, err := mem.Aggregate(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := aggApproxEqual(ta, ma); err != nil {
-				t.Fatalf("seed %d trial %d: tiered Aggregate diverged: %v\nquery %+v\ngot  %+v\nwant %+v", seed, trial, err, q, ta, ma)
-			}
-			tr, err := tiered.Regressions(q, 0.1, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mr, err := mem.Regressions(q, 0.1, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(tr, mr) {
-				t.Fatalf("seed %d trial %d: tiered Regressions diverged\nquery %+v", seed, trial, q)
+			queries = append(queries, [2]Query{sel, q})
+		}
+		check := func(stage string, s *Store) {
+			t.Helper()
+			for trial, qs := range queries {
+				sel, q := qs[0], qs[1]
+				if !sameEntries(s.Select(sel), mem.Select(sel)) {
+					t.Fatalf("seed %d %s trial %d: tiered Select diverged from in-memory\nquery %+v", seed, stage, trial, sel)
+				}
+				ta, err := s.Aggregate(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ma, err := mem.Aggregate(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := aggApproxEqual(ta, ma); err != nil {
+					t.Fatalf("seed %d %s trial %d: tiered Aggregate diverged: %v\nquery %+v\ngot  %+v\nwant %+v", seed, stage, trial, err, q, ta, ma)
+				}
+				tr, err := s.Regressions(q, 0.1, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mr, err := mem.Regressions(q, 0.1, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(tr, mr) {
+					t.Fatalf("seed %d %s trial %d: tiered Regressions diverged\nquery %+v", seed, stage, trial, q)
+				}
 			}
 		}
+		check("live", tiered)
 		// After a compaction the equivalence must still hold.
 		if ran, err := tiered.Compact(2); err != nil || !ran {
 			t.Fatalf("compact: ran=%v err=%v", ran, err)
 		}
-		for trial := 0; trial < 50; trial++ {
-			q := randQuery(qrng)
-			if !sameEntries(tiered.Select(q), mem.Select(q)) {
-				t.Fatalf("seed %d post-compact trial %d: diverged\nquery %+v", seed, trial, q)
-			}
+		check("compacted", tiered)
+		if _, err := tiered.Seal(); err != nil {
+			t.Fatal(err)
 		}
+		rebooted, err := OpenTiered(root, dataDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("rebooted", rebooted)
 	}
 }
 
@@ -651,7 +667,8 @@ func TestTieredMatchesInMemoryRandomized(t *testing.T) {
 // from one range throughout, so every segment's time range overlaps the
 // others' and the head's — a group's series never concatenates in order
 // by luck. Both stores are checked again after an eviction that rewrites
-// the segments and after a compaction.
+// the segments, after a compaction, and after a reboot that loads the
+// segments from disk.
 func TestQueriesMatchReferencesTiered(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -662,7 +679,8 @@ func TestQueriesMatchReferencesTiered(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(tc.seals))))
-			s, err := OpenTiered(t.TempDir(), t.TempDir())
+			root, dataDir := t.TempDir(), t.TempDir()
+			s, err := OpenTiered(root, dataDir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -675,11 +693,17 @@ func TestQueriesMatchReferencesTiered(t *testing.T) {
 				}
 			}
 			qrng := rand.New(rand.NewSource(99))
+			type asked struct {
+				q      Query
+				window int
+			}
+			var queries []asked
 			check := func(trials int) {
 				t.Helper()
 				for trial := 0; trial < trials; trial++ {
 					q, window := refQuery(qrng)
 					checkAgainstRefs(t, s, q, window)
+					queries = append(queries, asked{q, window})
 				}
 			}
 			check(150)
@@ -699,6 +723,22 @@ func TestQueriesMatchReferencesTiered(t *testing.T) {
 			checkAgainstRefs(t, s, Query{FOM: "l0", Since: t0.Add(1000 * time.Hour)}, 0)
 			if metricSegmentsPruned.Value() == pruned {
 				t.Fatal("a Since past the segment's MaxT still read it")
+			}
+			// Every query again on a reboot, where segments loaded from
+			// disk answer: the same answers as before it, and the
+			// references'.
+			if _, err := s.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			rebooted, err := OpenTiered(root, dataDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range queries {
+				checkAgainstRefs(t, rebooted, a.q, a.window)
+				if !sameEntries(rebooted.Select(a.q), s.Select(a.q)) {
+					t.Fatalf("Select answered differently after a reboot\nquery %+v", a.q)
+				}
 			}
 		})
 	}

@@ -53,6 +53,16 @@ func floatAt(t *testing.T, f *dataframe.Frame, col string, row int) float64 {
 	return c.Float(row)
 }
 
+// strAt reads a cell through Col and Column.Str.
+func strAt(t *testing.T, f *dataframe.Frame, col string, row int) string {
+	t.Helper()
+	c, err := f.Col(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Str(row)
+}
+
 func TestToFrame(t *testing.T) {
 	f, err := ToFrame(table4Entries())
 	if err != nil {
@@ -69,8 +79,7 @@ func TestToFrame(t *testing.T) {
 	if v := floatAt(t, f, "l0", 2); v != 126.10 {
 		t.Errorf("l0[2] = %v", v)
 	}
-	s, _ := f.Str("system", 3)
-	if s != "isambard" {
+	if s := strAt(t, f, "system", 3); s != "isambard" {
 		t.Errorf("system[3] = %s", s)
 	}
 }
@@ -315,8 +324,7 @@ func TestToFrameUnitColumns(t *testing.T) {
 	if !f.Has("l0_unit") {
 		t.Fatalf("unit column missing: %v", f.Columns())
 	}
-	u, _ := f.Str("l0_unit", 0)
-	if u != "MDOF/s" {
+	if u := strAt(t, f, "l0_unit", 0); u != "MDOF/s" {
 		t.Errorf("l0 unit = %q", u)
 	}
 }

@@ -479,6 +479,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"head_entries":          stats.HeadEntries,
 			"sealed_entries":        stats.SealedEntries,
 			"sealed_segments":       stats.SealedSegments,
+			"sealed_resident_bytes": stats.SealedResidentBytes,
 			"manifest_generation":   stats.ManifestGeneration,
 			"segment_load_failures": stats.SegmentLoadFailures,
 			"bad_lines":             stats.BadLines,

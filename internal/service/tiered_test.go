@@ -9,14 +9,17 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fom"
 	"repro/internal/perflog"
+	"repro/internal/perfstore"
 )
 
 // seedTieredTree writes a few perflog entries under root.
@@ -52,6 +55,7 @@ type healthView struct {
 		HeadEntries         int    `json:"head_entries"`
 		SealedEntries       int    `json:"sealed_entries"`
 		SealedSegments      int    `json:"sealed_segments"`
+		SealedResidentBytes int64  `json:"sealed_resident_bytes"`
 		ManifestGeneration  uint64 `json:"manifest_generation"`
 		SegmentLoadFailures int    `json:"segment_load_failures"`
 	} `json:"storage"`
@@ -97,7 +101,7 @@ func TestTieredHealthzStorageDetail(t *testing.T) {
 	if h.Status != "ok" || h.Storage.Mode != "tiered" || h.Storage.DataDir != dataDir {
 		t.Fatalf("healthz = %+v", h)
 	}
-	if h.Storage.HeadEntries != n || h.Storage.SealedSegments != 0 {
+	if h.Storage.HeadEntries != n || h.Storage.SealedSegments != 0 || h.Storage.SealedResidentBytes != 0 {
 		t.Fatalf("pre-seal storage = %+v", h.Storage)
 	}
 
@@ -108,7 +112,7 @@ func TestTieredHealthzStorageDetail(t *testing.T) {
 		t.Fatalf("healthz status = %d", code)
 	}
 	if h.Storage.HeadEntries != 0 || h.Storage.SealedEntries != n ||
-		h.Storage.SealedSegments != 1 || h.Storage.ManifestGeneration == 0 {
+		h.Storage.SealedSegments != 1 || h.Storage.ManifestGeneration == 0 || h.Storage.SealedResidentBytes <= 0 {
 		t.Fatalf("post-seal storage = %+v", h.Storage)
 	}
 	if h.Entries != n {
@@ -132,6 +136,7 @@ func TestTieredHealthzStorageDetail(t *testing.T) {
 		"perfstore_sealed_segments 1",
 		"perfstore_head_entries 0",
 		"perfstore_ingest_bytes_total",
+		"perfstore_sealed_resident_bytes " + strconv.FormatFloat(float64(h.Storage.SealedResidentBytes), 'g', -1, 64),
 	} {
 		if !strings.Contains(text, metric) {
 			t.Errorf("/metrics missing %q after seal", metric)
@@ -238,5 +243,84 @@ func TestTieredDegradedReadOnly(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("degraded 503 without Retry-After")
+	}
+}
+
+// TestSelectBodySameOnBothTiers: a select answers with the same bytes
+// whether its rows come from the head or from sealed segments loaded from
+// disk — the sealed rows are materialized into entries only for the
+// answer, and must come out as the head's entries do.
+func TestSelectBodySameOnBothTiers(t *testing.T) {
+	root, dataDir := t.TempDir(), t.TempDir()
+	base := time.Date(2023, 7, 7, 10, 0, 0, 0, time.UTC)
+	for i := 0; i < 240; i++ {
+		sys := []string{"archer2", "csd3", "cosma8"}[i%3]
+		e := &perflog.Entry{
+			Time: base.Add(time.Duration(i/2) * time.Minute), Benchmark: []string{"hpgmg-fv", "hpcg"}[i%2],
+			System: sys, Partition: "compute", Environ: "gcc", Spec: "hpgmg%gcc", JobID: i,
+			Result: []string{"pass", "fail", "pass"}[i%3],
+			FOMs:   map[string]fom.Value{"l0": {Name: "l0", Value: 100 + float64(i)/7, Unit: "MDOF/s"}},
+			Extra:  map[string]string{"num_tasks": strconv.Itoa(8 << (i % 3))},
+		}
+		if i%4 == 0 {
+			e.FOMs["l1"] = fom.Value{Name: "l1", Value: float64(i), Unit: ""}
+			e.Extra["gpu"] = "v100"
+		}
+		if i%5 == 0 {
+			e.SetRepStats("l0", perflog.RepStats{N: 5, Mean: 100, Stddev: 1.5, RSD: 0.015, CILo: 99, CIHi: 101})
+		}
+		if err := perflog.Append(root, sys, e.Benchmark, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := perfstore.Open(root)
+	if err := head.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	sealer, err := perfstore.OpenTiered(root, dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sealer.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := sealer.Seal(); err != nil || n != 240 {
+		t.Fatalf("sealed %d entries, err %v", n, err)
+	}
+	sealed, err := perfstore.OpenTiered(root, dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sealed.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sealed.Stats(); st.HeadEntries != 0 || st.SealedEntries != 240 || st.BytesParsed != 0 {
+		t.Fatalf("rebooted store: %+v", st)
+	}
+	body := func(s *perfstore.Store, raw string) []byte {
+		q, err := perfstore.ParseQuery(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		writeEntries(rec, s.Select(q))
+		return rec.Body.Bytes()
+	}
+	for _, raw := range []string{
+		"",
+		"limit=25",
+		"system=csd3&benchmark=hpcg",
+		"fom=l1&limit=7",
+		"extra.num_tasks=16&result=pass",
+		"extra.gpu=v100&since=" + url.QueryEscape(base.Add(90*time.Minute).Format(time.RFC3339)),
+		"system=nowhere",
+	} {
+		want, got := body(head, raw), body(sealed, raw)
+		if string(got) != string(want) {
+			t.Fatalf("select %q: sealed body differs from the head's\nhead   %.300s\nsealed %.300s", raw, want, got)
+		}
+	}
+	if n := len(body(sealed, "")); n < 240*100 {
+		t.Fatalf("a select of everything answered %d bytes", n)
 	}
 }

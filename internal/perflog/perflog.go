@@ -235,11 +235,14 @@ func Append(root, system, benchmark string, entries ...*Entry) error {
 // for writing. Two rules make what the caller appends next durable and
 // whole:
 //
-//   - The system directory and the root are fsynced on every open, so a
-//     newly created file's name survives power loss along with the
-//     entries fsynced into it. There is no "did I create it" branch: a
-//     failed directory sync fails the open, and the next open syncs
-//     again.
+//   - A file that is empty when opened — this open created it, or its
+//     creator has not written to it yet — has its directory and the root
+//     fsynced, so its name survives power loss along with the entries
+//     fsynced into it. A creator syncs before its first write, so a
+//     file that holds bytes needs no sync: reopening an existing log,
+//     the usual one-shot append, costs no directory fsync. A failed
+//     directory sync fails the open, and the next open syncs again while
+//     the file is still empty.
 //   - A file whose last byte is not '\n' ends in a torn line (a writer
 //     died mid-append). "|\n" is written to terminate it, so the next
 //     entry starts a line of its own instead of being glued to the
@@ -247,10 +250,10 @@ func Append(root, system, benchmark string, entries ...*Entry) error {
 //     a field (values write it as \p), so the fragment's last field is
 //     empty, which ParseLine refuses, wherever the cut fell. Readers
 //     skip it as a bad line; the caller's commit fsync makes it durable.
-//     The check can race another appender whose write is still landing
-//     (the size read falls inside its line); the terminator then lands
-//     after that writer's whole line as a line holding only '|', which
-//     every reader skips like a blank line.
+//
+// Both checks run under the file's exclusive lock (lockFile), which
+// every appender also holds across its write, so the size they read is
+// never inside another appender's still-landing line.
 func openLog(root, system, benchmark string) (*os.File, string, error) {
 	dir := filepath.Join(root, system)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -261,13 +264,19 @@ func openLog(root, system, benchmark string) (*os.File, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("perflog: %w", err)
 	}
-	err = atomicfile.SyncDir(dir)
-	if err == nil {
-		err = atomicfile.SyncDir(root)
-	}
-	if err == nil {
-		err = terminateTail(f)
-	}
+	err = lockFile(f, func() error {
+		fi, err := f.Stat()
+		switch {
+		case err != nil:
+			return err
+		case fi.Size() == 0:
+			if err := atomicfile.SyncDir(dir); err != nil {
+				return err
+			}
+			return atomicfile.SyncDir(root)
+		}
+		return terminateTail(f, fi.Size())
+	})
 	if err != nil {
 		f.Close()
 		return nil, "", fmt.Errorf("perflog: %s: %w", path, err)
@@ -275,20 +284,17 @@ func openLog(root, system, benchmark string) (*os.File, string, error) {
 	return f, path, nil
 }
 
-// terminateTail writes "|\n" after a torn last line, as openLog
-// describes.
-func terminateTail(f *os.File) error {
-	fi, err := f.Stat()
-	if err != nil || fi.Size() == 0 {
-		return err
-	}
+// terminateTail writes "|\n" after a torn last line of a file of size
+// bytes, as openLog describes.
+func terminateTail(f *os.File, size int64) error {
 	var last [1]byte
-	if _, err := f.ReadAt(last[:], fi.Size()-1); err != nil {
+	if _, err := f.ReadAt(last[:], size-1); err != nil {
 		return err
 	}
-	if last[0] != '\n' {
-		_, err = f.Write([]byte("|\n"))
+	if last[0] == '\n' {
+		return nil
 	}
+	_, err := f.Write([]byte("|\n"))
 	return err
 }
 
@@ -315,7 +321,8 @@ const ScanChunk = 1 << 20
 
 // Scan is the one reader of perflog text: it parses the whole lines r
 // yields, a ScanChunk at a time, with no cap on a line's length. Blank
-// lines, '#' comments and the bare '|' a racing openLog can leave are
+// lines, '#' comments and a bare '|' (a torn-tail terminator that raced
+// an appender, as writers without the file lock could leave) are
 // skipped; a line that does not parse is recorded in Bad, named by file
 // and by its offset counted from offset (where r starts in the file).
 // Bytes after the last '\n' are a line a writer is still appending, or

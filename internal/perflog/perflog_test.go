@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -246,6 +247,7 @@ func TestAppendConcurrentWritersNeverInterleave(t *testing.T) {
 	// O_APPEND descriptors, as concurrent benchctl processes or benchd
 	// workers would. Every line must parse back intact: a writer that
 	// issues more than one syscall per batch can interleave mid-line.
+	// And no line may be a bare '|' torn-tail terminator.
 	root := t.TempDir()
 	const writers = 16
 	const batches = 8
@@ -272,6 +274,16 @@ func TestAppendConcurrentWritersNeverInterleave(t *testing.T) {
 	entries := readLog(t, filepath.Join(root, "archer2", "hpgmg-fv.log"))
 	if len(entries) != writers*batches*2 {
 		t.Errorf("entries = %d, want %d", len(entries), writers*batches*2)
+	}
+	// Every open's torn-tail check runs under the file lock the appends
+	// hold, so it never sees a line half landed and never terminates a
+	// whole one: not one bare '|' line.
+	data, err := os.ReadFile(filepath.Join(root, "archer2", "hpgmg-fv.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare := slices.Index(strings.Split(string(data), "\n"), "|"); bare >= 0 {
+		t.Errorf("line %d is a bare '|': an open terminated a line another appender was still writing", bare+1)
 	}
 	for _, e := range entries {
 		if e.Extra["pad"] != pad {

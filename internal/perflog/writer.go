@@ -406,7 +406,10 @@ func (fs *logFiles) commit(b *writeBatch) ([]Commit, error) {
 	}
 	for i, key := range b.order {
 		c := &commits[i]
-		if _, err := files[i].Write(b.groups[key].buf); err != nil {
+		if err := lockFile(files[i], func() error {
+			_, err := files[i].Write(b.groups[key].buf)
+			return err
+		}); err != nil {
 			fs.drop(key)
 			return nil, fmt.Errorf("perflog: %s: %w", c.Path, err)
 		}

@@ -148,7 +148,7 @@ func BenchmarkStoreGroupKey(b *testing.B) {
 	m := Query{}.compile()
 	m.group = compileGroup([]string{"system", "benchmark", "extra.num_tasks"})
 	var l leg
-	l.bind(&s.shardFor(e.System).view, m, nil)
+	l.bind(&s.shardFor(e.System).view, m)
 	h := hit{&l, 0}
 	var key []byte
 	b.ReportAllocs()

@@ -17,14 +17,14 @@ import (
 )
 
 // tierSlot is one place in the sealed tier that swap lays out: a segment
-// kept as it is, or an arena to write as a new segment.
+// kept as it is, or rows to write as a new segment.
 type tierSlot struct {
 	keep *segment
-	ents []stored
+	rows *rowSet
 }
 
-// swap is the sealed tier's one state change. It writes each slot's
-// arena as a new segment in that slot's place, applies edit to a copy of
+// swap is the sealed tier's one state change. It writes each slot's rows
+// as a new segment in that slot's place, applies edit to a copy of
 // the manifest that names the slots in order, and makes that copy
 // durable. Only then does the tier change: the segment list is swapped,
 // the files of segments left out are removed and the generation moves.
@@ -43,7 +43,7 @@ func (s *Store) swap(slots []tierSlot, edit func(next *manifest)) error {
 		if g == nil {
 			next.NextSeg++
 			var err error
-			if g, err = writeSegmentFile(s.dataDir, next.NextSeg, sl.ents); err != nil {
+			if g, err = writeSegment(s.dataDir, next.NextSeg, sl.rows); err != nil {
 				s.removeFiles(list, s.seg.list)
 				return err
 			}
@@ -96,20 +96,22 @@ func (s *Store) Seal() (int, error) {
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
 
-	var ents []stored
+	// The shards' columns are copied under their read locks; nothing
+	// appends to them while Seal holds ckMu.
+	rs := &rowSet{}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, st := range sh.entries {
-			st.file = s.relSource(st.file)
-			ents = append(ents, st)
+		if sh.rows() > 0 {
+			c := sh.cols
+			rs.add(&c, sh.byTime, noID)
 		}
 		sh.mu.RUnlock()
 	}
-	if len(ents) == 0 {
+	if len(rs.rows) == 0 {
 		return 0, nil
 	}
-	slices.SortFunc(ents, func(a, b stored) int { return cmpOrder(a.t, a.seq, b.t, b.seq) })
+	rs.sort()
 
 	s.seg.Lock()
 	defer s.seg.Unlock()
@@ -118,8 +120,8 @@ func (s *Store) Seal() (int, error) {
 		slots = append(slots, tierSlot{keep: g})
 	}
 	// The new segment starts resident as the block it wrote, decoded
-	// (writeSegmentFile), so the reset below lets the head's entries go.
-	err := s.swap(append(slots, tierSlot{ents: ents}), func(next *manifest) {
+	// (writeSegment), so the reset below lets the head's columns go.
+	err := s.swap(append(slots, tierSlot{rows: rs}), func(next *manifest) {
 		next.MaxSeq = max(next.MaxSeq, s.seq.Load())
 		for path, ck := range s.ck {
 			next.Watermarks[s.relSource(path)] = ck.offset
@@ -136,7 +138,7 @@ func (s *Store) Seal() (int, error) {
 	}
 	metricSealsTotal.Inc()
 	metricSealSeconds.Observe(time.Since(start).Seconds())
-	return len(ents), nil
+	return len(rs.rows), nil
 }
 
 // MaybeSeal seals when the head has grown to at least threshold
@@ -149,7 +151,7 @@ func (s *Store) MaybeSeal(threshold int) (int, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		head += len(sh.entries)
+		head += sh.rows()
 		sh.mu.RUnlock()
 	}
 	if head < threshold {
@@ -180,16 +182,16 @@ func (s *Store) Compact(maxSegments int) (bool, error) {
 	if err := faultinject.Fire("perfstore.compact"); err != nil {
 		return false, fmt.Errorf("perfstore: compact: %w", err)
 	}
-	var ents []stored
+	rs := &rowSet{}
 	for _, g := range s.seg.list {
 		d, err := g.load()
 		if err != nil {
 			return false, fmt.Errorf("perfstore: compact: %w", err)
 		}
-		ents = append(ents, d.cols.arena(noID)...)
+		rs.add(&d.cols, nil, noID)
 	}
-	slices.SortFunc(ents, func(a, b stored) int { return cmpOrder(a.t, a.seq, b.t, b.seq) })
-	if err := s.swap([]tierSlot{{ents: ents}}, nil); err != nil {
+	rs.sort()
+	if err := s.swap([]tierSlot{{rows: rs}}, nil); err != nil {
 		return false, err
 	}
 	metricCompactionsTotal.Inc()
@@ -221,8 +223,9 @@ func (s *Store) evictSealed(path string) error {
 		if err != nil {
 			return fmt.Errorf("perfstore: evict sealed: %w", err)
 		}
-		if kept := d.cols.arena(d.cols.id(rel)); len(kept) > 0 {
-			slots = append(slots, tierSlot{ents: kept})
+		kept := &rowSet{}
+		if kept.add(&d.cols, nil, d.cols.id(rel)); len(kept.rows) > 0 {
+			slots = append(slots, tierSlot{rows: kept})
 		}
 	}
 	if !touched {

@@ -98,6 +98,42 @@ func TestTextBootCost(t *testing.T) {
 	}
 }
 
+// TestHeadRowCost: a text boot of a tree laid out like the end-to-end
+// benchmark's corpus keeps each row in columns. What the booted store
+// holds on the heap after a GC is at most 200 bytes per row — an entry
+// with its two maps cost over a kilobyte — and the same to within 10 % at
+// 15k and 60k rows: a row that kept its perflog.Scan chunk reachable, or
+// anything else that grows faster than the rows, would break it.
+func TestHeadRowCost(t *testing.T) {
+	var perRow [2]float64
+	for i, n := range []int{15_000, 60_000} {
+		root := genTree(t, n)
+		base := liveHeap()
+		s := Open(root)
+		if err := s.Sync(); err != nil || s.Len() != n {
+			t.Fatalf("%d entries: boot recovered %d, err %v", n, s.Len(), err)
+		}
+		perRow[i] = (liveHeap() - base) / float64(n)
+		t.Logf("%d rows: %.1f B live and %.1f B resident (Stats.HeadResidentBytes) per row",
+			n, perRow[i], float64(s.Stats().HeadResidentBytes)/float64(n))
+		runtime.KeepAlive(s)
+	}
+	if perRow[1] > 200 {
+		t.Errorf("60000 rows: %.1f B live per row, want at most 200", perRow[1])
+	}
+	if d := math.Abs(perRow[0]-perRow[1]) / perRow[1]; d > 0.10 {
+		t.Errorf("live bytes per row moved by %.0f %% between 15k and 60k rows (%.1f → %.1f), want at most 10 %%", 100*d, perRow[0], perRow[1])
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
+}
+
 // TestCommitIngestAllocs: a 1-entry group commit into a warm shard makes
 // at most five allocations; indexing it under keys the shard already
 // holds allocates nothing.
@@ -147,7 +183,7 @@ func TestSealedRowCost(t *testing.T) {
 		}
 		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 		mallocs[i] = after.Mallocs - before.Mallocs
-		t.Logf("%d rows: %.1f B allocated and %.1f B resident per row, %d allocations", n, perRow, float64(d.cols.resident)/float64(n), mallocs[i])
+		t.Logf("%d rows: %.1f B allocated and %.1f B resident per row, %d allocations", n, perRow, float64(d.size())/float64(n), mallocs[i])
 		if n == big && perRow > 160 {
 			t.Errorf("%d rows: a decode allocated %.1f B per row, want at most 160", n, perRow)
 		}

@@ -1,6 +1,7 @@
 package perfstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -52,15 +53,13 @@ func randArena(rng *rand.Rand, n int) []stored {
 	return ents
 }
 
-// cmpStored orders an arena by (time, seq).
-func cmpStored(a, b stored) int { return cmpOrder(a.t, a.seq, b.t, b.seq) }
-
 // checkDecode decodes a block with decodeSegment and with the reference
 // decoder, and fails unless both accept it or both refuse it and, when
 // they accept it, every materialized row is deeply equal to the
 // reference's entry (a NaN FOM equal to itself), with the same ordering
-// key and source file, and the
-// postings are the ones buildPostings derives from the reference arena.
+// key and source file, the postings are the ones buildPostings derives
+// from the reference arena, and encodeRows re-encodes the columns into
+// the bytes encodeSegment writes for the reference arena.
 // It returns the decoded view and the reference arena.
 func checkDecode(t testing.TB, hdr segHeader, data []byte) (*view, []stored) {
 	t.Helper()
@@ -89,6 +88,12 @@ func checkDecode(t testing.TB, hdr segHeader, data []byte) (*view, []stored) {
 	}
 	if want := buildPostings(ref); !reflect.DeepEqual(want, d.post) {
 		t.Fatalf("decoded postings diverge from buildPostings\nwant %v\ngot  %v", want, d.post)
+	}
+	// Re-encoding the columns writes what the entry encoder writes for
+	// the reference's rows, whatever order or repeats the block held.
+	wantHdr, wantData := encodeSegment(ref)
+	if gotHdr, gotData := encodeRows(allRows(&d.cols)); gotHdr != wantHdr || !bytes.Equal(gotData, wantData) {
+		t.Fatalf("column encoder diverges from the entry encoder: header %+v, want %+v", gotHdr, wantHdr)
 	}
 	return d, ref
 }
@@ -155,7 +160,8 @@ func rawBlock(dict []string, rows []rawRow) (segHeader, []byte) {
 
 // TestSegmentDecodeRepeatedDictionaryStrings: a block whose dictionary
 // holds one string under two ids, and whose rows name one FOM or extra
-// key twice, is not something encodeSegment writes, but it decodes —
+// key twice or list them out of name order, is not something
+// encodeSegment writes, but it decodes —
 // and then its rows must still be the reference's, the last occurrence
 // of a name holding, and its postings the reference's: one list per key
 // string, rows in order, a row posted under the value its map ended up
@@ -171,6 +177,7 @@ func TestSegmentDecodeRepeatedDictionaryStrings(t *testing.T) {
 		{sec: 12, file: 1, system: 2, benchmark: 5, result: 0, foms: [][2]uint64{{8, 10}, {9, 10}}, extras: [][2]uint64{{11, 13}, {12, 14}}},
 		{sec: 13, file: 1, system: 3, benchmark: 4, result: 6, foms: [][2]uint64{{9, 10}, {9, 10}}, extras: [][2]uint64{{12, 14}, {11, 13}, {11, 13}}},
 		{sec: 14, file: 1, system: 2, benchmark: 4, result: 7},
+		{sec: 15, file: 1, system: 3, benchmark: 5, result: 6, foms: [][2]uint64{{10, 10}, {8, 10}}, extras: [][2]uint64{{10, 13}, {11, 13}}},
 	}
 	hdr, data := rawBlock(dict, rows)
 	d, ref := checkDecode(t, hdr, data)
@@ -184,12 +191,14 @@ func TestSegmentDecodeRepeatedDictionaryStrings(t *testing.T) {
 		t.Fatalf("archer2 decoded under ids %d and %d, want one canonical id", sys[0], sys[1])
 	}
 	for key, want := range map[string][]int32{
-		keySystem("archer2"): {0, 1, 2, 3, 4},
-		keyBenchmark("hpcg"): {0, 1, 2, 3, 4},
-		keyResult("pass"):    {0, 1, 3, 4},
-		keyFOM("l0"):         {0, 1, 2, 3},
-		keyExtra("k", "v1"):  {0, 1, 3},
+		keySystem("archer2"): {0, 1, 2, 3, 4, 5},
+		keyBenchmark("hpcg"): {0, 1, 2, 3, 4, 5},
+		keyResult("pass"):    {0, 1, 3, 4, 5},
+		keyFOM("l0"):         {0, 1, 2, 3, 5},
+		keyFOM("u"):          {5},
+		keyExtra("k", "v1"):  {0, 1, 3, 5},
 		keyExtra("k", "v2"):  {2},
+		keyExtra("u", "v1"):  {5},
 	} {
 		if got := d.post[key]; !slices.Equal(got, want) {
 			t.Errorf("post[%q] = %v, want %v", key, got, want)

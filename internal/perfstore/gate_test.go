@@ -16,19 +16,24 @@ import (
 // only swap writes a segment or the manifest, only Sync's read-ahead and
 // advance read a perflog tail, a sealed segment gets its one in-memory
 // form only from decodeSegment, on a load or on the write that sealed
-// it, and the forks those routines replaced —
-// the tombstones, the second posting builder, the decline-without-parsing
-// commit path, the unused Systems method — stay gone.
+// it, a segment's bytes come only from encodeRows, and the forks those
+// routines replaced — the tombstones, the second posting builder, the
+// decline-without-parsing commit path, the unused Systems method, and the
+// entry-per-row form (stored, its arena, its encoder and its predicates)
+// — stay gone.
 func TestStateChangesGoThroughOnePath(t *testing.T) {
 	callers := map[string][]string{
-		"saveManifest":     {"(Store).swap"},
-		"writeSegmentFile": {"(Store).swap"},
-		"readTail":         {"(Store).Sync", "(Store).advance"},
-		"decodeSegment":    {"(segment).load", "writeSegmentFile"},
+		"saveManifest":  {"(Store).swap"},
+		"writeSegment":  {"(Store).swap"},
+		"encodeRows":    {"writeSegment"},
+		"readTail":      {"(Store).Sync", "(Store).advance"},
+		"decodeSegment": {"(segment).load", "writeSegment"},
 	}
 	gone := map[string]bool{
 		"buildPostings": true, "compactLocked": true, "(Store).Systems": true,
 		"stored.dead": true, "shard.deadN": true, "shard.live": true, "parseGap": true,
+		"stored": true, "(columns).arena": true, "columns.arena": true, "matchEntry": true, "entryField": true,
+		"encodeSegment": true, "writeSegmentFile": true, "view.entries": true,
 	}
 	seen := map[string]bool{}
 	var stray []string

@@ -6,29 +6,29 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fom"
 	"repro/internal/perflog"
 )
 
-// The secondary index. Each shard keeps, besides its append-only entry
-// arena:
+// The secondary index. Each shard keeps, besides its rows (columns,
+// filled by appends in ingest order):
 //
 //   - posting lists: for every indexed predicate value (system,
 //     benchmark, result, FOM presence, extra key=value) the ascending
-//     arena indices of the entries carrying it. A selective query
-//     intersects the relevant lists instead of scanning the arena.
-//   - a time-ordered view (byTime): arena indices sorted by
-//     (timestamp, ingest sequence), so Since binary-searches its lower
-//     bound and Limit takes a bounded tail instead of materializing
-//     everything first.
+//     row indices of the rows carrying it. A selective query intersects
+//     the relevant lists instead of scanning the rows.
+//   - a time-ordered view (byTime): row indices sorted by (timestamp,
+//     ingest sequence), so Since binary-searches its lower bound and
+//     Limit takes a bounded tail instead of materializing everything
+//     first.
 //
-// Both are maintained incrementally under the shard lock on add and
-// rebuilt with the arena on evict; queries only ever take the read
-// lock. Entries are immutable once added, so a Select may hand out a
-// head row's *perflog.Entry itself.
+// Both are maintained incrementally under the shard lock on append and
+// rebuilt with the rows on evict; queries only ever take the read lock.
 
 // Posting-list keys. The kind byte namespaces the value so a system
 // named "pass" never collides with result=pass.
@@ -37,19 +37,6 @@ func keyBenchmark(v string) string { return "b\x00" + v }
 func keyResult(v string) string    { return "r\x00" + v }
 func keyFOM(name string) string    { return "f\x00" + name }
 func keyExtra(k, v string) string  { return "x\x00" + k + "\x00" + v }
-
-// stored is one arena slot: the entry, its source file (for eviction),
-// and a store-wide ingest sequence number that breaks timestamp ties so
-// every ordering in the store is total and deterministic. t caches the
-// entry's timestamp as Unix nanoseconds — every ordering comparison in
-// the hot paths (byTime inserts, result sorts, cross-shard merges) is
-// an integer compare instead of a time.Time method call.
-type stored struct {
-	entry *perflog.Entry
-	file  string
-	t     int64
-	seq   uint64
-}
 
 // timeNanos is the ordering key for a timestamp. Outside UnixNano's
 // representable range (roughly years 1678–2262) it saturates, so
@@ -67,108 +54,173 @@ func timeNanos(tm time.Time) int64 {
 }
 
 // view is the read side of one leg of a query — a head shard or a sealed
-// segment: the rows, their posting lists, and their (time, seq) order. A
-// shard's rows are its arena of entries, in ingest order, with byTime
-// giving the time order; a segment's rows are columns (see columns),
-// sealed in time order, so its byTime is nil, meaning identity.
-// Everything a query reads goes through a view, so both tiers run the one
-// scan in query.go.
+// segment: the rows, their posting lists, and their (time, seq) order.
+// Both tiers hold their rows in columns. A shard's rows are in ingest
+// order, with byTime giving the time order; a segment's rows were sealed
+// in time order, so its byTime is nil, meaning identity. Everything a
+// query reads goes through a view, so both tiers run the one scan in
+// query.go.
 type view struct {
-	entries []stored           // a shard's arena; grows by appends and is rebuilt by eviction
-	cols    *columns           // a segment's rows
-	post    map[string][]int32 // posting lists, ascending row indices
-	byTime  []int32            // a shard's rows, sorted by (Time, seq); non-nil whenever it holds anything
+	cols   columns
+	post   map[string][]int32 // posting lists, ascending row indices
+	byTime []int32            // a shard's rows, sorted by (time, seq); non-nil whenever it holds anything
 }
 
 type shard struct {
 	mu sync.RWMutex
 	view
-	systems map[string]int    // entries per system (Stats)
-	keys    map[string]string // every posting key, interned
-	keyBuf  []byte            // scratch for rendering a posting key
+	systems map[string]int // rows per system (Stats)
+	// Posting keys, rendered once per dictionary id: system, benchmark,
+	// result and FOM-name keys by id (postKinds order), extra keys by
+	// (key id, value id).
+	idKeys    [len(postKinds)][]string
+	extraKeys map[[2]uint32]string
+	// Scratch for one entry's FOMs and extras, sorted by name.
+	fomBuf   []namedFOM
+	extraBuf [][2]string
 }
 
-func (sh *shard) init() {
-	sh.post = map[string][]int32{}
-	sh.systems = map[string]int{}
-	sh.keys = map[string]string{}
+type namedFOM struct {
+	name string
+	v    fom.Value
 }
 
-// reset empties the shard — the head clear after a Seal froze its
-// entries into a segment. Callers hold sh.mu.
+// reset empties the shard — the head clear after a Seal froze its rows
+// into a segment. An empty shard holds no columns; its first append makes
+// them. Callers hold sh.mu, or own the shard.
 func (sh *shard) reset() {
-	sh.entries = nil
-	sh.byTime = nil
-	sh.init()
+	sh.view = view{post: map[string][]int32{}}
+	sh.systems = map[string]int{}
+	sh.idKeys, sh.extraKeys = [len(postKinds)][]string{}, map[[2]uint32]string{}
 }
 
-// addLocked indexes a run of entries of one file, taking ingest
-// sequences seq, seq+1, ... in order. Callers hold sh.mu. The arena
-// grows once; a posting key the shard already holds allocates nothing;
-// the rows join the time order in one merge, and a run arriving in
-// order — the group-commit steady state — is a plain append.
-func (sh *shard) addLocked(es []*perflog.Entry, file string, seq uint64) {
-	base := int32(len(sh.entries))
-	sh.entries = slices.Grow(sh.entries, len(es))
-	for k, e := range es {
-		sh.entries = append(sh.entries, stored{entry: e, file: file, t: timeNanos(e.Time), seq: seq + uint64(k)})
+// rows is the number of rows.
+func (v *view) rows() int { return len(v.cols.t) }
+
+// appendLocked appends a run of entries of one file as rows, taking
+// ingest sequences seq, seq+1, ... in order, and indexes them. Each row's
+// FOMs and extras are sorted by name as they are appended, and a string
+// the shard has not seen is copied into its dictionary, so nothing of an
+// entry — or of the perflog chunk its strings were cut from — stays
+// reachable through a row. A string the dictionary holds and a posting
+// key the shard holds allocate nothing; the rows join the time order in
+// one merge, and a run arriving in order — the group-commit steady state
+// — is a plain append. Callers hold sh.mu.
+func (sh *shard) appendLocked(es []*perflog.Entry, file string, seq uint64) {
+	c := &sh.cols
+	if c.lookup == nil {
+		*c = newColumns()
 	}
+	base := int32(len(c.t))
+	fileID := c.intern(file)
+	for k, e := range es {
+		t := timeNanos(e.Time)
+		if t == math.MinInt64 || t == math.MaxInt64 {
+			c.far = append(c.far, farTime{int32(len(c.t)), e.Time.Unix(), int32(e.Time.Nanosecond())})
+		}
+		c.t = append(c.t, t)
+		c.seq = append(c.seq, seq+uint64(k))
+		for col, id := range [numCols]uint32{
+			fileID, c.intern(e.System), c.intern(e.Benchmark), c.intern(e.Partition),
+			c.intern(e.Environ), c.intern(e.Spec), c.intern(e.Result),
+		} {
+			c.col[col] = append(c.col[col], id)
+		}
+		c.job = append(c.job, int64(e.JobID))
+		foms := sh.fomBuf[:0]
+		for name, v := range e.FOMs {
+			foms = append(foms, namedFOM{name, v})
+		}
+		if len(foms) > 1 {
+			slices.SortFunc(foms, func(a, b namedFOM) int { return strings.Compare(a.name, b.name) })
+		}
+		for _, f := range foms {
+			c.foms = append(c.foms, fomCell{c.intern(f.name), c.intern(f.v.Unit), f.v.Value})
+		}
+		c.fomAt = append(c.fomAt, uint32(len(c.foms)))
+		extras := sh.extraBuf[:0]
+		for k, v := range e.Extra {
+			extras = append(extras, [2]string{k, v})
+		}
+		if len(extras) > 1 {
+			slices.SortFunc(extras, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
+		}
+		for _, x := range extras {
+			c.extras = append(c.extras, extraCell{c.intern(x[0]), c.intern(x[1])})
+		}
+		c.extraAt = append(c.extraAt, uint32(len(c.extras)))
+		sh.fomBuf, sh.extraBuf = foms, extras
+	}
+	// The scratch lets go of the entries' strings.
+	clear(sh.fomBuf[:cap(sh.fomBuf)])
+	clear(sh.extraBuf[:cap(sh.extraBuf)])
 	sh.indexLocked(base)
 }
 
-// indexLocked posts the arena rows from base on and merges them into the
-// time order. Callers hold sh.mu.
+// indexLocked posts the rows from base on and merges them into the time
+// order. Callers hold sh.mu.
 func (sh *shard) indexLocked(base int32) {
-	for idx := base; idx < int32(len(sh.entries)); idx++ {
-		e := sh.entries[idx].entry
-		sys := sh.postLocked(idx, 's', e.System, "")
-		sh.systems[sys[2:]]++ // the interned key's copy: no chunk of the file stays reachable through it
-		sh.postLocked(idx, 'b', e.Benchmark, "")
-		if e.Result != "" {
-			sh.postLocked(idx, 'r', e.Result, "")
+	c := &sh.cols
+	for row := base; row < int32(len(c.t)); row++ {
+		sys := sh.postLocked(row, 's', c.col[colSystem][row], 0)
+		sh.systems[sys[2:]]++ // the key's copy of the name
+		sh.postLocked(row, 'b', c.col[colBenchmark][row], 0)
+		if res := c.col[colResult][row]; res != c.empty {
+			sh.postLocked(row, 'r', res, 0)
 		}
-		for name := range e.FOMs {
-			sh.postLocked(idx, 'f', name, "")
+		for _, f := range c.foms[c.fomAt[row]:c.fomAt[row+1]] {
+			sh.postLocked(row, 'f', f.name, 0)
 		}
-		for k, v := range e.Extra {
-			sh.postLocked(idx, 'x', k, v)
+		for _, x := range c.extras[c.extraAt[row]:c.extraAt[row+1]] {
+			sh.postLocked(row, 'x', x.key, x.val)
 		}
 	}
 	sh.mergeTimeLocked(base)
 }
 
-// postLocked appends idx to the posting list of the key that keySystem,
-// keyBenchmark, keyResult, keyFOM or keyExtra renders for kind and its
-// value(s), and returns the interned key. Callers hold sh.mu.
-func (sh *shard) postLocked(idx int32, kind byte, v, v2 string) string {
-	b := append(sh.keyBuf[:0], kind, 0)
-	b = append(b, v...)
+// postKinds are the posting kinds keyed by one dictionary id.
+const postKinds = "sbrf"
+
+// postLocked appends row to the posting list of the key that keySystem,
+// keyBenchmark, keyResult, keyFOM or keyExtra renders for kind and the
+// dictionary ids a (and b, an extra's value), and returns the key. A key
+// is rendered once per id, so a posting under a known one allocates
+// nothing. Callers hold sh.mu.
+func (sh *shard) postLocked(row int32, kind byte, a, b uint32) string {
+	var key string
 	if kind == 'x' {
-		b = append(append(b, 0), v2...)
+		if key = sh.extraKeys[[2]uint32{a, b}]; key == "" {
+			key = bucketKey(sh.cols.dict, postingBucket{kind: kind, a: a, b: b})
+			sh.extraKeys[[2]uint32{a, b}] = key
+		}
+	} else {
+		keys := &sh.idKeys[strings.IndexByte(postKinds, kind)]
+		if int(a) >= len(*keys) {
+			*keys = append(*keys, make([]string, int(a)+1-len(*keys))...)
+		}
+		if key = (*keys)[a]; key == "" {
+			key = bucketKey(sh.cols.dict, postingBucket{kind: kind, a: a})
+			(*keys)[a] = key
+		}
 	}
-	sh.keyBuf = b
-	key, ok := sh.keys[string(b)]
-	if !ok {
-		key = string(b)
-		sh.keys[key] = key
-	}
-	sh.post[key] = append(sh.post[key], idx)
+	sh.post[key] = append(sh.post[key], row)
 	return key
 }
 
-// mergeTimeLocked adds the arena rows from base on to the time order.
-// Callers hold sh.mu.
+// mergeTimeLocked adds the rows from base on to the time order. Callers
+// hold sh.mu.
 func (sh *shard) mergeTimeLocked(base int32) {
 	old := len(sh.byTime)
-	for i := base; i < int32(len(sh.entries)); i++ {
+	for i := base; i < int32(len(sh.cols.t)); i++ {
 		sh.byTime = append(sh.byTime, i)
 	}
-	cmpTime := func(a, b int32) int { return cmp.Compare(sh.entries[a].t, sh.entries[b].t) }
+	t := sh.cols.t
+	cmpTime := func(a, b int32) int { return cmp.Compare(t[a], t[b]) }
 	sorted := slices.IsSortedFunc(sh.byTime[old:], cmpTime)
 	if sorted && (old == 0 || cmpTime(sh.byTime[old-1], base) <= 0) {
 		return
 	}
-	// Seqs ascend with arena index, so a stable sort on time alone is
+	// Seqs ascend with row index, so a stable sort on time alone is
 	// (time, seq) order.
 	run := slices.Clone(sh.byTime[old:])
 	if !sorted {
@@ -196,31 +248,51 @@ func (sh *shard) mergeTimeLocked(base int32) {
 	}
 }
 
-// evictLocked removes every entry ingested from file by rebuilding the
-// shard from the rows that stay, their seqs and arena order unchanged —
-// as sealed eviction rewrites a segment. The rows that stay move to a new
-// arena, so no arena row is ever written twice: a query that copied the
-// arena's slice header under the read lock can still read its rows after
-// releasing it (see leg). Callers hold sh.mu.
+// evictLocked removes every row ingested from file by rebuilding the
+// shard from the rows that stay, their seqs and order unchanged — as
+// sealed eviction rewrites a segment. The rows that stay move to new
+// columns (sharing the dictionary, which only grows), so no row is ever
+// written twice: a query that copied the columns under the read lock can
+// still read its rows after releasing it (see leg). Callers hold sh.mu.
 func (sh *shard) evictLocked(file string) int {
+	old := sh.cols
+	drop := old.id(file)
 	removed := 0
-	for i := range sh.entries {
-		if sh.entries[i].file == file {
+	for _, id := range old.col[colFile] {
+		if id == drop {
 			removed++
 		}
 	}
 	if removed == 0 {
 		return 0
 	}
-	kept := make([]stored, 0, len(sh.entries)-removed)
-	for _, st := range sh.entries {
-		if st.file != file {
-			kept = append(kept, st)
+	c := columns{dict: old.dict, lookup: old.lookup, empty: old.empty, fomAt: []uint32{0}, extraAt: []uint32{0}}
+	for i, id := range old.col[colFile] {
+		if id == drop {
+			continue
 		}
+		row := int32(i)
+		if t := old.t[row]; t == math.MinInt64 || t == math.MaxInt64 {
+			far := old.far[sort.Search(len(old.far), func(k int) bool { return old.far[k].row >= row })]
+			far.row = int32(len(c.t))
+			c.far = append(c.far, far)
+		}
+		c.t = append(c.t, old.t[row])
+		c.seq = append(c.seq, old.seq[row])
+		for k := range c.col {
+			c.col[k] = append(c.col[k], old.col[k][row])
+		}
+		c.job = append(c.job, old.job[row])
+		c.foms = append(c.foms, old.foms[old.fomAt[row]:old.fomAt[row+1]]...)
+		c.fomAt = append(c.fomAt, uint32(len(c.foms)))
+		c.extras = append(c.extras, old.extras[old.extraAt[row]:old.extraAt[row+1]]...)
+		c.extraAt = append(c.extraAt, uint32(len(c.extras)))
 	}
 	sh.reset()
-	sh.entries = kept
-	sh.indexLocked(0)
+	if len(c.t) > 0 {
+		sh.cols = c
+		sh.indexLocked(0)
+	}
 	return removed
 }
 
@@ -248,14 +320,6 @@ func cmpHits(a, b hit) int {
 	return cmpOrder(at, aseq, bt, bseq)
 }
 
-// rows is the number of rows.
-func (v *view) rows() int {
-	if v.cols != nil {
-		return len(v.cols.t)
-	}
-	return len(v.byTime)
-}
-
 // at is the row that is i-th in (time, seq) order.
 func (v *view) at(i int) int32 {
 	if v.byTime != nil {
@@ -265,13 +329,7 @@ func (v *view) at(i int) int32 {
 }
 
 // key is row's (time, seq) ordering key.
-func (v *view) key(row int32) (int64, uint64) {
-	if v.cols != nil {
-		return v.cols.t[row], v.cols.seq[row]
-	}
-	st := &v.entries[row]
-	return st.t, st.seq
-}
+func (v *view) key(row int32) (int64, uint64) { return v.cols.t[row], v.cols.seq[row] }
 
 // cmp compares two rows in (time, seq) order.
 func (v *view) cmp(a, b int32) int {
@@ -382,18 +440,15 @@ func fanN(n int, fn func(i int)) {
 // slice in the same order. With a limit it merges backwards from the
 // tails and stops after limit entries — each leg already trimmed itself
 // to its own most recent limit, and the global answer is a subset of
-// those tails. A sealed row it picks is materialized here, into one slab
-// for the call.
+// those tails. Each row it picks becomes a *perflog.Entry here, in one
+// slab for the call: the one place a store row is read as an entry.
 func mergeHits(parts [][]hit, limit int) []*perflog.Entry {
 	live := parts[:0]
-	total, sealed := 0, 0
+	total := 0
 	for _, p := range parts {
 		if len(p) > 0 {
 			live = append(live, p)
 			total += len(p)
-			if p[0].leg.cols != nil {
-				sealed += len(p)
-			}
 		}
 	}
 	if total == 0 {
@@ -408,7 +463,7 @@ func mergeHits(parts [][]hit, limit int) []*perflog.Entry {
 		}
 	}
 	out := make([]*perflog.Entry, n)
-	slab := make([]perflog.Entry, 0, min(n, sealed))
+	slab := make([]perflog.Entry, n)
 	var memo extrasMemo
 	for k := range out {
 		best := -1
@@ -417,7 +472,8 @@ func mergeHits(parts [][]hit, limit int) []*perflog.Entry {
 				best = i
 			}
 		}
-		e := live[best][pos[best]].entry(&slab, &memo)
+		h, e := live[best][pos[best]], &slab[k]
+		h.leg.cols.fill(h.row, e, &memo)
 		if back {
 			out[n-1-k] = e
 		} else {

@@ -270,9 +270,9 @@ func scanOne(s *Store, q Query, newestFirst bool, stopAfter int) (plan, read int
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	var l leg
-	l.bind(&sh.view, q.compile(), nil)
+	l.bind(&sh.view, q.compile())
 	plan, read = l.scan(newestFirst, nil, func(h hit) bool {
-		jobs = append(jobs, h.entry(nil, nil).JobID)
+		jobs = append(jobs, int(l.cols.job[h.row]))
 		return len(jobs) != stopAfter
 	})
 	return plan, read, jobs
@@ -588,39 +588,55 @@ func TestShardForIsFNV1a(t *testing.T) {
 }
 
 // sameIndex fails unless every shard of got holds exactly what the same
-// shard of want holds: the arena (entry, file, time, seq), the time
-// order, every posting list, and the per-system counts.
-func sameIndex(t *testing.T, stage string, got, want *Store) {
+// shard of the reference holds: each row, materialized (fill), deeply
+// equal to the reference's entry, with the same file, time and seq; the
+// time order; every posting list; and the per-system counts.
+func sameIndex(t *testing.T, stage string, got *Store, want *refIndex) {
 	t.Helper()
 	for i := range got.shards {
 		g, w := &got.shards[i], &want.shards[i]
+		if g.rows() != len(w.rows) {
+			t.Fatalf("%s: shard %d: %d rows, want %d", stage, i, g.rows(), len(w.rows))
+		}
+		var memo extrasMemo
+		for row, st := range w.rows {
+			var e perflog.Entry
+			c := &g.cols
+			c.fill(int32(row), &e, &memo)
+			if !sameEntry(&e, st.entry) || c.t[row] != st.t || c.seq[row] != st.seq || c.dict[c.col[colFile][row]] != st.file {
+				t.Fatalf("%s: shard %d row %d: %+v (%d, %d, %s), want %+v (%d, %d, %s)", stage, i, row,
+					e, c.t[row], c.seq[row], c.dict[c.col[colFile][row]], *st.entry, st.t, st.seq, st.file)
+			}
+		}
 		switch {
-		case !slices.Equal(g.entries, w.entries):
-			t.Fatalf("%s: shard %d: arenas differ (%d rows, want %d)", stage, i, len(g.entries), len(w.entries))
 		case !slices.Equal(g.byTime, w.byTime):
 			t.Fatalf("%s: shard %d: time order differs\ngot  %v\nwant %v", stage, i, g.byTime, w.byTime)
-		case !reflect.DeepEqual(g.post, w.post):
+		case !maps.EqualFunc(g.post, w.post, slices.Equal[[]int32]):
 			t.Fatalf("%s: shard %d: posting lists differ", stage, i)
-		case !reflect.DeepEqual(g.systems, w.systems):
+		case !maps.Equal(g.systems, w.systems):
 			t.Fatalf("%s: shard %d: systems %v, want %v", stage, i, g.systems, w.systems)
 		}
 	}
 }
 
-// TestAddBatchMatchesReference: indexing a batch in one pass per shard
-// run leaves every shard exactly as the per-entry reference insert
-// does, and every query answers alike, across in-order commits, the
-// end-to-end benchmark's time-interleaved files, timestamp ties within
-// and across batches, out-of-order rows within a batch, multi-system
-// batches, 1-entry commits, and eviction and re-adding.
+// TestAddBatchMatchesReference: appending a batch in one pass per shard
+// run leaves every shard holding exactly the rows the per-entry
+// reference insert holds — each row, read back through fill, deeply equal
+// to the entry it came from — with the same time order, postings and
+// counts, and every query answers as the reference scan over those
+// entries does, across in-order commits, the end-to-end benchmark's
+// time-interleaved files, timestamp ties within and across batches,
+// out-of-order rows within a batch, multi-system batches, 1-entry
+// commits, and eviction and re-adding.
 func TestAddBatchMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		got, want := Open("unused"), Open("unused")
+		got := Open("unused")
+		want := &refIndex{s: got}
 		byFile := map[string][]*perflog.Entry{}
 		add := func(file string, batch []*perflog.Entry) {
 			got.addBatch(batch, file)
-			want.addBatchRef(batch, file)
+			want.addBatch(batch, file)
 			byFile[file] = append(byFile[file], batch...)
 		}
 		check := func(stage string) {
@@ -629,29 +645,7 @@ func TestAddBatchMatchesReference(t *testing.T) {
 			sameIndex(t, stage, got, want)
 			for k := 0; k < 40; k++ {
 				q, window := refQuery(rng)
-				if g, w := got.Select(q), want.Select(q); !sameEntries(g, w) {
-					t.Fatalf("%s: Select %+v: %d entries, want %d", stage, q, len(g), len(w))
-				}
-				q.Agg = "mean"
-				g, gerr := got.Aggregate(q)
-				w, werr := want.Aggregate(q)
-				if (gerr == nil) != (werr == nil) {
-					t.Fatalf("%s: Aggregate %+v: error %v, want %v", stage, q, gerr, werr)
-				}
-				if len(g) != len(w) {
-					t.Fatalf("%s: Aggregate %+v: %d groups, want %d", stage, q, len(g), len(w))
-				}
-				for r := range g { // both indexes scan alike, so even Mean matches to the bit
-					if a, b := g[r], w[r]; a.Group != b.Group || a.Count != b.Count || a.Unstable != b.Unstable || a.Unit != b.Unit ||
-						!sameFloat(a.Min, b.Min) || !sameFloat(a.Max, b.Max) || !sameFloat(a.Mean, b.Mean) || !sameFloat(a.Last, b.Last) {
-						t.Fatalf("%s: Aggregate %+v: group %+v, want %+v", stage, q, a, b)
-					}
-				}
-				gr, gerr := got.Regressions(q, 0.1, window)
-				wr, werr := want.Regressions(q, 0.1, window)
-				if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(gr, wr) {
-					t.Fatalf("%s: Regressions %+v (window %d) diverged", stage, q, window)
-				}
+				checkAnswers(t, got, q, window, want.arenas())
 			}
 		}
 
@@ -698,13 +692,12 @@ func TestAddBatchMatchesReference(t *testing.T) {
 		// Evict most files, then add them back.
 		evicted := []string{"inorder.log", "random0.log", "random1.log", "file00.log", "file07.log"}
 		for _, f := range evicted {
-			for _, s := range []*Store{got, want} {
-				if err := s.evictFile(f); err != nil {
-					t.Fatal(err)
-				}
+			if err := got.evictFile(f); err != nil {
+				t.Fatal(err)
 			}
+			want.evict(f)
 		}
-		// Every shard's arena holds only the rows still present.
+		// Every shard holds only the rows still present.
 		present := 0
 		for f, ents := range byFile {
 			if !slices.Contains(evicted, f) {
@@ -713,15 +706,16 @@ func TestAddBatchMatchesReference(t *testing.T) {
 		}
 		rows := 0
 		for i := range got.shards {
-			for _, st := range got.shards[i].entries {
-				if slices.Contains(evicted, st.file) {
-					t.Fatalf("seed %d: shard %d still holds a row of evicted %s", seed, i, st.file)
+			c := &got.shards[i].cols
+			for _, id := range c.col[colFile] {
+				if slices.Contains(evicted, c.dict[id]) {
+					t.Fatalf("seed %d: shard %d still holds a row of evicted %s", seed, i, c.dict[id])
 				}
 			}
-			rows += len(got.shards[i].entries)
+			rows += got.shards[i].rows()
 		}
 		if rows != present {
-			t.Fatalf("seed %d: arenas hold %d rows, %d are present", seed, rows, present)
+			t.Fatalf("seed %d: shards hold %d rows, %d are present", seed, rows, present)
 		}
 		check("evicted")
 		for _, f := range evicted {

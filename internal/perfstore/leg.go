@@ -5,25 +5,26 @@ import (
 )
 
 // leg is one view bound to one query: what view's scan walks, and what a
-// hit reads its row through. The view is copied under the leg's lock, and
-// its rows stay readable after the lock is released — a segment's columns
-// never change, and a shard never writes an arena row twice (appends go
-// past the copied length, eviction builds a new arena) — so the hits of a
-// leg outlive its scan.
+// hit reads its row through. The view — its columns' slice headers — is
+// copied under the leg's lock, and its rows stay readable after the lock
+// is released: a segment's columns never change, and a shard never writes
+// a row, a cell or a dictionary string twice (appends go past the copied
+// lengths, eviction builds new columns), so the hits of a leg outlive its
+// scan. The dictionary's lookup map does change in place, so it is read
+// only in bind, under the lock.
 //
-// On a sealed leg the query's strings are resolved to the segment's
-// dictionary ids once, when the leg is bound, so no row is compared by
-// string: a predicate value the dictionary lacks matches no row, and the
-// leg is none.
+// The query's strings are resolved to the view's dictionary ids once,
+// when the leg is bound, so no row is compared by string: a predicate
+// value the dictionary lacks matches no row, and the leg is none.
 type leg struct {
 	view
 	m   *matcher
-	ids *legIDs // sealed legs only
+	ids legIDs
 }
 
-// legIDs is a query's strings as one segment's dictionary ids, noID where
-// the dictionary lacks the string. The slices start in the fixed buffers,
-// so binding a usual query allocates nothing.
+// legIDs is a query's strings as one view's dictionary ids, noID where the
+// dictionary lacks the string. The slices start in the fixed buffers, so
+// binding a usual query allocates nothing.
 type legIDs struct {
 	none   bool        // a predicate value is missing: no row matches
 	preds  []colPred   // system, benchmark and result predicates
@@ -45,15 +46,11 @@ type colPred struct {
 	id  uint32
 }
 
-// bind points l at v, for m, resolving m's strings into ids when v is a
-// segment. Callers hold v's lock.
-func (l *leg) bind(v *view, m *matcher, ids *legIDs) {
+// bind points l at v, for m, resolving m's strings into ids. Callers hold
+// v's lock.
+func (l *leg) bind(v *view, m *matcher) {
 	l.view, l.m = *v, m
-	c := v.cols
-	if c == nil {
-		return
-	}
-	l.ids = ids
+	c, ids := &l.cols, &l.ids
 	pred := func(s string) uint32 {
 		id := c.id(s)
 		ids.none = ids.none || id == noID
@@ -89,16 +86,11 @@ func (l *leg) bind(v *view, m *matcher, ids *legIDs) {
 }
 
 // none reports whether no row of the leg can match.
-func (l *leg) none() bool { return l.ids != nil && l.ids.none }
+func (l *leg) none() bool { return l.ids.none }
 
-// match is the full equality predicate on row: matchEntry on a shard, the
-// same predicates as id compares on a segment.
+// match is the full equality predicate on row, as id compares.
 func (l *leg) match(row int32) bool {
-	c := l.cols
-	if c == nil {
-		return l.m.matchEntry(l.entries[row].entry)
-	}
-	ids := l.ids
+	c, ids := &l.cols, &l.ids
 	for _, p := range ids.preds {
 		if c.col[p.col][row] != p.id {
 			return false
@@ -120,33 +112,18 @@ func (l *leg) match(row int32) bool {
 // key is the hit's (time, seq) ordering key.
 func (h hit) key() (int64, uint64) { return h.leg.key(h.row) }
 
-// entry is the hit's row as a *perflog.Entry: a shard's own entry, or a
-// segment's row materialized into *slab.
-func (h hit) entry(slab *[]perflog.Entry, memo *extrasMemo) *perflog.Entry {
-	l := h.leg
-	if l.cols == nil {
-		return l.entries[h.row].entry
-	}
-	*slab = append(*slab, perflog.Entry{})
-	e := &(*slab)[len(*slab)-1]
-	l.cols.fill(h.row, e, memo)
-	return e
-}
-
 // groupKey appends the row's group key — its group-by fields (matcher.
 // group) joined by "/" — to dst.
 func (h hit) groupKey(dst []byte) []byte {
 	l, extra := h.leg, 0
+	c := &l.cols
 	for i, f := range l.m.group {
 		if i > 0 {
 			dst = append(dst, '/')
 		}
-		switch c := l.cols; {
-		case c == nil:
-			dst = append(dst, entryField(l.entries[h.row].entry, f)...)
-		case f.col >= 0:
+		if f.col >= 0 {
 			dst = append(dst, c.dict[c.col[f.col][h.row]]...)
-		default:
+		} else {
 			dst = append(dst, c.str(c.extraOr(h.row, l.ids.group[extra]))...)
 			extra++
 		}
@@ -157,25 +134,18 @@ func (h hit) groupKey(dst []byte) []byte {
 // value is the row's value of the query's FOM and its unit; zero when the
 // row does not carry it.
 func (h hit) value() (float64, string) {
-	l := h.leg
-	if l.cols == nil {
-		v := l.entries[h.row].entry.FOMs[l.m.q.FOM]
-		return v.Value, v.Unit
-	}
-	f, ok := l.cols.fom(h.row, l.ids.fom)
+	c := &h.leg.cols
+	f, ok := c.fom(h.row, h.leg.ids.fom)
 	if !ok {
 		return 0, ""
 	}
-	return f.value, l.cols.dict[f.unit]
+	return f.value, c.dict[f.unit]
 }
 
 // repStats reads the repetition statistics of the query's FOM from the
 // row (matcher.withRep must be set).
 func (h hit) repStats() (perflog.RepStats, bool) {
 	l := h.leg
-	if l.cols == nil {
-		return l.m.rep.Read(l.entries[h.row].entry)
-	}
 	return l.m.rep.ReadFunc(func(i int) (string, bool) {
 		v, ok := l.cols.extra(h.row, l.ids.rep[i])
 		return l.cols.str(v), ok
@@ -210,23 +180,4 @@ func compileGroup(groupBy []string) []groupField {
 		fields[i] = groupField{col, name}
 	}
 	return fields
-}
-
-// entryField is field f of e.
-func entryField(e *perflog.Entry, f groupField) string {
-	switch f.col {
-	case colSystem:
-		return e.System
-	case colBenchmark:
-		return e.Benchmark
-	case colPartition:
-		return e.Partition
-	case colEnviron:
-		return e.Environ
-	case colSpec:
-		return e.Spec
-	case colResult:
-		return e.Result
-	}
-	return e.Extra[f.name]
 }

@@ -98,35 +98,6 @@ func (q Query) compile() *matcher {
 	return m
 }
 
-// matchEntry is the full per-entry equality predicate — the scan
-// path's check, and the contract the index path is property-tested
-// against. The Since window is filtered separately through the stored
-// ordering key (matcher.sinceNano) so every path draws the boundary
-// identically.
-func (m *matcher) matchEntry(e *perflog.Entry) bool {
-	q := &m.q
-	if q.System != "" && e.System != q.System {
-		return false
-	}
-	if q.Benchmark != "" && e.Benchmark != q.Benchmark {
-		return false
-	}
-	if q.Result != "" && e.Result != q.Result {
-		return false
-	}
-	if q.FOM != "" {
-		if _, ok := e.FOMs[q.FOM]; !ok {
-			return false
-		}
-	}
-	for _, kv := range m.extras {
-		if e.Extra[kv.k] != kv.v {
-			return false
-		}
-	}
-	return true
-}
-
 // aggNames is the vocabulary ParseQuery accepts for agg=.
 var aggNames = map[string]bool{
 	"min": true, "max": true, "mean": true, "last": true, "count": true,
@@ -374,14 +345,12 @@ func scanLegs[T any](s *Store, m *matcher, fn func(l *leg) (out T, plan, read in
 	defer s.seg.RUnlock()
 	segs := s.seg.list
 	out := make([]T, len(segs)+shardCount)
-	legs, ids := make([]leg, len(out)), make([]legIDs, len(segs))
+	legs := make([]leg, len(out))
 	var took [planCount]atomic.Bool
 	var rows atomic.Int64
 	fanN(len(out), func(i int) {
 		var v *view
-		var sealed *legIDs
 		if i < len(segs) {
-			sealed = &ids[i]
 			g := segs[i]
 			if m.hasSince && g.info.MaxT < m.sinceNano {
 				metricSegmentsPruned.Inc()
@@ -402,7 +371,7 @@ func scanLegs[T any](s *Store, m *matcher, fn func(l *leg) (out T, plan, read in
 			return // an empty shard: spare the leg its set-up
 		}
 		l := &legs[i]
-		l.bind(v, m, sealed)
+		l.bind(v, m)
 		var plan, read int
 		out[i], plan, read = fn(l)
 		took[plan].Store(true)

@@ -40,22 +40,20 @@ func GroupKey(e *perflog.Entry, groupBy []string) string {
 // add indexes a single entry.
 func (s *Store) add(e *perflog.Entry, file string) { s.addBatch([]*perflog.Entry{e}, file) }
 
-func (s *Store) selectScan(q Query) []*perflog.Entry {
-	m := q.compile()
-	var hits []stored
-	scan := func(arena []stored) {
-		for _, st := range arena {
-			if !(m.hasSince && st.t < m.sinceNano) && m.matchEntry(st.entry) {
-				hits = append(hits, st)
-			}
-		}
-	}
+func (s *Store) selectScan(q Query) []*perflog.Entry { return selectArenas(q, s.arenas()) }
+
+// arenas is every row of the store as entries: each head shard's and each
+// loaded segment's, materialized.
+func (s *Store) arenas() [][]stored {
+	var out [][]stored
 	s.seg.RLock()
+	defer s.seg.RUnlock()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		scan(sh.entries)
+		c := sh.cols
 		sh.mu.RUnlock()
+		out = append(out, refArena(&c))
 	}
 	for _, g := range s.seg.list {
 		d, err := g.load()
@@ -63,9 +61,23 @@ func (s *Store) selectScan(q Query) []*perflog.Entry {
 			s.noteLoadFailure(err)
 			continue
 		}
-		scan(refArena(d.cols))
+		out = append(out, refArena(&d.cols))
 	}
-	s.seg.RUnlock()
+	return out
+}
+
+// selectArenas is Select as a linear scan of every row with the
+// per-entry predicate, then a sort.
+func selectArenas(q Query, arenas [][]stored) []*perflog.Entry {
+	m := q.compile()
+	var hits []stored
+	for _, arena := range arenas {
+		for _, st := range arena {
+			if !(m.hasSince && st.t < m.sinceNano) && m.matchEntry(st.entry) {
+				hits = append(hits, st)
+			}
+		}
+	}
 	slices.SortFunc(hits, cmpStored)
 	if q.Limit > 0 && len(hits) > q.Limit {
 		hits = hits[len(hits)-q.Limit:]
@@ -77,27 +89,37 @@ func (s *Store) selectScan(q Query) []*perflog.Entry {
 	return out
 }
 
-// refArenas holds segments' rows materialized once for the reference
-// scan — columns never change, and the references run many queries — up
-// to refArenaRows rows, when it starts over.
+// refArenas holds rows materialized once for the reference scan — the
+// references run many queries — up to refArenaRows rows, when it starts
+// over. Rows are never rewritten, so columns' rows up to a length are
+// named by their first time slot and that length.
 var refArenas = struct {
 	sync.Mutex
-	m    map[*columns][]stored
+	m    map[arenaKey][]stored
 	rows int
-}{m: map[*columns][]stored{}}
+}{m: map[arenaKey][]stored{}}
+
+type arenaKey struct {
+	first *int64
+	n     int
+}
 
 const refArenaRows = 50_000
 
 func refArena(c *columns) []stored {
+	if len(c.t) == 0 {
+		return nil
+	}
+	key := arenaKey{&c.t[0], len(c.t)}
 	refArenas.Lock()
 	defer refArenas.Unlock()
-	a, ok := refArenas.m[c]
+	a, ok := refArenas.m[key]
 	if !ok {
 		if refArenas.rows += len(c.t); refArenas.rows > refArenaRows {
-			refArenas.m, refArenas.rows = map[*columns][]stored{}, len(c.t)
+			refArenas.m, refArenas.rows = map[arenaKey][]stored{}, len(c.t)
 		}
 		a = c.arena(noID)
-		refArenas.m[c] = a
+		refArenas.m[key] = a
 	}
 	return a
 }
@@ -165,9 +187,15 @@ func (s *Store) aggregateRef(q Query) []Aggregate {
 // inside the scan: group a selected slice, one heap-allocated RepStats
 // per entry that carries any.
 func (s *Store) regressionsRef(q Query, tolerance float64, window int) []Report {
+	return regressionsEntries(s.selectScan(q), q, tolerance, window, s.rsdGate())
+}
+
+// regressionsEntries evaluates the regression rule over an already
+// selected, time-ascending entry slice.
+func regressionsEntries(entries []*perflog.Entry, q Query, tolerance float64, window int, gate float64) []Report {
 	groupBy := q.groupBy()
 	series := map[string][]SeriesPoint{}
-	for _, e := range s.selectScan(q) {
+	for _, e := range entries {
 		p := SeriesPoint{Value: e.FOMs[q.FOM].Value}
 		if st, ok := e.RepStats(q.FOM); ok {
 			p.Stats = &st
@@ -182,7 +210,7 @@ func (s *Store) regressionsRef(q Query, tolerance float64, window int) []Report 
 	sort.Strings(keys)
 	var out []Report
 	for _, key := range keys {
-		r, ok := EvalSeriesPoints(series[key], tolerance, window, s.rsdGate())
+		r, ok := EvalSeriesPoints(series[key], tolerance, window, gate)
 		if !ok {
 			continue
 		}
@@ -233,13 +261,21 @@ func refQuery(rng *rand.Rand) (q Query, window int) {
 }
 
 // checkAgainstRefs fails unless Select, Aggregate and Regressions each
-// answer q exactly as their reference does: entries by pointer identity
-// and order, reports deeply equal, aggregates equal up to the summation
-// order of Mean.
+// answer q exactly as their reference does over s's own rows.
 func checkAgainstRefs(t *testing.T, s *Store, q Query, window int) {
 	t.Helper()
-	if got, want := s.Select(q), s.selectScan(q); !sameEntries(got, want) {
-		t.Fatalf("Select diverged from the reference scan: %d entries, want %d\nquery %+v", len(got), len(want), q)
+	checkAnswers(t, s, q, window, s.arenas())
+}
+
+// checkAnswers fails unless Select, Aggregate and Regressions each answer
+// q exactly as their reference does over the rows of arenas: entries
+// deeply equal and in order, reports deeply equal, aggregates equal up to
+// the summation order of Mean.
+func checkAnswers(t *testing.T, s *Store, q Query, window int, arenas [][]stored) {
+	t.Helper()
+	selected := selectArenas(q, arenas)
+	if got := s.Select(q); !sameEntries(got, selected) {
+		t.Fatalf("Select diverged from the reference scan: %d entries, want %d\nquery %+v", len(got), len(selected), q)
 	}
 	if q.FOM == "" {
 		q.Agg = "count"
@@ -248,7 +284,7 @@ func checkAgainstRefs(t *testing.T, s *Store, q Query, window int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := s.aggregateRef(q)
+	want := aggregateEntries(selectArenas(q, arenas), q.groupBy(), q.FOM, s.rsdGate())
 	if len(got) != len(want) {
 		t.Fatalf("Aggregate: %d groups, want %d\nquery %+v", len(got), len(want), q)
 	}
@@ -267,19 +303,28 @@ func checkAgainstRefs(t *testing.T, s *Store, q Query, window int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantR := s.regressionsRef(q, 0.1, window); !reflect.DeepEqual(gotR, wantR) {
+	if wantR := regressionsEntries(selected, q, 0.1, window, s.rsdGate()); !reflect.DeepEqual(gotR, wantR) {
 		t.Fatalf("Regressions (window %d) diverged\ngot  %+v\nwant %+v\nquery %+v", window, gotR, wantR, q)
 	}
 }
 
-// addLockedRef is the per-entry index insert the batch pass replaced,
-// kept as the reference addLocked must reproduce exactly: one key string
-// built per posting list, and a binary-search insert into byTime that
-// shifts every later row. Callers hold sh.mu.
-func (sh *shard) addLockedRef(e *perflog.Entry, file string, seq uint64) {
-	idx := int32(len(sh.entries))
-	t := timeNanos(e.Time)
-	sh.entries = append(sh.entries, stored{entry: e, file: file, t: t, seq: seq})
+// refShard is a shard as the per-entry index insert the batch pass
+// replaced built it, kept as the reference appendLocked must reproduce:
+// one entry per row, one key string built per posting list, and a
+// binary-search insert into byTime that shifts every later row.
+type refShard struct {
+	rows    []stored
+	byTime  []int32
+	post    map[string][]int32
+	systems map[string]int
+}
+
+func (sh *refShard) insert(st stored) {
+	if sh.post == nil {
+		sh.post, sh.systems = map[string][]int32{}, map[string]int{}
+	}
+	e, idx := st.entry, int32(len(sh.rows))
+	sh.rows = append(sh.rows, st)
 	sh.post[keySystem(e.System)] = append(sh.post[keySystem(e.System)], idx)
 	sh.post[keyBenchmark(e.Benchmark)] = append(sh.post[keyBenchmark(e.Benchmark)], idx)
 	if e.Result != "" {
@@ -292,9 +337,9 @@ func (sh *shard) addLockedRef(e *perflog.Entry, file string, seq uint64) {
 		sh.post[keyExtra(k, v)] = append(sh.post[keyExtra(k, v)], idx)
 	}
 	pos := len(sh.byTime)
-	if pos > 0 && sh.entries[sh.byTime[pos-1]].t > t {
+	if pos > 0 && sh.rows[sh.byTime[pos-1]].t > st.t {
 		pos = sort.Search(len(sh.byTime), func(i int) bool {
-			return sh.entries[sh.byTime[i]].t > t
+			return sh.rows[sh.byTime[i]].t > st.t
 		})
 	}
 	sh.byTime = append(sh.byTime, 0)
@@ -303,24 +348,52 @@ func (sh *shard) addLockedRef(e *perflog.Entry, file string, seq uint64) {
 	sh.systems[e.System]++
 }
 
-// addBatchRef is addBatch over addLockedRef: one seq per entry, handed
-// out under the shard lock.
-func (s *Store) addBatchRef(entries []*perflog.Entry, file string) {
-	if len(entries) == 0 {
-		return
+// refIndex is a head as refShards, placed as s places its rows, one seq
+// handed out per entry.
+type refIndex struct {
+	s      *Store
+	shards [shardCount]refShard
+	seq    uint64
+}
+
+func (ri *refIndex) addBatch(entries []*perflog.Entry, file string) {
+	for _, e := range entries {
+		ri.seq++
+		ri.shard(e.System).insert(stored{entry: e, file: file, t: timeNanos(e.Time), seq: ri.seq})
 	}
-	for i := 0; i < len(entries); {
-		sh := s.shardFor(entries[i].System)
-		sh.mu.Lock()
-		j := i
-		for j < len(entries) && s.shardFor(entries[j].System) == sh {
-			sh.addLockedRef(entries[j], file, s.seq.Add(1))
-			j++
+}
+
+func (ri *refIndex) shard(system string) *refShard {
+	sh := ri.s.shardFor(system)
+	for i := range ri.s.shards {
+		if &ri.s.shards[i] == sh {
+			return &ri.shards[i]
 		}
-		sh.mu.Unlock()
-		i = j
 	}
-	s.gen.Add(1)
+	panic("no shard")
+}
+
+// evict rebuilds every shard without the rows of file, the rest
+// re-inserted in row order with their seqs.
+func (ri *refIndex) evict(file string) {
+	for i := range ri.shards {
+		old := ri.shards[i].rows
+		ri.shards[i] = refShard{}
+		for _, st := range old {
+			if st.file != file {
+				ri.shards[i].insert(st)
+			}
+		}
+	}
+}
+
+// arenas is the reference's rows, shard by shard.
+func (ri *refIndex) arenas() [][]stored {
+	out := make([][]stored, len(ri.shards))
+	for i := range ri.shards {
+		out[i] = ri.shards[i].rows
+	}
+	return out
 }
 
 // buildPostings indexes an immutable (t, seq)-sorted arena with the

@@ -248,12 +248,21 @@ func (l *legSeries) appendGroup(dst []point, group string) []point {
 }
 
 // pinsGroups reports whether q's equality predicates fix every group-by
-// field, so that all matching entries fall in one group: an entry made of
-// nothing but the predicates has every field set.
+// field, so that all matching entries fall in one group.
 func pinsGroups(q Query, group []groupField) bool {
-	probe := &perflog.Entry{System: q.System, Benchmark: q.Benchmark, Result: q.Result, Extra: q.Extra}
 	for _, f := range group {
-		if entryField(probe, f) == "" {
+		pinned := q.Extra[f.name] != ""
+		switch f.col {
+		case colSystem:
+			pinned = q.System != ""
+		case colBenchmark:
+			pinned = q.Benchmark != ""
+		case colResult:
+			pinned = q.Result != ""
+		case colPartition, colEnviron, colSpec:
+			pinned = false
+		}
+		if !pinned {
 			return false
 		}
 	}

@@ -30,11 +30,12 @@
 //
 // In memory a segment stays in columns (see columns): the dictionary, one
 // slice per fixed field, and one slab each of FOM and extra cells, all
-// carrying dictionary ids. A query compares ids, and a row becomes a
-// perflog.Entry only when a Select returns it or a compaction or an
-// eviction re-encodes it. A sealed segment has this one resident form,
-// whether it was just written or loaded after a restart: both come from
-// decodeSegment.
+// carrying dictionary ids — the same form a head shard's rows take as
+// they are appended. A query compares ids, and a row becomes a
+// perflog.Entry only when a Select returns it. A seal, a compaction and
+// an eviction all write a segment from columns through one encoder
+// (encodeRows). A sealed segment has one resident form, whether it was
+// just written or loaded after a restart: both come from decodeSegment.
 //
 // Segments are a derived cache of the text perflog tree (the durable
 // source of truth, paper Principle 6): any segment can be dropped and
@@ -52,6 +53,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,6 +116,9 @@ var (
 	metricSealedResident = telemetry.DefaultRegistry.Gauge(
 		"perfstore_sealed_resident_bytes",
 		"Bytes the loaded sealed segments keep in memory: their columns and posting lists.").With()
+	metricHeadResident = telemetry.DefaultRegistry.Gauge(
+		"perfstore_head_resident_bytes",
+		"Bytes the head shards keep in memory: their columns, posting lists and time order.").With()
 )
 
 // segHeader is the decoded fixed-size segment header — everything a
@@ -143,70 +148,138 @@ type SegmentInfo struct {
 	Systems []string `json:"systems,omitempty"`
 }
 
-// dictBuilder interns strings into a per-segment dictionary.
-type dictBuilder struct {
-	ids  map[string]uint64
-	strs []string
+// rowRef is one row of one of a rowSet's sources.
+type rowRef struct{ src, row int32 }
+
+// rowSet is what a new segment is written from: rows of one or more
+// columns — head shards for a seal, segments for a compaction or an
+// eviction — which encodeRows writes in the order rows lists them.
+type rowSet struct {
+	srcs []*columns
+	rows []rowRef
 }
 
-func (d *dictBuilder) id(s string) uint64 {
-	if id, ok := d.ids[s]; ok {
-		return id
+// add appends the rows of c that order lists (nil: every row, in row
+// order), except those ingested from the file whose dictionary id is drop
+// (noID drops nothing).
+func (rs *rowSet) add(c *columns, order []int32, drop uint32) {
+	src := int32(len(rs.srcs))
+	rs.srcs = append(rs.srcs, c)
+	rs.rows = slices.Grow(rs.rows, len(c.t))
+	for i := range c.t {
+		row := int32(i)
+		if order != nil {
+			row = order[i]
+		}
+		if c.col[colFile][row] != drop {
+			rs.rows = append(rs.rows, rowRef{src, row})
+		}
 	}
-	id := uint64(len(d.strs))
-	d.ids[s] = id
-	d.strs = append(d.strs, s)
-	return id
 }
 
-// encodeSegment renders a (t, seq)-sorted arena into header + data
-// block bytes.
-func encodeSegment(entries []stored) (segHeader, []byte) {
-	dict := &dictBuilder{ids: map[string]uint64{}}
-	var cols []byte
+// sort puts the rows in (time, seq) order. Each source's rows already are,
+// so a set with one source is left as it is.
+func (rs *rowSet) sort() {
+	if len(rs.srcs) < 2 {
+		return
+	}
+	slices.SortFunc(rs.rows, func(a, b rowRef) int {
+		ca, cb := rs.srcs[a.src], rs.srcs[b.src]
+		return cmpOrder(ca.t[a.row], ca.seq[a.row], cb.t[b.row], cb.seq[b.row])
+	})
+}
+
+// encodeRows renders a (t, seq)-sorted row set into header + data block
+// bytes: the one segment encoder, behind Seal, Compact and sealed
+// eviction. Strings enter the segment's dictionary in the order the rows
+// first use them, and a row's FOMs and extras go out sorted by name, so
+// the bytes depend on the rows alone, never on which columns or
+// dictionaries they came from.
+func encodeRows(rs *rowSet) (segHeader, []byte) {
+	var (
+		cols  []byte
+		strs  []string
+		ids   = map[string]uint32{}
+		remap = make([][]uint32, len(rs.srcs)) // per source: its ids to the segment's, noID until first used
+		foms  []fomCell
+		xs    []extraCell
+		c     *columns // the source of the row being encoded
+		m     []uint32 // and its remap
+	)
+	for i, src := range rs.srcs {
+		remap[i] = make([]uint32, len(src.dict))
+		for j := range remap[i] {
+			remap[i][j] = noID
+		}
+	}
 	put := func(v uint64) { cols = binary.AppendUvarint(cols, v) }
 	puts := func(v int64) { cols = binary.AppendVarint(cols, v) }
-
-	hdr := segHeader{Count: len(entries), MinT: math.MaxInt64, MaxT: math.MinInt64, MinSeq: math.MaxUint64}
-	for i := range entries {
-		st := &entries[i]
-		hdr.MinT = min(hdr.MinT, st.t)
-		hdr.MaxT = max(hdr.MaxT, st.t)
-		hdr.MinSeq = min(hdr.MinSeq, st.seq)
-		hdr.MaxSeq = max(hdr.MaxSeq, st.seq)
+	id := func(src uint32) {
+		out := m[src]
+		if out == noID {
+			s := c.dict[src]
+			var ok bool
+			if out, ok = ids[s]; !ok {
+				out = uint32(len(strs))
+				ids[s] = out
+				strs = append(strs, s)
+			}
+			m[src] = out
+		}
+		put(uint64(out))
 	}
-	if len(entries) == 0 {
+	// A row's cells sorted by name, as a map's sorted keys would list them.
+	cmpFOM := func(a, b fomCell) int { return strings.Compare(c.dict[a.name], c.dict[b.name]) }
+	cmpExtra := func(a, b extraCell) int { return strings.Compare(c.dict[a.key], c.dict[b.key]) }
+
+	hdr := segHeader{Count: len(rs.rows), MinT: math.MaxInt64, MaxT: math.MinInt64, MinSeq: math.MaxUint64}
+	for _, r := range rs.rows {
+		src := rs.srcs[r.src]
+		hdr.MinT = min(hdr.MinT, src.t[r.row])
+		hdr.MaxT = max(hdr.MaxT, src.t[r.row])
+		hdr.MinSeq = min(hdr.MinSeq, src.seq[r.row])
+		hdr.MaxSeq = max(hdr.MaxSeq, src.seq[r.row])
+	}
+	if len(rs.rows) == 0 {
 		hdr.MinT, hdr.MaxT, hdr.MinSeq, hdr.MaxSeq = 0, 0, 0, 0
 	}
 	prevSec := int64(0)
-	for i := range entries {
-		st := &entries[i]
-		e := st.entry
-		sec := e.Time.Unix()
+	for _, r := range rs.rows {
+		c, m = rs.srcs[r.src], remap[r.src]
+		row := r.row
+		tm := c.time(row)
+		sec := tm.Unix()
 		puts(sec - prevSec)
 		prevSec = sec
-		put(uint64(e.Time.Nanosecond()))
-		put(st.seq - hdr.MinSeq)
-		for _, s := range [numCols]string{st.file, e.System, e.Benchmark, e.Partition, e.Environ, e.Spec, e.Result} {
-			put(dict.id(s))
+		put(uint64(tm.Nanosecond()))
+		put(c.seq[row] - hdr.MinSeq)
+		for k := range c.col {
+			id(c.col[k][row])
 		}
-		puts(int64(e.JobID))
-		put(uint64(len(e.FOMs)))
-		for _, name := range sortedFOMNames(e.FOMs) {
-			v := e.FOMs[name]
-			put(dict.id(name))
-			put(dict.id(v.Unit))
-			cols = binary.LittleEndian.AppendUint64(cols, math.Float64bits(v.Value))
+		puts(c.job[row])
+		foms = append(foms[:0], c.foms[c.fomAt[row]:c.fomAt[row+1]]...)
+		if !slices.IsSortedFunc(foms, cmpFOM) {
+			slices.SortFunc(foms, cmpFOM)
 		}
-		put(uint64(len(e.Extra)))
-		for _, k := range sortedExtraKeys(e.Extra) {
-			put(dict.id(k))
-			put(dict.id(e.Extra[k]))
+		put(uint64(len(foms)))
+		for _, f := range foms {
+			id(f.name)
+			id(f.unit)
+			cols = binary.LittleEndian.AppendUint64(cols, math.Float64bits(f.value))
+		}
+		xs = append(xs[:0], c.extras[c.extraAt[row]:c.extraAt[row+1]]...)
+		if !slices.IsSortedFunc(xs, cmpExtra) {
+			slices.SortFunc(xs, cmpExtra)
+		}
+		put(uint64(len(xs)))
+		for _, x := range xs {
+			id(x.key)
+			id(x.val)
 		}
 	}
 
-	data := binary.AppendUvarint(nil, uint64(len(dict.strs)))
-	for _, s := range dict.strs {
+	data := binary.AppendUvarint(nil, uint64(len(strs)))
+	for _, s := range strs {
 		data = binary.AppendUvarint(data, uint64(len(s)))
 		data = append(data, s...)
 	}
@@ -214,24 +287,6 @@ func encodeSegment(entries []stored) (segHeader, []byte) {
 	hdr.DataLen = uint64(len(data))
 	hdr.DataCRC = crc32.Checksum(data, segCRC)
 	return hdr, data
-}
-
-func sortedFOMNames(m map[string]fom.Value) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sortedExtraKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // marshalHeader renders the fixed-size header, CRC-stamped last.
@@ -444,8 +499,7 @@ func mergePostings(a, b []int32) []int32 {
 	return append(append(out, a...), b...)
 }
 
-// The identity columns of a sealed row, in the order a segment row
-// encodes them.
+// The identity columns of a row, in the order a segment row encodes them.
 const (
 	colFile = iota
 	colSystem
@@ -460,13 +514,13 @@ const (
 // noID is an id no dictionary hands out: the id of a string it lacks.
 const noID = math.MaxUint32
 
-// fomCell is one FOM of a sealed row, its name and unit as dictionary ids.
+// fomCell is one FOM of a row, its name and unit as dictionary ids.
 type fomCell struct {
 	name, unit uint32
 	value      float64
 }
 
-// extraCell is one extra of a sealed row, key and value as dictionary ids.
+// extraCell is one extra of a row, key and value as dictionary ids.
 type extraCell struct{ key, val uint32 }
 
 // farTime is the time of a row whose ordering key saturated (see
@@ -477,12 +531,20 @@ type farTime struct {
 	ns  int32
 }
 
-// columns is a sealed segment in memory. Every string is a dictionary id,
-// and ids are canonical: a string the dictionary repeats has one id, so an
+// columns is the one in-memory form of rows, in both tiers: a sealed
+// segment's, filled by decodeSegment, and a head shard's, filled by
+// appends (shard.appendLocked). Every string is a dictionary id, and ids
+// are canonical: a string the dictionary repeats has one id, so an
 // equality is an id compare. A row holds each FOM name and extra key once,
 // with the value a map filled in block order ends up holding.
+//
+// A head's columns only grow, and never rewrite a row, a cell or a
+// dictionary string: a copy of the struct taken under the shard's read
+// lock keeps reading the rows it saw after the lock is released, while
+// appends go past its lengths (see leg). lookup is a map and changes in
+// place, so it is read only under the lock.
 type columns struct {
-	dict    []string          // substrings of one string holding the whole dictionary
+	dict    []string          // a segment's: substrings of one string; a head's: copies made as they are interned
 	lookup  map[string]uint32 // the canonical id of each dictionary string
 	empty   uint32            // the id of "", or noID: what an absent extra reads as
 	t       []int64           // ordering key per row (timeNanos)
@@ -494,11 +556,30 @@ type columns struct {
 	foms    []fomCell
 	extras  []extraCell
 	far     []farTime // the rows whose ordering key saturated, ascending
-
-	resident int64 // bytes these columns and the segment's posting lists keep in memory (size)
 }
 
-// id is s's dictionary id, noID when the segment never stores s.
+// newColumns is an empty head's columns. "" is interned first, so an
+// absent extra always has an id to read as.
+func newColumns() columns {
+	c := columns{lookup: map[string]uint32{}, fomAt: []uint32{0}, extraAt: []uint32{0}}
+	c.empty = c.intern("")
+	return c
+}
+
+// intern is s's id, adding a copy of s to the dictionary when it is new:
+// the dictionary never keeps alive the buffer s was cut from.
+func (c *columns) intern(s string) uint32 {
+	if id, ok := c.lookup[s]; ok {
+		return id
+	}
+	id := uint32(len(c.dict))
+	s = strings.Clone(s)
+	c.dict = append(c.dict, s)
+	c.lookup[s] = id
+	return id
+}
+
+// id is s's dictionary id, noID when the columns never store s.
 func (c *columns) id(s string) uint32 {
 	if id, ok := c.lookup[s]; ok {
 		return id
@@ -553,9 +634,9 @@ func (c *columns) time(row int32) time.Time {
 }
 
 // extrasMemo lets the rows one call materializes share an Extra map when
-// their extras are the same cells of the same segment — the usual case, a
+// their extras are the same cells of the same columns — the usual case, a
 // few run parameters repeating across runs. An entry the store hands out
-// is read-only, as a head row's entry, shared by every answer, is already.
+// is read-only.
 type extrasMemo struct {
 	slots [4]struct {
 		cols  *columns
@@ -602,37 +683,20 @@ func (c *columns) fill(row int32, e *perflog.Entry, memo *extrasMemo) {
 	e.Extra = memo.extra(c, c.extras[c.extraAt[row]:c.extraAt[row+1]])
 }
 
-// arena materializes every row not ingested from the file whose
-// dictionary id is drop (noID drops nothing), its entries in one slab:
-// what a compaction or an eviction re-encodes.
-func (c *columns) arena(drop uint32) []stored {
-	slab := make([]perflog.Entry, len(c.t))
-	out := make([]stored, 0, len(c.t))
-	var memo extrasMemo
-	for row := range c.t {
-		file := c.col[colFile][row]
-		if file == drop {
-			continue
-		}
-		e := &slab[row]
-		c.fill(int32(row), e, &memo)
-		out = append(out, stored{entry: e, file: c.dict[file], t: c.t[row], seq: c.seq[row]})
-	}
-	return out
-}
-
-// size is what the columns and the posting lists keep resident, in
-// bytes: their capacities, and the dictionary's string bytes.
-func (c *columns) size(post map[string][]int32) int64 {
+// size is what the view keeps resident, in bytes: the capacities of its
+// columns, posting lists and time order, and its dictionary's string
+// bytes. It is the one accounting of resident rows, for both tiers.
+func (v *view) size() int64 {
+	c := &v.cols
 	n := 8*cap(c.t) + 8*cap(c.seq) + 8*cap(c.job) + 4*cap(c.fomAt) + 4*cap(c.extraAt) +
-		16*cap(c.foms) + 8*cap(c.extras) + 24*cap(c.far) + 16*cap(c.dict)
+		16*cap(c.foms) + 8*cap(c.extras) + 24*cap(c.far) + 16*cap(c.dict) + 4*cap(v.byTime)
 	for _, ids := range c.col {
 		n += 4 * cap(ids)
 	}
 	for _, s := range c.dict {
 		n += len(s)
 	}
-	for _, list := range post {
+	for _, list := range v.post {
 		n += 4 * cap(list)
 	}
 	return int64(n)
@@ -847,23 +911,21 @@ func decodeSegment(h segHeader, data []byte) (*view, error) {
 		pb.endRow()
 	}
 	c.fomAt[n], c.extraAt[n] = uint32(len(c.foms)), uint32(len(c.extras))
-	d := &view{cols: c, post: pb.finish(c.dict)}
-	c.resident = c.size(d.post)
-	return d, nil
+	return &view{cols: *c, post: pb.finish(c.dict)}, nil
 }
 
 // segFileName names segment id on disk.
 func segFileName(id uint64) string { return fmt.Sprintf("seg-%08d.seg", id) }
 
-// writeSegmentFile seals an arena into dir with atomicfile.Write, the
-// header and the body as two chunks: a crash mid-seal leaves at worst an
-// orphan .tmp the next Open sweeps away — never a half-written live
-// segment. The "perfstore.segwrite" injection point models that crash:
-// it fires before any byte of the segment is written. The segment comes
-// back resident in the form a load gives it: the block it wrote, decoded.
-// Nothing of entries stays reachable through it.
-func writeSegmentFile(dir string, id uint64, entries []stored) (*segment, error) {
-	hdr, data := encodeSegment(entries)
+// writeSegment seals a row set into dir with atomicfile.Write, the header
+// and the body as two chunks: a crash mid-seal leaves at worst an orphan
+// .tmp the next Open sweeps away — never a half-written live segment. The
+// "perfstore.segwrite" injection point models that crash: it fires before
+// any byte of the segment is written. The segment comes back resident in
+// the form a load gives it: the block it wrote, decoded. Nothing of the
+// source columns stays reachable through it.
+func writeSegment(dir string, id uint64, rs *rowSet) (*segment, error) {
+	hdr, data := encodeRows(rs)
 	name := segFileName(id)
 	d, err := decodeSegment(hdr, data)
 	if err != nil {
@@ -875,33 +937,34 @@ func writeSegmentFile(dir string, id uint64, entries []stored) (*segment, error)
 	if err := atomicfile.Write(filepath.Join(dir, name), marshalHeader(hdr), data); err != nil {
 		return nil, fmt.Errorf("perfstore: seal: %w", err)
 	}
-
-	info := SegmentInfo{
-		File:   name,
-		Count:  hdr.Count,
-		Bytes:  int64(segHeaderSize + len(data)),
-		MinT:   hdr.MinT,
-		MaxT:   hdr.MaxT,
-		MinSeq: hdr.MinSeq,
-		MaxSeq: hdr.MaxSeq,
-	}
-	files := map[string]bool{}
-	systems := map[string]bool{}
-	for i := range entries {
-		files[entries[i].file] = true
-		systems[entries[i].entry.System] = true
-	}
-	for fp := range files {
-		info.Sources = append(info.Sources, fp)
-	}
-	sort.Strings(info.Sources)
-	for sys := range systems {
-		info.Systems = append(info.Systems, sys)
-	}
-	sort.Strings(info.Systems)
-	g := &segment{dir: dir, info: info, data: d}
-	g.resident.Store(d.cols.resident)
+	c := &d.cols
+	g := &segment{dir: dir, data: d, info: SegmentInfo{
+		File:    name,
+		Count:   hdr.Count,
+		Bytes:   int64(segHeaderSize + len(data)),
+		MinT:    hdr.MinT,
+		MaxT:    hdr.MaxT,
+		MinSeq:  hdr.MinSeq,
+		MaxSeq:  hdr.MaxSeq,
+		Sources: c.distinct(colFile),
+		Systems: c.distinct(colSystem),
+	}}
+	g.resident.Store(d.size())
 	return g, nil
+}
+
+// distinct is the sorted strings column k holds, nil when it holds none.
+func (c *columns) distinct(k int) []string {
+	seen := make([]bool, len(c.dict))
+	var out []string
+	for _, id := range c.col[k] {
+		if !seen[id] {
+			seen[id] = true
+			out = append(out, c.dict[id])
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // readSegmentHeader reads and validates only the fixed-size header —
@@ -928,8 +991,8 @@ type segment struct {
 	mu   sync.Mutex
 	data *view // columns, in (time, seq) order as sealed
 
-	// resident is data's size in bytes once it is in memory
-	// (columns.resident), readable without waiting for a load in progress.
+	// resident is data's size in bytes once it is in memory (view.size),
+	// readable without waiting for a load in progress.
 	resident atomic.Int64
 }
 
@@ -974,6 +1037,6 @@ func (g *segment) load() (*view, error) {
 	}
 	metricSegmentLoads.Inc()
 	g.data = d
-	g.resident.Store(d.cols.resident)
+	g.resident.Store(d.size())
 	return d, nil
 }

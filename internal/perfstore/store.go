@@ -98,8 +98,10 @@ type Stats struct {
 	SealedSegments      int
 	ManifestGeneration  uint64
 	SegmentLoadFailures int
-	// SealedResidentBytes is what the loaded sealed segments keep in
-	// memory: their columns and posting lists.
+	// HeadResidentBytes and SealedResidentBytes are what the head shards
+	// and the loaded sealed segments keep in memory: their columns,
+	// posting lists and (head) time order, by one accounting (view.size).
+	HeadResidentBytes   int64
 	SealedResidentBytes int64
 	// BadLines counts the lines ingest has quarantined; Quarantined holds
 	// the newest of them, oldest first.
@@ -180,7 +182,7 @@ type Store struct {
 func Open(root string) *Store {
 	s := &Store{root: root, ck: map[string]*checkpoint{}}
 	for i := range s.shards {
-		s.shards[i].init()
+		s.shards[i].reset()
 	}
 	s.seg.man = &manifest{Version: manifestVersion, Watermarks: map[string]int64{}}
 	return s
@@ -505,15 +507,17 @@ func (s *Store) IngestCommit(c perflog.Commit) error {
 // AddBatch is IngestCommit reporting success.
 func (s *Store) AddBatch(c perflog.Commit) bool { return s.IngestCommit(c) == nil }
 
-// addBatch indexes entries under one shard-lock pass per contiguous
-// shard run and bumps the generation once for the whole batch — one
-// query-cache invalidation per commit instead of one per entry. A
-// perflog file holds a single system, so in practice a batch is one
-// lock acquisition.
+// addBatch appends entries as head rows under one shard-lock pass per
+// contiguous shard run and bumps the generation once for the whole batch
+// — one query-cache invalidation per commit instead of one per entry. A
+// perflog file holds a single system, so in practice a batch is one lock
+// acquisition. A row records its file as the manifest names it
+// (relSource), as a sealed row does.
 func (s *Store) addBatch(entries []*perflog.Entry, file string) {
 	if len(entries) == 0 {
 		return
 	}
+	file = s.relSource(file)
 	for i := 0; i < len(entries); {
 		sh := s.shardFor(entries[i].System)
 		j := i + 1
@@ -524,7 +528,7 @@ func (s *Store) addBatch(entries []*perflog.Entry, file string) {
 		// Taking the run's seqs under the shard lock keeps them above
 		// every seq the shard already holds.
 		n := uint64(j - i)
-		sh.addLocked(entries[i:j], file, s.seq.Add(n)-n+1)
+		sh.appendLocked(entries[i:j], file, s.seq.Add(n)-n+1)
 		sh.mu.Unlock()
 		i = j
 	}
@@ -535,11 +539,11 @@ func (s *Store) addBatch(entries []*perflog.Entry, file string) {
 // recovery) from both tiers: each shard is rebuilt without them, and any
 // sealed segments holding them are rewritten. Callers hold ckMu.
 func (s *Store) evictFile(path string) error {
-	removed := 0
+	removed, rel := 0, s.relSource(path)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		removed += sh.evictLocked(path)
+		removed += sh.evictLocked(rel)
 		sh.mu.Unlock()
 	}
 	if removed > 0 {
@@ -576,7 +580,8 @@ func (s *Store) Stats() Stats {
 		for sys := range sh.systems {
 			systems[sys] = true
 		}
-		out.HeadEntries += len(sh.entries)
+		out.HeadEntries += sh.rows()
+		out.HeadResidentBytes += sh.size()
 		sh.mu.RUnlock()
 	}
 	s.seg.RLock()
@@ -602,13 +607,14 @@ func (s *Store) Stats() Stats {
 	return out
 }
 
-// PublishMetrics pushes the point-in-time tier gauges (head entries,
-// sealed entries, segments and resident bytes, manifest generation) into
-// the telemetry registry — called on each /metrics scrape so the gauges
-// are fresh without a background sampler.
+// PublishMetrics pushes the point-in-time tier gauges (head entries and
+// resident bytes, sealed entries, segments and resident bytes, manifest
+// generation) into the telemetry registry — called on each /metrics
+// scrape so the gauges are fresh without a background sampler.
 func (s *Store) PublishMetrics() {
 	st := s.Stats()
 	metricHeadEntries.Set(float64(st.HeadEntries))
+	metricHeadResident.Set(float64(st.HeadResidentBytes))
 	metricSealedEntries.Set(float64(st.SealedEntries))
 	metricSealedSegments.Set(float64(st.SealedSegments))
 	metricSealedResident.Set(float64(st.SealedResidentBytes))

@@ -56,7 +56,8 @@ func genTree(tb testing.TB, n int) string {
 // re-parses every perflog byte; the interleaved leg does so on a tree
 // whose files interleave in time, as the end-to-end benchmark's corpus
 // does; the sealed leg recovers the corpus from segment headers and
-// parses only the (empty) tail.
+// parses only the (empty) tail. The text legs report resident-B/row, what
+// the booted head keeps per row (Stats.HeadResidentBytes).
 func BenchmarkStoreColdBoot(b *testing.B) {
 	const n = 20_000
 	root := benchTree(b, n)
@@ -75,8 +76,9 @@ func BenchmarkStoreColdBoot(b *testing.B) {
 	textBoot := func(root string) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
+			var st *Store
 			for i := 0; i < b.N; i++ {
-				st := Open(root)
+				st = Open(root)
 				if err := st.Sync(); err != nil {
 					b.Fatal(err)
 				}
@@ -84,6 +86,7 @@ func BenchmarkStoreColdBoot(b *testing.B) {
 					b.Fatalf("boot recovered %d entries", st.Len())
 				}
 			}
+			b.ReportMetric(float64(st.Stats().HeadResidentBytes)/n, "resident-B/row")
 		}
 	}
 	b.Run("text", textBoot(root))
@@ -208,5 +211,5 @@ func BenchmarkSegmentDecode(b *testing.B) {
 	if d.rows() != n {
 		b.Fatalf("decoded %d rows, want %d", d.rows(), n)
 	}
-	b.ReportMetric(float64(d.cols.resident)/n, "resident-B/row")
+	b.ReportMetric(float64(d.size())/n, "resident-B/row")
 }

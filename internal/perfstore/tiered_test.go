@@ -85,9 +85,7 @@ func sameLines(a, b []*perflog.Entry) bool {
 
 // TestTieredSealAndQuery: sealing must be invisible to queries — the
 // same entries come back, in the same order, with the head empty and
-// the segment answering. In-process the sealed arena keeps the same
-// entry pointers, so pointer-identity comparison against the reference
-// scan still holds.
+// the segment answering.
 func TestTieredSealAndQuery(t *testing.T) {
 	root := seedTree(t)
 	s, err := OpenTiered(root, t.TempDir())

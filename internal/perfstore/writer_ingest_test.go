@@ -102,9 +102,9 @@ func TestCommitParsesOutOfBandGap(t *testing.T) {
 	if got := metricCommitGaps.Value() - gaps; got != 1 {
 		t.Fatalf("perfstore_commit_gaps_total moved by %v, want 1", got)
 	}
-	arena := s.shardFor("archer2").entries
-	if len(arena) != 2 || arena[0].entry.JobID != 1 || arena[1].entry.JobID != 100 || arena[0].seq >= arena[1].seq {
-		t.Fatalf("arena after gap + commit: %+v, want the out-of-band line then the commit", arena)
+	rows := &s.shardFor("archer2").cols
+	if len(rows.t) != 2 || rows.job[0] != 1 || rows.job[1] != 100 || rows.seq[0] >= rows.seq[1] {
+		t.Fatalf("rows after gap + commit: jobs %v, seqs %v; want the out-of-band line then the commit", rows.job, rows.seq)
 	}
 	if st := s.Stats(); st.BytesParsed != int64(len(oob.Line())+1) || st.EntriesAdded != 2 {
 		t.Fatalf("stats %+v: want %d bytes parsed (the gap) and 2 entries added", st, len(oob.Line())+1)

@@ -477,6 +477,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"mode":                  mode,
 			"data_dir":              s.store.DataDir(),
 			"head_entries":          stats.HeadEntries,
+			"head_resident_bytes":   stats.HeadResidentBytes,
 			"sealed_entries":        stats.SealedEntries,
 			"sealed_segments":       stats.SealedSegments,
 			"sealed_resident_bytes": stats.SealedResidentBytes,

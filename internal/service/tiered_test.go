@@ -53,6 +53,7 @@ type healthView struct {
 		Mode                string `json:"mode"`
 		DataDir             string `json:"data_dir"`
 		HeadEntries         int    `json:"head_entries"`
+		HeadResidentBytes   int64  `json:"head_resident_bytes"`
 		SealedEntries       int    `json:"sealed_entries"`
 		SealedSegments      int    `json:"sealed_segments"`
 		SealedResidentBytes int64  `json:"sealed_resident_bytes"`
@@ -87,12 +88,27 @@ func newTieredServer(t *testing.T, perflogRoot, dataDir string) (*Server, *httpt
 }
 
 // TestTieredHealthzStorageDetail: /healthz reports the storage tier
-// honestly on both sides of a seal.
+// honestly on both sides of a seal, and /metrics carries the same
+// resident bytes: the head's before the seal, the segment's after it.
 func TestTieredHealthzStorageDetail(t *testing.T) {
 	perflogRoot := filepath.Join(t.TempDir(), "perflogs")
 	n := seedTieredTree(t, perflogRoot)
 	dataDir := t.TempDir()
 	srv, ts := newTieredServer(t, perflogRoot, dataDir)
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	gauge := func(name string, v int64) string { return name + " " + strconv.FormatFloat(float64(v), 'g', -1, 64) }
 
 	var h healthView
 	if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusOK {
@@ -101,8 +117,12 @@ func TestTieredHealthzStorageDetail(t *testing.T) {
 	if h.Status != "ok" || h.Storage.Mode != "tiered" || h.Storage.DataDir != dataDir {
 		t.Fatalf("healthz = %+v", h)
 	}
-	if h.Storage.HeadEntries != n || h.Storage.SealedSegments != 0 || h.Storage.SealedResidentBytes != 0 {
+	if h.Storage.HeadEntries != n || h.Storage.SealedSegments != 0 || h.Storage.SealedResidentBytes != 0 ||
+		h.Storage.HeadResidentBytes <= 0 {
 		t.Fatalf("pre-seal storage = %+v", h.Storage)
+	}
+	if text := scrape(); !strings.Contains(text, gauge("perfstore_head_resident_bytes", h.Storage.HeadResidentBytes)) {
+		t.Errorf("/metrics before the seal does not carry perfstore_head_resident_bytes %d", h.Storage.HeadResidentBytes)
 	}
 
 	if _, err := srv.Store().Seal(); err != nil {
@@ -111,7 +131,7 @@ func TestTieredHealthzStorageDetail(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusOK {
 		t.Fatalf("healthz status = %d", code)
 	}
-	if h.Storage.HeadEntries != 0 || h.Storage.SealedEntries != n ||
+	if h.Storage.HeadEntries != 0 || h.Storage.SealedEntries != n || h.Storage.HeadResidentBytes != 0 ||
 		h.Storage.SealedSegments != 1 || h.Storage.ManifestGeneration == 0 || h.Storage.SealedResidentBytes <= 0 {
 		t.Fatalf("post-seal storage = %+v", h.Storage)
 	}
@@ -120,23 +140,15 @@ func TestTieredHealthzStorageDetail(t *testing.T) {
 	}
 
 	// The storage tier is visible in the Prometheus exposition too.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
+	text := scrape()
 	for _, metric := range []string{
 		"perfstore_segments_sealed_total",
 		"perfstore_seal_seconds",
 		"perfstore_sealed_segments 1",
 		"perfstore_head_entries 0",
+		"perfstore_head_resident_bytes 0",
 		"perfstore_ingest_bytes_total",
-		"perfstore_sealed_resident_bytes " + strconv.FormatFloat(float64(h.Storage.SealedResidentBytes), 'g', -1, 64),
+		gauge("perfstore_sealed_resident_bytes", h.Storage.SealedResidentBytes),
 	} {
 		if !strings.Contains(text, metric) {
 			t.Errorf("/metrics missing %q after seal", metric)
